@@ -34,8 +34,8 @@
 #   --no-stress  skip the `stress`-labeled tests in every preset (the
 #                push/PR CI path; a scheduled job runs them)
 #   --coverage   also build + test the `coverage` preset and gate line
-#                coverage of src/gpu/ + src/cluster/ + src/index/ at 80%
-#                with
+#                coverage of src/gpu/ + src/cluster/ + src/index/ +
+#                src/serve/ at 80% with
 #                tools/coverage/check_coverage.py; the summary JSON lands
 #                in build-coverage/coverage_summary.json (CI uploads it)
 #   --jobs N     parallelism for builds and ctest (default: nproc)
@@ -181,7 +181,7 @@ bench_smoke() {
     && env MRSCAN_BENCH_METRICS_DIR="$dir" MRSCAN_BENCH_SERVE_INITIAL=4000 \
          MRSCAN_BENCH_SERVE_MUTATIONS=64 \
          ./build/bench/bench_serve \
-         --benchmark_filter='BM_ServeEpoch/(8|64)$' \
+         --benchmark_filter='BM_Serve(Epoch/(8|64)$|Live/)' \
          --benchmark_min_time=0.05 \
     && env MRSCAN_BENCH_METRICS_DIR="$dir" MRSCAN_BENCH_OOC_LEAVES=16 \
          MRSCAN_BENCH_OOC_POINTS_PER_LEAF=100 MRSCAN_BENCH_OOC_FAT_LEAVES=8 \
@@ -194,9 +194,9 @@ bench_smoke() {
 run_step "bench-smoke" bench_smoke
 
 # Coverage gate: instrumented build + full suite, then the line-coverage
-# check over the GPGPU cluster phase, the cell-graph module and the
-# spatial index backends. Composes with --quick (the CI coverage job runs
-# `--quick --coverage`).
+# check over the GPGPU cluster phase, the cell-graph module, the spatial
+# index backends and the serving layer. Composes with --quick (the CI
+# coverage job runs `--quick --coverage`).
 if [[ "$COVERAGE" -eq 1 ]]; then
   run_preset coverage
   run_step "coverage-gate" python3 tools/coverage/check_coverage.py \

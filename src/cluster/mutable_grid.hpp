@@ -7,25 +7,42 @@
 // phase deterministic and exact:
 //   * cell side is cluster::cell_graph_side(eps) with the origin fixed at
 //     (0,0), so cell membership never shifts as points come and go;
-//   * cells are held in a std::map keyed by packed cell code and members
-//     are kept in ascending point-id order — every iteration surface is
-//     deterministic by construction (mrscan_analyze's unordered-iteration
-//     rule), and member order is stable across epochs because ids are
-//     global, not slot-dependent.
+//   * cells live in a dense table addressed by a stable cell index; the
+//     code -> index hash index is only looked up, never iterated (like
+//     CellGrid::lookup_), so no result depends on hash order;
+//   * members are kept in ascending point-id order — stable across epochs
+//     because ids are global, not slot-dependent.
+// A cell keeps its index while it is occupied. A cell that empties stays
+// in the table (with no members) until its owner calls release(), so an
+// epoch can still address the cells it emptied; released indices are
+// reused by later inserts. Owners keep per-cell state in arrays indexed
+// by cell index, sized by table_size().
+//
 // Members carry the owning service's slot index alongside the id so the
 // epoch machinery can reach point records without a second lookup.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "cluster/cell_grid.hpp"
 #include "geometry/cell.hpp"
 #include "geometry/point.hpp"
 
 namespace mrscan::cluster {
+
+/// Cells in the ring-3 neighbourhood of a cell (itself excluded).
+inline constexpr int kRingCells =
+    (2 * kCellGraphRings + 1) * (2 * kCellGraphRings + 1) - 1;
+
+/// Offset k of the ring-3 neighbourhood, numbered in
+/// geom::for_each_neighbor_within order. Offsets k and kRingCells - 1 - k
+/// are mirror images: if B is at offset k of A, A is at offset
+/// ring_mirror(k) of B.
+geom::CellKey ring_offset(int k);
+inline constexpr int ring_mirror(int k) { return kRingCells - 1 - k; }
 
 class MutableCellGrid {
  public:
@@ -34,59 +51,93 @@ class MutableCellGrid {
     std::uint32_t slot = 0;
   };
 
-  MutableCellGrid() = default;
+  static constexpr std::uint32_t kNoCell = 0xffffffffu;
+
   explicit MutableCellGrid(double side) : side_(side) {}
 
-  double side() const { return side_; }
+  /// Packed cell code of `p`, or nullopt when `p` lies outside the grid's
+  /// domain: a non-finite coordinate, or a cell whose ring-3 neighbourhood
+  /// does not fit in int32 cell indices.
+  std::optional<std::uint64_t> code_of(const geom::Point& p) const;
 
-  geom::CellKey key_of(const geom::Point& p) const {
-    return geom::CellKey{
-        static_cast<std::int32_t>(std::floor(p.x / side_)),
-        static_cast<std::int32_t>(std::floor(p.y / side_))};
+  /// Index of the cell with this code, or kNoCell when it is not in the
+  /// table.
+  std::uint32_t find(std::uint64_t code) const { return lookup_.find(code); }
+
+  /// Index of the cell at ring-3 offset `k` of `cell`, or kNoCell.
+  std::uint32_t neighbor(std::uint32_t cell, int k) const;
+
+  /// Insert a member into the cell with this code (creating the cell if
+  /// needed), keeping its members sorted by point id; returns the cell's
+  /// index. The id must not already be present in the cell.
+  std::uint32_t insert(std::uint64_t code, geom::PointId id,
+                       std::uint32_t slot);
+
+  /// Remove the member with this id from the cell. The cell stays in the
+  /// table even when it empties; the id must be present.
+  void remove(std::uint32_t cell, geom::PointId id);
+
+  /// Drop an empty cell from the table; its index may be handed out again
+  /// by a later insert.
+  void release(std::uint32_t cell);
+
+  std::uint64_t code(std::uint32_t cell) const { return cells_[cell].code; }
+
+  /// Members of the cell (ascending id order).
+  std::span<const Member> members(std::uint32_t cell) const {
+    return cells_[cell].members;
   }
 
-  std::uint64_t code_of(const geom::Point& p) const {
-    return geom::cell_code(key_of(p));
-  }
+  /// Cells in the table (occupied plus emptied-but-unreleased).
+  std::size_t cell_count() const { return lookup_.size(); }
 
-  /// Insert a member into its cell, keeping the cell's members sorted by
-  /// point id. The id must not already be present in the cell.
-  void insert(std::uint64_t code, geom::PointId id, std::uint32_t slot);
-
-  /// Remove the member with this id from the cell; empty cells are erased
-  /// so cell iteration never visits ghosts. Returns false when the id was
-  /// not present.
-  bool remove(std::uint64_t code, geom::PointId id);
-
-  /// Members of the cell with this code (ascending id order), or an empty
-  /// span when the cell is unoccupied.
-  std::span<const Member> members(std::uint64_t code) const {
-    const auto it = cells_.find(code);
-    if (it == cells_.end()) return {};
-    return it->second;
-  }
-
-  bool occupied(std::uint64_t code) const { return cells_.contains(code); }
-
-  std::size_t cell_count() const { return cells_.size(); }
-
-  std::size_t point_count() const { return point_count_; }
-
-  /// Visit every occupied cell in ascending code order:
-  /// fn(code, span<const Member>).
-  template <typename Fn>
-  void for_each_cell(Fn&& fn) const {
-    for (const auto& [code, members] : cells_) {
-      fn(code, std::span<const Member>(members));
-    }
-  }
+  /// One past the largest cell index ever handed out.
+  std::size_t table_size() const { return cells_.size(); }
 
  private:
+  struct Cell {
+    std::uint64_t code = 0;
+    std::vector<Member> members;
+  };
+
+  /// Cell code -> cell index. Every neighbourhood walk resolves its 48
+  /// neighbours here, so it is a flat open-addressing table (linear
+  /// probing, at most half full, backward-shift erase) that answers a
+  /// lookup from one cache line instead of chasing std::unordered_map
+  /// nodes. Only looked up, never iterated.
+  class CodeIndex {
+   public:
+    std::uint32_t find(std::uint64_t code) const {
+      if (slots_.empty()) return kNoCell;
+      for (std::size_t i = home(code);; i = (i + 1) & mask_) {
+        if (slots_[i].cell == kNoCell || slots_[i].code == code) {
+          return slots_[i].cell;
+        }
+      }
+    }
+    /// `code` must not be present.
+    void insert(std::uint64_t code, std::uint32_t cell);
+    /// `code` must be present.
+    void erase(std::uint64_t code);
+    std::size_t size() const { return size_; }
+
+   private:
+    struct Slot {
+      std::uint64_t code = 0;
+      std::uint32_t cell = kNoCell;  // kNoCell: empty
+    };
+    std::size_t home(std::uint64_t code) const {
+      return geom::CellKeyHash{}(geom::cell_from_code(code)) & mask_;
+    }
+    std::vector<Slot> slots_;
+    std::size_t mask_ = 0;
+    std::size_t size_ = 0;
+  };
+
   double side_ = 1.0;
-  std::size_t point_count_ = 0;
-  // Ordered map: cell iteration is ascending-code deterministic, exactly
-  // like CellGrid's sorted cell array.
-  std::map<std::uint64_t, std::vector<Member>> cells_;
+  std::vector<Cell> cells_;
+  std::vector<std::uint32_t> free_cells_;
+  CodeIndex lookup_;
 };
 
 }  // namespace mrscan::cluster

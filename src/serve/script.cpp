@@ -15,6 +15,12 @@ bool fail(ScriptResult& result, std::size_t line_no,
   return false;
 }
 
+/// True when nothing but whitespace is left on the line.
+bool at_end(std::istream& fields) {
+  fields >> std::ws;
+  return fields.eof();
+}
+
 }  // namespace
 
 ScriptResult run_script(ClusterService& service, std::istream& in,
@@ -29,21 +35,25 @@ ScriptResult run_script(ClusterService& service, std::istream& in,
     if (!(fields >> command) || command[0] == '#') continue;
     ++result.commands;
     if (command == "insert") {
-      geom::Point p;
-      if (!(fields >> p.id >> p.x >> p.y)) {
+      geom::Point p;  // the weight is optional and defaults to 1
+      if (!(fields >> p.id >> p.x >> p.y) ||
+          !(at_end(fields) || ((fields >> p.weight) && at_end(fields)))) {
         fail(result, line_no, "insert wants: id x y [weight]");
         break;
       }
-      fields >> p.weight;  // optional; defaults to 1
       service.insert(p);
     } else if (command == "remove") {
       geom::PointId id = 0;
-      if (!(fields >> id)) {
+      if (!(fields >> id) || !at_end(fields)) {
         fail(result, line_no, "remove wants: id");
         break;
       }
       service.remove(id);
     } else if (command == "epoch") {
+      if (!at_end(fields)) {
+        fail(result, line_no, "epoch takes no arguments");
+        break;
+      }
       const EpochResult r = service.advance_epoch();
       ++result.epochs;
       if (r.ok) {
@@ -57,7 +67,7 @@ ScriptResult run_script(ClusterService& service, std::istream& in,
       }
     } else if (command == "query") {
       geom::PointId id = 0;
-      if (!(fields >> id)) {
+      if (!(fields >> id) || !at_end(fields)) {
         fail(result, line_no, "query wants: id");
         break;
       }
@@ -69,7 +79,7 @@ ScriptResult run_script(ClusterService& service, std::istream& in,
       }
     } else if (command == "stats") {
       dbscan::ClusterId cluster = 0;
-      if (!(fields >> cluster)) {
+      if (!(fields >> cluster) || !at_end(fields)) {
         fail(result, line_no, "stats wants: cluster-id");
         break;
       }

@@ -8,6 +8,10 @@
 //   query <id>                     label_of(); prints the label
 //   stats <cluster-id>             cluster_stats(); prints the aggregate
 //
+// A field that does not parse, a missing field or a field too many is an
+// error. Points outside the grid's domain parse fine; the epoch that
+// applies them counts them as rejected.
+//
 // The CLI's --serve mode feeds a script file through run_script and the
 // serve smoke step in scripts/check.sh validates the resulting metrics
 // snapshot, so the whole service surface is drivable — and testable —

@@ -1,11 +1,10 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "cluster/cell_graph_ops.hpp"
-#include "cluster/cell_grid.hpp"
 #include "core/serve_state.hpp"
-#include "geometry/cell.hpp"
 #include "obs/names.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
@@ -16,33 +15,23 @@ namespace {
 
 namespace names = obs::names;
 
-// FNV-1a over the sorted core-member ids of a cell. Order-independent
-// inputs are not needed — members are scanned in ascending-id order — but
-// the count is folded in so {a} and {a, a} style degeneracies cannot
-// collide trivially.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+// CellState::flags: which of the epoch's working sets a cell is in.
+constexpr std::uint8_t kDirty = 1;       // touched by a mutation
+constexpr std::uint8_t kLostCore = 2;    // a core member was removed
+constexpr std::uint8_t kAffected = 4;    // core flags recomputed
+constexpr std::uint8_t kAnchored = 8;    // border anchors recomputed
+constexpr std::uint8_t kChanged = 16;    // core membership changed
+constexpr std::uint8_t kVisited = 32;    // component re-derived
 
-std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffu;
-    h *= kFnvPrime;
+constexpr std::uint64_t ring_bit(int k) { return std::uint64_t{1} << k; }
+
+/// fn(k) for every set bit k of `mask`, ascending.
+template <typename Fn>
+void for_each_bit(std::uint64_t mask, Fn&& fn) {
+  while (mask != 0) {
+    fn(std::countr_zero(mask));
+    mask &= mask - 1;
   }
-  return h;
-}
-
-/// Occupied cells within Chebyshev distance kCellGraphRings of `code`,
-/// including `code` itself, appended to `out`.
-void occupied_neighborhood(const cluster::MutableCellGrid& grid,
-                           std::uint64_t code,
-                           std::set<std::uint64_t>& out) {
-  if (grid.occupied(code)) out.insert(code);
-  geom::for_each_neighbor_within(
-      geom::cell_from_code(code), cluster::kCellGraphRings,
-      [&](geom::CellKey key) {
-        const std::uint64_t ncode = geom::cell_code(key);
-        if (grid.occupied(ncode)) out.insert(ncode);
-      });
 }
 
 }  // namespace
@@ -147,48 +136,10 @@ EpochResult ClusterService::advance_epoch() {
   }
 
   // ---- Apply pending mutations; every touched cell is dirty.
-  std::set<std::uint64_t> dirty;
-  std::vector<Mutation> batch;
-  batch.swap(pending_);
-  for (const Mutation& m : batch) {
-    if (m.kind == Mutation::Kind::kInsert) {
-      if (live_.contains(m.point.id)) {
-        ++stats.rejected;
-        continue;
-      }
-      std::uint32_t slot;
-      if (free_slots_.empty()) {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-      } else {
-        slot = free_slots_.back();
-        free_slots_.pop_back();
-      }
-      PointRec& rec = slots_[slot];
-      rec = PointRec{};
-      rec.point = m.point;
-      rec.cell_code = grid_.code_of(m.point);
-      rec.live = true;
-      live_.emplace(m.point.id, slot);
-      grid_.insert(rec.cell_code, m.point.id, slot);
-      dirty.insert(rec.cell_code);
-      ++stats.inserts;
-    } else {
-      const auto it = live_.find(m.point.id);
-      if (it == live_.end()) {
-        ++stats.rejected;
-        continue;
-      }
-      const std::uint32_t slot = it->second;
-      const std::uint64_t code = slots_[slot].cell_code;
-      grid_.remove(code, m.point.id);
-      live_.erase(it);
-      slots_[slot].live = false;
-      free_slots_.push_back(slot);
-      dirty.insert(code);
-      ++stats.removes;
-    }
-  }
+  std::vector<std::uint32_t> dirty;
+  std::vector<std::uint32_t> inserted;
+  std::vector<std::uint32_t> removed;
+  apply_mutations(stats, dirty, inserted, removed);
   stats.dirty_cells = dirty.size();
 
   // ---- Invalidation region. Core status can only flip for points within
@@ -196,56 +147,74 @@ EpochResult ClusterService::advance_epoch() {
   // live within Chebyshev distance kCellGraphRings of a dirty cell
   // (DESIGN §12's reachability bound), so `affected` is a complete core
   // recompute set.
-  std::set<std::uint64_t> affected;
-  for (const std::uint64_t code : dirty) {
-    occupied_neighborhood(grid_, code, affected);
+  std::vector<std::uint32_t> affected;
+  for (const std::uint32_t cell : dirty) {
+    collect_ring(cell, kAffected, affected);
   }
 
-  std::set<std::uint64_t> changed_core;
-  stats.distance_ops += classify_core_cells(affected, changed_core);
+  std::vector<ChangedCell> changed;
+  stats.distance_ops += classify_core_cells(affected, changed);
 
-  // A dirty cell that vanished entirely: its former core members are
-  // gone, which is a core-membership change like any other.
-  for (const std::uint64_t code : dirty) {
-    if (!grid_.occupied(code) && core_fp_.contains(code)) {
-      core_fp_.erase(code);
-      changed_core.insert(code);
-    }
+  // A dirty cell that emptied while holding core points: its former core
+  // members are gone, which is a core-membership change like any other.
+  for (const std::uint32_t cell : dirty) {
+    CellState& st = cell_state_[cell];
+    if (!grid_.members(cell).empty() || st.core_count == 0) continue;
+    changed.push_back(ChangedCell{cell, true, st.linked});
+    st.core_count = 0;
+    st.flags |= kChanged;
   }
 
-  // ---- Edge cache invalidation: a cached BCP outcome is a function of
-  // the two cells' core-member sets, so it survives any epoch that leaves
-  // both endpoints' core membership untouched.
-  std::erase_if(edges_, [&](const auto& entry) {
-    return changed_core.contains(entry.first.first) ||
-           changed_core.contains(entry.first.second);
-  });
+  // ---- Cell graph: a link is a function of the two cells' core-member
+  // sets, so only links incident to a changed cell are re-tested, and
+  // only components whose links changed are re-derived.
+  stats.distance_ops += relink(changed, stats.edge_tests);
+  recompute_components(changed);
 
   // ---- Border anchors. An anchor (lowest-id core point within Eps) can
   // only change when a core-membership change happens within Eps, i.e.
-  // for border points within ring-3 of a changed_core cell — plus the
-  // affected cells themselves, whose own members (re-)classified.
-  std::set<std::uint64_t> anchor_region = affected;
-  for (const std::uint64_t code : changed_core) {
-    occupied_neighborhood(grid_, code, anchor_region);
+  // for border points within ring-3 of a changed cell — plus the affected
+  // cells themselves, whose own members (re-)classified.
+  std::vector<std::uint32_t> anchored = affected;
+  for (const std::uint32_t cell : affected) {
+    cell_state_[cell].flags |= kAnchored;
+  }
+  for (const ChangedCell& c : changed) {
+    collect_ring(c.cell, kAnchored, anchored);
   }
   // Re-clustered points: the epoch's distance-level footprint — every
   // member of a core-recompute cell plus every border point whose anchor
   // was redone outside those cells.
-  for (const std::uint64_t code : affected) {
-    stats.recluster_points += grid_.members(code).size();
-  }
-  for (const std::uint64_t code : anchor_region) {
-    if (affected.contains(code)) continue;
-    for (const auto& member : grid_.members(code)) {
-      if (!slots_[member.slot].core) ++stats.recluster_points;
+  for (std::size_t i = 0; i < anchored.size(); ++i) {
+    for (const auto& member : grid_.members(anchored[i])) {
+      if (i < affected.size() || !slots_[member.slot].core) {
+        ++stats.recluster_points;
+      }
     }
   }
-  stats.distance_ops += recompute_anchors(anchor_region);
+  stats.distance_ops += recompute_anchors(anchored);
 
-  // ---- Connectivity + labels: union-find over core cells from cached
-  // and freshly-tested edges, then the O(live) label materialization.
-  std::shared_ptr<EpochSnapshot> snapshot = materialize(stats);
+  // ---- End of the epoch's working sets: clear their marks, drop the
+  // BCP core lists, and release the cells that emptied.
+  for (const std::uint32_t cell : anchored) cell_state_[cell].flags = 0;
+  for (const ChangedCell& c : changed) cell_state_[c.cell].flags = 0;
+  for (const CoreList& list : core_lists_) {
+    cell_state_[list.cell].core_list = kNone;
+  }
+  core_lists_.clear();
+  core_points_.clear();
+  for (const std::uint32_t cell : dirty) {
+    cell_state_[cell].flags = 0;
+    if (grid_.members(cell).empty()) {
+      MRSCAN_ASSERT(cell_state_[cell].comp == kNone);
+      cell_state_[cell] = CellState{};
+      grid_.release(cell);
+    }
+  }
+
+  // ---- Labels: the O(live) snapshot pass.
+  std::shared_ptr<EpochSnapshot> snapshot = materialize(stats, inserted);
+  free_slots_.insert(free_slots_.end(), removed.begin(), removed.end());
 
   stats.wall_seconds = timer.seconds();
   stats.sim_seconds =
@@ -269,7 +238,7 @@ EpochResult ClusterService::advance_epoch() {
   registry_.observe(names::kServeEpochReclusterPoints,
                     static_cast<double>(stats.recluster_points));
   registry_.observe(names::kServeEpochSeconds, stats.wall_seconds);
-  registry_.set(names::kServePoints, static_cast<double>(live_.size()));
+  registry_.set(names::kServePoints, static_cast<double>(index_.size()));
   registry_.set(names::kServeCells,
                 static_cast<double>(grid_.cell_count()));
   registry_.set(names::kServeClusters,
@@ -281,129 +250,331 @@ EpochResult ClusterService::advance_epoch() {
   return result;
 }
 
+void ClusterService::apply_mutations(EpochStats& stats,
+                                     std::vector<std::uint32_t>& dirty,
+                                     std::vector<std::uint32_t>& inserted,
+                                     std::vector<std::uint32_t>& removed) {
+  auto mark_dirty = [&](std::uint32_t cell) {
+    if (cell >= cell_state_.size()) cell_state_.resize(grid_.table_size());
+    CellState& st = cell_state_[cell];
+    if ((st.flags & kDirty) == 0) {
+      st.flags |= kDirty;
+      dirty.push_back(cell);
+    }
+  };
+  std::vector<Mutation> batch;
+  batch.swap(pending_);
+  for (const Mutation& m : batch) {
+    if (m.kind == Mutation::Kind::kInsert) {
+      const auto code = grid_.code_of(m.point);
+      if (!code || index_.contains(m.point.id)) {
+        ++stats.rejected;
+        continue;
+      }
+      // Slots freed this epoch are recycled only after the snapshot pass
+      // has dropped them from order_.
+      std::uint32_t slot = static_cast<std::uint32_t>(slots_.size());
+      if (free_slots_.empty()) {
+        slots_.emplace_back();
+      } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+      }
+      PointRec& rec = slots_[slot];
+      rec = PointRec{};
+      rec.point = m.point;
+      rec.cell = grid_.insert(*code, m.point.id, slot);
+      index_.emplace(m.point.id, slot);
+      mark_dirty(rec.cell);
+      inserted.push_back(slot);
+      ++stats.inserts;
+    } else {
+      const auto it = index_.find(m.point.id);
+      if (it == index_.end()) {
+        ++stats.rejected;
+        continue;
+      }
+      const std::uint32_t slot = it->second;
+      PointRec& rec = slots_[slot];
+      mark_dirty(rec.cell);
+      if (rec.core) cell_state_[rec.cell].flags |= kLostCore;
+      grid_.remove(rec.cell, m.point.id);
+      index_.erase(it);
+      rec.cell = kNone;
+      removed.push_back(slot);
+      ++stats.removes;
+    }
+  }
+}
+
+void ClusterService::collect_ring(std::uint32_t cell, std::uint8_t flag,
+                                  std::vector<std::uint32_t>& out) {
+  auto visit = [&](std::uint32_t c) {
+    if (c == kNone || grid_.members(c).empty()) return;
+    CellState& st = cell_state_[c];
+    if ((st.flags & flag) != 0) return;
+    st.flags |= flag;
+    out.push_back(c);
+  };
+  visit(cell);
+  for (int k = 0; k < cluster::kRingCells; ++k) visit(grid_.neighbor(cell, k));
+}
+
+ClusterService::RingScan ClusterService::ring_scan(std::uint32_t cell) const {
+  RingScan scan;
+  scan.cells[scan.size++] = cell;
+  for (int k = 0; k < cluster::kRingCells; ++k) {
+    const std::uint32_t n = grid_.neighbor(cell, k);
+    if (n != kNone && !grid_.members(n).empty()) scan.cells[scan.size++] = n;
+  }
+  return scan;
+}
+
 std::uint64_t ClusterService::classify_core_cells(
-    const std::set<std::uint64_t>& affected,
-    std::set<std::uint64_t>& changed_core) {
-  const std::vector<std::uint64_t> cells(affected.begin(), affected.end());
+    const std::vector<std::uint32_t>& cells,
+    std::vector<ChangedCell>& changed) {
   const std::size_t min_pts = config_.params.min_pts;
   std::vector<std::uint64_t> cell_ops(cells.size(), 0);
+  std::vector<std::uint32_t> core_counts(cells.size(), 0);
+  std::vector<std::uint8_t> flipped(cells.size(), 0);
 
   // One task per cell: a worker writes only its own cell's members' core
-  // flags and its own ops slot, and reads only point coordinates — the
-  // determinism contract's disjoint-writes discipline (DESIGN §8).
+  // flags and its own result slots, and reads only point coordinates —
+  // the determinism contract's disjoint-writes discipline (DESIGN §8).
   pool_.parallel_for(0, cells.size(), [&](std::size_t ci) {
-    const std::uint64_t code = cells[ci];
-    const auto members = grid_.members(code);
+    const auto members = grid_.members(cells[ci]);
+    bool flip = false;
     if (members.size() >= min_pts) {
       // Wholesale rule: the cell diagonal is Eps/2, so all members are
       // mutually within Eps — core without a single distance test.
-      for (const auto& member : members) slots_[member.slot].core = true;
+      for (const auto& member : members) {
+        PointRec& rec = slots_[member.slot];
+        flip = flip || !rec.core;
+        rec.core = true;
+      }
+      core_counts[ci] = static_cast<std::uint32_t>(members.size());
+      flipped[ci] = flip ? 1 : 0;
       return;
     }
     // Exact early-exit count over the ring-3 neighbourhood (self first —
     // dist 0 counts the point itself, matching DbscanParams' inclusive
     // MinPts).
-    std::vector<std::uint64_t> scan;
-    scan.reserve(1 + 48);
-    scan.push_back(code);
-    geom::for_each_neighbor_within(
-        geom::cell_from_code(code), cluster::kCellGraphRings,
-        [&](geom::CellKey key) {
-          const std::uint64_t ncode = geom::cell_code(key);
-          // par-ref-capture-ok: scan is local to this task's lambda body
-          if (grid_.occupied(ncode)) scan.push_back(ncode);
-        });
+    const RingScan scan = ring_scan(cells[ci]);
     std::uint64_t ops = 0;
+    std::uint32_t cores = 0;
     for (const auto& member : members) {
-      const geom::Point& p = slots_[member.slot].point;
+      PointRec& rec = slots_[member.slot];
       std::size_t found = 0;
-      for (const std::uint64_t ncode : scan) {
-        for (const auto& candidate : grid_.members(ncode)) {
+      for (std::size_t s = 0; s < scan.size && found < min_pts; ++s) {
+        for (const auto& candidate : grid_.members(scan.cells[s])) {
           ++ops;
-          if (geom::dist2(p, slots_[candidate.slot].point) <= eps2_) {
+          if (geom::dist2(rec.point, slots_[candidate.slot].point) <= eps2_) {
             if (++found >= min_pts) break;
           }
         }
-        if (found >= min_pts) break;
       }
-      slots_[member.slot].core = found >= min_pts;
+      const bool core = found >= min_pts;
+      flip = flip || core != rec.core;
+      rec.core = core;
+      if (core) ++cores;
     }
     cell_ops[ci] = ops;
+    core_counts[ci] = cores;
+    flipped[ci] = flip ? 1 : 0;
   });
 
-  // Post-barrier reductions: op totals and core-fingerprint diffs.
+  // Post-barrier: op totals and core-membership changes. A cell changed
+  // when a member's core flag flipped (a new member turning core counts)
+  // or a core member was removed — exactly when its set of core points,
+  // coordinates included, may differ from the last epoch's.
   std::uint64_t total_ops = 0;
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
     total_ops += cell_ops[ci];
-    const std::uint64_t code = cells[ci];
-    std::uint64_t fp = kFnvOffset;
-    std::uint64_t core_count = 0;
-    for (const auto& member : grid_.members(code)) {
-      if (!slots_[member.slot].core) continue;
-      fp = fnv_step(fp, member.id);
-      ++core_count;
+    CellState& st = cell_state_[cells[ci]];
+    if (flipped[ci] != 0 || (st.flags & kLostCore) != 0) {
+      changed.push_back(ChangedCell{cells[ci], st.core_count > 0, st.linked});
+      st.flags |= kChanged;
     }
-    const auto it = core_fp_.find(code);
-    if (core_count == 0) {
-      if (it != core_fp_.end()) {
-        core_fp_.erase(it);
-        changed_core.insert(code);
-      }
-    } else if (it == core_fp_.end() || it->second != fp) {
-      core_fp_.insert_or_assign(code, fp);
-      changed_core.insert(code);
-    }
+    st.core_count = core_counts[ci];
   }
   return total_ops;
 }
 
+std::uint64_t ClusterService::relink(const std::vector<ChangedCell>& changed,
+                                     std::uint64_t& edge_tests) {
+  // Drop every link incident to a changed cell, on both endpoints.
+  for (const ChangedCell& c : changed) {
+    for_each_bit(c.old_linked, [&](int k) {
+      const std::uint32_t n = grid_.neighbor(c.cell, k);
+      MRSCAN_ASSERT(n != kNone);
+      cell_state_[n].linked &= ~ring_bit(cluster::ring_mirror(k));
+    });
+    cell_state_[c.cell].linked = 0;
+  }
+  // Re-test each pair of ring-3 neighbouring core cells with a changed
+  // endpoint, once: a pair of two changed cells is tested from its
+  // lower-code side.
+  std::uint64_t ops = 0;
+  for (const ChangedCell& c : changed) {
+    if (cell_state_[c.cell].core_count == 0) continue;
+    const std::uint64_t code = grid_.code(c.cell);
+    for (int k = 0; k < cluster::kRingCells; ++k) {
+      const std::uint32_t n = grid_.neighbor(c.cell, k);
+      if (n == kNone || cell_state_[n].core_count == 0) continue;
+      const std::uint64_t ncode = grid_.code(n);
+      if ((cell_state_[n].flags & kChanged) != 0 && ncode < code) continue;
+      // BCP runs lower-code cell first: its op count depends on the
+      // orientation, and the cost model charges this one.
+      const bool linked = code < ncode ? bcp_linked(c.cell, n, ops)
+                                       : bcp_linked(n, c.cell, ops);
+      ++edge_tests;
+      if (linked) {
+        cell_state_[c.cell].linked |= ring_bit(k);
+        cell_state_[n].linked |= ring_bit(cluster::ring_mirror(k));
+      }
+    }
+  }
+  return ops;
+}
+
+bool ClusterService::bcp_linked(std::uint32_t a, std::uint32_t b,
+                                std::uint64_t& ops) {
+  // Both lists first: building one may reallocate core_lists_.
+  const std::uint32_t ia = core_list(a);
+  const std::uint32_t ib = core_list(b);
+  const CoreList& la = core_lists_[ia];
+  const CoreList& lb = core_lists_[ib];
+  // The core-bbox Eps prefilter, then the shared cluster::bcp_within_eps
+  // kernel the batch path runs.
+  if (cluster::box_gap2(la.bbox, lb.bbox) > eps2_) return false;
+  return cluster::bcp_within_eps(
+      la.end - la.begin, lb.end - lb.begin,
+      [&](std::size_t i) -> const geom::Point& {
+        return core_points_[la.begin + i];
+      },
+      [&](std::size_t j) -> const geom::Point& {
+        return core_points_[lb.begin + j];
+      },
+      eps2_, ops);
+}
+
+std::uint32_t ClusterService::core_list(std::uint32_t cell) {
+  CellState& st = cell_state_[cell];
+  if (st.core_list == kNone) {
+    CoreList list;
+    list.cell = cell;
+    list.begin = static_cast<std::uint32_t>(core_points_.size());
+    for (const auto& member : grid_.members(cell)) {
+      const PointRec& rec = slots_[member.slot];
+      if (!rec.core) continue;
+      core_points_.push_back(rec.point);
+      list.bbox.expand(rec.point);
+    }
+    list.end = static_cast<std::uint32_t>(core_points_.size());
+    st.core_list = static_cast<std::uint32_t>(core_lists_.size());
+    core_lists_.push_back(list);
+  }
+  return st.core_list;
+}
+
+void ClusterService::recompute_components(
+    const std::vector<ChangedCell>& changed) {
+  // Seeds: every core cell with a link added or removed, and every cell
+  // that turned core. A component none of whose cells is a seed kept all
+  // of its cells and links, so its id stays valid (DESIGN §14).
+  std::vector<std::uint32_t> seeds;
+  for (const ChangedCell& c : changed) {
+    CellState& st = cell_state_[c.cell];
+    const bool core = st.core_count > 0;
+    if (c.was_core && !core) {
+      release_component(st.comp);
+      st.comp = kNone;
+    }
+    if (core && (!c.was_core || st.linked != c.old_linked)) {
+      seeds.push_back(c.cell);
+    }
+    for_each_bit(st.linked ^ c.old_linked, [&](int k) {
+      const std::uint32_t n = grid_.neighbor(c.cell, k);
+      if (n != kNone && cell_state_[n].core_count > 0) seeds.push_back(n);
+    });
+  }
+
+  // Flood each seed's component over the link masks under a fresh id.
+  std::vector<std::uint32_t> visited;
+  std::vector<std::uint32_t> stack;
+  for (const std::uint32_t seed : seeds) {
+    if ((cell_state_[seed].flags & kVisited) != 0) continue;
+    std::uint32_t comp = static_cast<std::uint32_t>(comp_cells_.size());
+    if (free_comps_.empty()) {
+      comp_cells_.push_back(0);
+    } else {
+      comp = free_comps_.back();
+      free_comps_.pop_back();
+    }
+    cell_state_[seed].flags |= kVisited;
+    stack.push_back(seed);
+    while (!stack.empty()) {
+      const std::uint32_t cell = stack.back();
+      stack.pop_back();
+      visited.push_back(cell);
+      CellState& st = cell_state_[cell];
+      if (st.comp != kNone) release_component(st.comp);
+      st.comp = comp;
+      ++comp_cells_[comp];
+      for_each_bit(st.linked, [&](int k) {
+        const std::uint32_t n = grid_.neighbor(cell, k);
+        MRSCAN_ASSERT(n != kNone);
+        if ((cell_state_[n].flags & kVisited) != 0) return;
+        cell_state_[n].flags |= kVisited;
+        stack.push_back(n);
+      });
+    }
+  }
+  for (const std::uint32_t cell : visited) {
+    cell_state_[cell].flags &= static_cast<std::uint8_t>(~kVisited);
+  }
+}
+
+void ClusterService::release_component(std::uint32_t comp) {
+  MRSCAN_ASSERT(comp_cells_[comp] > 0);
+  if (--comp_cells_[comp] == 0) free_comps_.push_back(comp);
+}
+
 std::uint64_t ClusterService::recompute_anchors(
-    const std::set<std::uint64_t>& region) {
-  const std::vector<std::uint64_t> cells(region.begin(), region.end());
+    const std::vector<std::uint32_t>& cells) {
   std::vector<std::uint64_t> cell_ops(cells.size(), 0);
 
   pool_.parallel_for(0, cells.size(), [&](std::size_t ci) {
-    const std::uint64_t code = cells[ci];
-    const auto members = grid_.members(code);
+    const auto members = grid_.members(cells[ci]);
     bool any_border = false;
     for (const auto& member : members) {
       if (!slots_[member.slot].core) any_border = true;
     }
     if (!any_border) return;
-    std::vector<std::uint64_t> scan;
-    scan.reserve(1 + 48);
-    scan.push_back(code);
-    geom::for_each_neighbor_within(
-        geom::cell_from_code(code), cluster::kCellGraphRings,
-        [&](geom::CellKey key) {
-          const std::uint64_t ncode = geom::cell_code(key);
-          // par-ref-capture-ok: scan is local to this task's lambda body
-          if (grid_.occupied(ncode)) scan.push_back(ncode);
-        });
+    const RingScan scan = ring_scan(cells[ci]);
     std::uint64_t ops = 0;
     for (const auto& member : members) {
       PointRec& rec = slots_[member.slot];
       if (rec.core) continue;
       geom::PointId best = 0;
-      bool has_best = false;
-      for (const std::uint64_t ncode : scan) {
+      std::uint32_t best_cell = kNone;
+      for (std::size_t s = 0; s < scan.size; ++s) {
         // Members are ascending by id, so within one cell the first core
         // point inside Eps is that cell's lowest-id candidate — scan the
         // rest of the cell only while no hit has been found.
-        for (const auto& candidate : grid_.members(ncode)) {
+        for (const auto& candidate : grid_.members(scan.cells[s])) {
           const PointRec& cand = slots_[candidate.slot];
           if (!cand.core) continue;
-          if (has_best && candidate.id >= best) break;
+          if (best_cell != kNone && candidate.id >= best) break;
           ++ops;
           if (geom::dist2(rec.point, cand.point) <= eps2_) {
             best = candidate.id;
-            has_best = true;
+            best_cell = scan.cells[s];
             break;
           }
         }
       }
-      rec.anchor = best;
-      rec.has_anchor = has_best;
+      rec.anchor = best_cell;
     }
     cell_ops[ci] = ops;
   });
@@ -414,114 +585,85 @@ std::uint64_t ClusterService::recompute_anchors(
 }
 
 std::shared_ptr<EpochSnapshot> ClusterService::materialize(
-    EpochStats& stats) {
-  // Union-find over core cells, ascending by code. Edges come from the
-  // cache when valid; pairs incident to a changed cell were purged above
-  // and are re-tested here (BCP with the core-bbox Eps prefilter — the
-  // shared cluster::bcp_within_eps kernel the batch path runs).
-  std::map<std::uint64_t, std::uint32_t> node_of;
-  cluster::UnionFind uf;
-  for (const auto& [code, fp] : core_fp_) {
-    node_of.emplace(code, uf.add());
-  }
-
-  // Core member slots + bbox per cell, built lazily: only cells that
-  // actually face a cache-miss BCP test pay for it.
-  std::map<std::uint64_t, std::pair<std::vector<std::uint32_t>, geom::BBox>>
-      core_lists;
-  auto core_list = [&](std::uint64_t code)
-      -> const std::pair<std::vector<std::uint32_t>, geom::BBox>& {
-    auto it = core_lists.find(code);
-    if (it == core_lists.end()) {
-      std::pair<std::vector<std::uint32_t>, geom::BBox> entry;
-      for (const auto& member : grid_.members(code)) {
-        if (!slots_[member.slot].core) continue;
-        entry.first.push_back(member.slot);
-        entry.second.expand(slots_[member.slot].point);
-      }
-      it = core_lists.emplace(code, std::move(entry)).first;
+    EpochStats& stats, std::vector<std::uint32_t>& inserted) {
+  // Slots are in insertion order, not id order, so the id-ordered walks
+  // over slots_ miss the cache; prefetching a few records ahead overlaps
+  // the misses.
+  constexpr std::size_t kPrefetchAhead = 16;
+  auto prefetch = [&](const std::vector<std::uint32_t>& order,
+                      std::size_t i) {
+    if (i + kPrefetchAhead < order.size()) {
+      __builtin_prefetch(&slots_[order[i + kPrefetchAhead]]);
     }
-    return it->second;
   };
 
-  std::uint64_t edge_ops = 0;
-  for (const auto& [code, node] : node_of) {
-    const geom::CellKey key = geom::cell_from_code(code);
-    for (std::int32_t dy = -cluster::kCellGraphRings;
-         dy <= cluster::kCellGraphRings; ++dy) {
-      for (std::int32_t dx = -cluster::kCellGraphRings;
-           dx <= cluster::kCellGraphRings; ++dx) {
-        if (dx == 0 && dy == 0) continue;
-        const std::uint64_t ncode =
-            geom::cell_code(geom::CellKey{key.ix + dx, key.iy + dy});
-        if (ncode <= code) continue;  // each pair once
-        const auto nit = node_of.find(ncode);
-        if (nit == node_of.end()) continue;
-        const auto pair_key = std::make_pair(code, ncode);
-        auto cached = edges_.find(pair_key);
-        if (cached == edges_.end()) {
-          const auto& a = core_list(code);
-          const auto& b = core_list(ncode);
-          bool linked = false;
-          if (cluster::box_gap2(a.second, b.second) <= eps2_) {
-            linked = cluster::bcp_within_eps(
-                a.first.size(), b.first.size(),
-                [&](std::size_t i) -> const geom::Point& {
-                  return slots_[a.first[i]].point;
-                },
-                [&](std::size_t j) -> const geom::Point& {
-                  return slots_[b.first[j]].point;
-                },
-                eps2_, edge_ops);
-          }
-          cached = edges_.emplace(pair_key, linked).first;
-          ++stats.edge_tests;
-        }
-        if (cached->second) uf.unite(node, nit->second);
-      }
+  // The new order_: the old one without this epoch's removed slots
+  // (cell == kNone), merged with its surviving inserts sorted by id.
+  std::erase_if(inserted,
+                [&](std::uint32_t slot) { return slots_[slot].cell == kNone; });
+  std::sort(inserted.begin(), inserted.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return slots_[a].point.id < slots_[b].point.id;
+            });
+  const std::size_t live = index_.size();
+  std::vector<std::uint32_t> order;
+  order.reserve(live);
+  std::size_t next_insert = 0;
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    prefetch(order_, i);
+    const PointRec& rec = slots_[order_[i]];
+    if (rec.cell == kNone) continue;
+    while (next_insert < inserted.size() &&
+           slots_[inserted[next_insert]].point.id < rec.point.id) {
+      order.push_back(inserted[next_insert++]);
     }
+    order.push_back(order_[i]);
   }
-  stats.distance_ops += edge_ops;
+  order.insert(order.end(),
+               inserted.begin() + static_cast<std::ptrdiff_t>(next_insert),
+               inserted.end());
+  MRSCAN_ASSERT(order.size() == live);
+  order_.swap(order);
 
-  // ---- Label materialization: canonical first-appearance-in-id-order
-  // numbering over the live set. O(live) bookkeeping, no distance work.
+  // Labels: components numbered by first appearance in id order (noise =
+  // -1) — one contiguous O(live) pass, no distance work.
   auto snapshot = std::make_shared<EpochSnapshot>();
   snapshot->epoch = stats.epoch;
-  snapshot->points.reserve(live_.size());
-  snapshot->labels.reserve(live_.size());
-  snapshot->core.reserve(live_.size());
-  std::map<std::uint32_t, dbscan::ClusterId> canonical;
-  auto canonical_of = [&](std::uint32_t root) {
-    return canonical
-        .emplace(root, static_cast<dbscan::ClusterId>(canonical.size()))
-        .first->second;
-  };
-  for (const auto& [id, slot] : live_) {
-    const PointRec& rec = slots_[slot];
+  auto& points = snapshot->points;
+  auto& labels = snapshot->labels;
+  auto& core = snapshot->core;
+  points.resize(live);
+  labels.resize(live);
+  core.resize(live);
+  std::vector<dbscan::ClusterId> canonical(comp_cells_.size(), dbscan::kNoise);
+  dbscan::ClusterId next_label = 0;
+  for (std::size_t i = 0; i < live; ++i) {
+    prefetch(order_, i);
+    const PointRec& rec = slots_[order_[i]];
+    const std::uint32_t label_cell = rec.core ? rec.cell : rec.anchor;
     dbscan::ClusterId label = dbscan::kNoise;
-    if (rec.core) {
-      label = canonical_of(uf.find(node_of.at(rec.cell_code)));
-    } else if (rec.has_anchor) {
-      const auto anchor_it = live_.find(rec.anchor);
-      MRSCAN_ASSERT(anchor_it != live_.end());
-      const PointRec& anchor = slots_[anchor_it->second];
-      MRSCAN_ASSERT(anchor.core);
-      label = canonical_of(uf.find(node_of.at(anchor.cell_code)));
+    if (label_cell != kNone) {
+      const std::uint32_t comp = cell_state_[label_cell].comp;
+      MRSCAN_ASSERT(comp != kNone);
+      if (canonical[comp] == dbscan::kNoise) canonical[comp] = next_label++;
+      label = canonical[comp];
     }
-    snapshot->points.push_back(rec.point);
-    snapshot->labels.push_back(label);
-    snapshot->core.push_back(rec.core ? 1 : 0);
-    if (label == dbscan::kNoise) continue;
-    if (static_cast<std::size_t>(label) >= snapshot->clusters.size()) {
-      snapshot->clusters.resize(static_cast<std::size_t>(label) + 1);
-    }
-    ClusterStats& cs = snapshot->clusters[static_cast<std::size_t>(label)];
-    ++cs.size;
-    if (rec.core) ++cs.core_points;
-    cs.weight += rec.point.weight;
-    cs.bbox.expand(rec.point);
+    points[i] = rec.point;
+    labels[i] = label;
+    core[i] = rec.core ? 1 : 0;
   }
-  stats.live_points = live_.size();
+
+  // Per-cluster aggregates.
+  snapshot->clusters.resize(static_cast<std::size_t>(next_label));
+  for (std::size_t i = 0; i < live; ++i) {
+    if (labels[i] == dbscan::kNoise) continue;
+    ClusterStats& cs = snapshot->clusters[static_cast<std::size_t>(labels[i])];
+    ++cs.size;
+    cs.core_points += core[i];
+    cs.weight += points[i].weight;
+    cs.bbox.expand(points[i]);
+  }
+  stats.live_points = live;
   stats.clusters = snapshot->clusters.size();
   return snapshot;
 }
@@ -602,7 +744,7 @@ std::optional<ClusterStats> ClusterService::cluster_stats(
 
 std::uint64_t ClusterService::epoch() const { return epoch_; }
 
-std::size_t ClusterService::live_points() const { return live_.size(); }
+std::size_t ClusterService::live_points() const { return index_.size(); }
 
 std::size_t ClusterService::pending_mutations() const {
   return pending_.size();

@@ -6,12 +6,12 @@
 // mutations into a pending buffer, and on advance_epoch() re-clusters
 // only the dirty cells plus their ring-3 neighbourhoods — the cell-graph
 // machinery of DESIGN §12 (wholesale core marking, BCP edge tests,
-// union-find over cells) rerun on the affected region only, with cached
-// cell-pair edges reused everywhere else. The epoch publishes an
-// immutable snapshot; queries (label_of, cluster_stats) pin the snapshot
-// of their choice under an epoch-based reclamation scheme, so readers
-// never block mutations and retired epochs are freed when their last
-// reader drains.
+// connected components over cells) rerun on the affected region only,
+// with per-cell link masks and component ids kept from earlier epochs
+// everywhere else. The epoch publishes an immutable snapshot; queries
+// (label_of, cluster_stats) pin the snapshot of their choice under an
+// epoch-based reclamation scheme, so readers never block mutations and
+// retired epochs are freed when their last reader drains.
 //
 // Correctness contract: after every epoch, the published labels are
 // `same_clustering`-equivalent to a cold batch core::MrScan run over the
@@ -20,28 +20,27 @@
 //   * core flags are exact — a mutation can only flip core status within
 //     Eps of itself, i.e. inside the dirty cell's ring-3 neighbourhood,
 //     which is exactly the recompute region;
-//   * cluster structure is a connectivity closure over cells, rebuilt
-//     each epoch from cached + freshly-tested BCP edges — edges are only
-//     invalidated when an endpoint cell's core membership changed;
+//   * cluster structure is the connected components of the core-cell
+//     graph whose edges are BCP links — links are only re-tested, and
+//     components only re-derived, where an endpoint cell's core
+//     membership changed;
 //   * border anchors use the global lowest-point-id tie-break that the
 //     batch border pass (gpu/mrscan_gpu.cpp) uses, which is partition-
 //     invariant, so serve and batch resolve identical anchors.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/mutable_grid.hpp"
-#include "cluster/union_find.hpp"
 #include "dbscan/labels.hpp"
 #include "fault/injector.hpp"
 #include "geometry/bbox.hpp"
@@ -88,6 +87,9 @@ struct EpochStats {
   std::uint64_t epoch = 0;
   std::uint64_t inserts = 0;
   std::uint64_t removes = 0;
+  /// Mutations refused: an insert of a live or already-pending id or of a
+  /// point outside the grid's domain (non-finite coordinate, cell index
+  /// beyond int32), and a remove of an unknown id.
   std::uint64_t rejected = 0;
   std::uint64_t dirty_cells = 0;
   /// Points whose core status was recomputed with distance work plus
@@ -145,8 +147,8 @@ class ClusterService {
   const ServeConfig& config() const { return config_; }
 
   /// Queue a mutation for the next epoch. Duplicates (insert of a live or
-  /// already-pending id, remove of an unknown id) are counted as rejected
-  /// when the epoch applies them.
+  /// already-pending id, remove of an unknown id) and out-of-domain
+  /// inserts are counted as rejected when the epoch applies them.
   void insert(const geom::Point& point);
   void remove(geom::PointId id);
 
@@ -200,14 +202,56 @@ class ClusterService {
   const obs::Registry& metrics() const { return registry_; }
 
  private:
+  static constexpr std::uint32_t kNone = cluster::MutableCellGrid::kNoCell;
+
   struct PointRec {
     geom::Point point;
-    std::uint64_t cell_code = 0;
-    bool live = false;
+    /// Grid cell index; kNone once the point is removed.
+    std::uint32_t cell = kNone;
+    /// Border points: the cell of the lowest-id core point within Eps
+    /// (kNone: noise). Stale on core points, which never read it.
+    std::uint32_t anchor = kNone;
     bool core = false;
-    /// Lowest-id core point within Eps (border points only).
-    geom::PointId anchor = 0;
-    bool has_anchor = false;
+  };
+
+  /// Per-cell state, indexed like the grid's cell table.
+  struct CellState {
+    /// Bit k: some core point of this cell is within Eps of some core
+    /// point of the cell at ring offset k (core cells only).
+    std::uint64_t linked = 0;
+    /// Core members as of the last completed epoch; > 0 marks a core cell.
+    std::uint32_t core_count = 0;
+    /// Connected-component id of a core cell (kNone otherwise).
+    std::uint32_t comp = kNone;
+    /// This epoch's BCP core list (index into core_lists_), kNone if unbuilt.
+    std::uint32_t core_list = kNone;
+    /// This epoch's working-set membership (service.cpp's flag bits),
+    /// reset when the epoch ends.
+    std::uint8_t flags = 0;
+  };
+
+  /// A cell whose core membership changed this epoch, with its state as
+  /// the previous epoch left it.
+  struct ChangedCell {
+    std::uint32_t cell = kNone;
+    bool was_core = false;
+    std::uint64_t old_linked = 0;
+  };
+
+  /// One cell's core points, gathered for BCP tests.
+  struct CoreList {
+    std::uint32_t cell = kNone;
+    std::uint32_t begin = 0;  // range into core_points_
+    std::uint32_t end = 0;
+    geom::BBox bbox;
+  };
+
+  /// A cell followed by its occupied ring-3 neighbours in
+  /// for_each_neighbor_within order: the scan order of every per-point
+  /// neighbourhood walk.
+  struct RingScan {
+    std::array<std::uint32_t, cluster::kRingCells + 1> cells{};
+    std::size_t size = 0;
   };
 
   struct Mutation {
@@ -224,10 +268,23 @@ class ClusterService {
     std::uint32_t pins = 0;
   };
 
-  std::uint64_t classify_core_cells(const std::set<std::uint64_t>& affected,
-                                    std::set<std::uint64_t>& changed_core);
-  std::uint64_t recompute_anchors(const std::set<std::uint64_t>& region);
-  std::shared_ptr<EpochSnapshot> materialize(EpochStats& stats);
+  void apply_mutations(EpochStats& stats, std::vector<std::uint32_t>& dirty,
+                       std::vector<std::uint32_t>& inserted,
+                       std::vector<std::uint32_t>& removed);
+  void collect_ring(std::uint32_t cell, std::uint8_t flag,
+                    std::vector<std::uint32_t>& out);
+  RingScan ring_scan(std::uint32_t cell) const;
+  std::uint64_t classify_core_cells(const std::vector<std::uint32_t>& cells,
+                                    std::vector<ChangedCell>& changed);
+  std::uint64_t relink(const std::vector<ChangedCell>& changed,
+                       std::uint64_t& edge_tests);
+  bool bcp_linked(std::uint32_t a, std::uint32_t b, std::uint64_t& ops);
+  std::uint32_t core_list(std::uint32_t cell);
+  void recompute_components(const std::vector<ChangedCell>& changed);
+  void release_component(std::uint32_t comp);
+  std::uint64_t recompute_anchors(const std::vector<std::uint32_t>& cells);
+  std::shared_ptr<EpochSnapshot> materialize(
+      EpochStats& stats, std::vector<std::uint32_t>& inserted);
   void publish(std::shared_ptr<const EpochSnapshot> snapshot);
   void drain_retired_locked() const;
   void unpin(std::size_t serial) const;
@@ -240,15 +297,19 @@ class ClusterService {
   // ---- clustering state (single-writer: mutations + epochs) ----
   std::vector<PointRec> slots_;
   std::vector<std::uint32_t> free_slots_;
-  /// Live id -> slot; the canonical ascending-id iteration surface.
-  std::map<geom::PointId, std::uint32_t> live_;
+  /// Live id -> slot; only looked up, never iterated.
+  std::unordered_map<geom::PointId, std::uint32_t> index_;
+  /// Live slots in ascending id order: the snapshot's iteration surface,
+  /// rebuilt by the snapshot pass each epoch.
+  std::vector<std::uint32_t> order_;
   cluster::MutableCellGrid grid_;
-  /// Per-cell FNV fingerprint of the sorted core-member ids; a changed
-  /// fingerprint is what invalidates cached edges and anchors.
-  std::map<std::uint64_t, std::uint64_t> core_fp_;
-  /// Cached BCP outcomes keyed by ordered cell-code pair; entries are
-  /// dropped when either endpoint's core membership changes.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, bool> edges_;
+  std::vector<CellState> cell_state_;
+  /// Cells per component id; ids at zero are on free_comps_.
+  std::vector<std::uint32_t> comp_cells_;
+  std::vector<std::uint32_t> free_comps_;
+  /// This epoch's BCP core lists (cleared when the epoch ends).
+  std::vector<CoreList> core_lists_;
+  std::vector<geom::Point> core_points_;
   std::vector<Mutation> pending_;
   std::uint64_t epoch_ = 0;
   double sim_seconds_total_ = 0.0;

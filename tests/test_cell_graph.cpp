@@ -5,9 +5,13 @@
 // degenerate grids, the cell-core rule's exact threshold).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "cluster/cell_grid.hpp"
+#include "cluster/mutable_grid.hpp"
 #include "cluster/union_find.hpp"
 #include "cluster_equiv.hpp"
 #include "data/twitter.hpp"
@@ -174,6 +178,73 @@ TEST(CellGrid, BoxDist2OfNeighborAndGapCells) {
   EXPECT_DOUBLE_EQ(grid.box_dist2(cell_at(0), cell_at(2)), 1.0);
   EXPECT_DOUBLE_EQ(grid.box_dist2(cell_at(0), cell_at(3)), 2.0);  // diag
   EXPECT_DOUBLE_EQ(grid.box_dist2(cell_at(3), cell_at(0)), 2.0);
+}
+
+// ---- MutableCellGrid (the serving path's grid) ----------------------
+
+TEST(MutableCellGrid, RingOffsetsFollowTheScanOrderAndMirror) {
+  std::vector<mg::CellKey> scan;
+  mg::for_each_neighbor_within(mg::CellKey{0, 0}, mcl::kCellGraphRings,
+                               [&](mg::CellKey k) { scan.push_back(k); });
+  ASSERT_EQ(scan.size(), static_cast<std::size_t>(mcl::kRingCells));
+  for (int k = 0; k < mcl::kRingCells; ++k) {
+    EXPECT_EQ(mcl::ring_offset(k), scan[static_cast<std::size_t>(k)]);
+    const mg::CellKey mirror = mcl::ring_offset(mcl::ring_mirror(k));
+    EXPECT_EQ(mirror.ix, -scan[static_cast<std::size_t>(k)].ix);
+    EXPECT_EQ(mirror.iy, -scan[static_cast<std::size_t>(k)].iy);
+  }
+}
+
+TEST(MutableCellGrid, CodeOfRejectsPointsOutsideTheDomain) {
+  const mcl::MutableCellGrid grid(0.5);
+  EXPECT_EQ(grid.code_of(mg::Point{0, 1.2, -0.2}).value_or(0),
+            mg::cell_code(mg::CellKey{2, -1}));
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(grid.code_of(mg::Point{0, 1e300, 0.0}).has_value());
+  EXPECT_FALSE(grid.code_of(mg::Point{0, 0.0, -1e300}).has_value());
+  EXPECT_FALSE(grid.code_of(mg::Point{0, std::nan(""), 0.0}).has_value());
+  EXPECT_FALSE(grid.code_of(mg::Point{0, 0.0, inf}).has_value());
+  // The last admitted index leaves room for the ring-3 neighbourhood.
+  const double top = std::numeric_limits<std::int32_t>::max() - 3;
+  EXPECT_TRUE(grid.code_of(mg::Point{0, top * 0.5, 0.0}).has_value());
+  EXPECT_FALSE(grid.code_of(mg::Point{0, (top + 1) * 0.5, 0.0}).has_value());
+}
+
+TEST(MutableCellGrid, MembersSortedAndEmptiedCellsKeptUntilReleased) {
+  mcl::MutableCellGrid grid(1.0);
+  const std::uint64_t code = mg::cell_code(mg::CellKey{0, 0});
+  const std::uint64_t east = mg::cell_code(mg::CellKey{1, 0});
+  const std::uint32_t cell = grid.insert(code, 9, 0);
+  EXPECT_EQ(grid.insert(code, 4, 1), cell);
+  EXPECT_EQ(grid.insert(code, 6, 2), cell);
+  const auto members = grid.members(cell);
+  ASSERT_EQ(members.size(), 3u);
+  EXPECT_EQ(members[0].id, 4u);
+  EXPECT_EQ(members[0].slot, 1u);
+  EXPECT_EQ(members[1].id, 6u);
+  EXPECT_EQ(members[2].id, 9u);
+  EXPECT_THROW(grid.insert(code, 6, 3), std::invalid_argument);
+
+  const std::uint32_t other = grid.insert(east, 1, 3);
+  EXPECT_NE(other, cell);
+  // (1,0) is at ring offset 24: dy = 0, dx = +1, just past the centre.
+  EXPECT_EQ(mcl::ring_offset(24), (mg::CellKey{1, 0}));
+  EXPECT_EQ(grid.neighbor(cell, 24), other);
+  EXPECT_EQ(grid.neighbor(other, mcl::ring_mirror(24)), cell);
+  EXPECT_EQ(grid.neighbor(cell, 0), mcl::MutableCellGrid::kNoCell);
+
+  grid.remove(other, 1);
+  EXPECT_TRUE(grid.members(other).empty());
+  EXPECT_EQ(grid.find(east), other);  // emptied, still addressable
+  EXPECT_EQ(grid.cell_count(), 2u);
+  EXPECT_THROW(grid.remove(other, 1), std::invalid_argument);
+  grid.release(other);
+  EXPECT_EQ(grid.find(east), mcl::MutableCellGrid::kNoCell);
+  EXPECT_EQ(grid.cell_count(), 1u);
+  EXPECT_THROW(grid.release(cell), std::invalid_argument);
+  // A released index is handed out again.
+  EXPECT_EQ(grid.insert(mg::cell_code(mg::CellKey{-5, 7}), 2, 4), other);
+  EXPECT_EQ(grid.table_size(), 2u);
 }
 
 // ---- Adversarial BCP properties -------------------------------------

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <optional>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "data/stream.hpp"
 #include "data/synthetic.hpp"
 #include "obs/names.hpp"
+#include "serve/script.hpp"
 #include "serve/service.hpp"
 
 namespace md = mrscan::data;
@@ -145,6 +149,134 @@ TEST(ServeLifecycle, RejectsDuplicateInsertAndUnknownRemove) {
   EXPECT_EQ(result.stats.rejected, 3u);
   EXPECT_EQ(service.live_points(), 3u);
   EXPECT_EQ(service.metrics().counter_value(names::kServeRejected), 3u);
+}
+
+TEST(ServeLifecycle, RejectsOutOfDomainInserts) {
+  ms::ClusterService service(make_config(1.0, 2));
+  ASSERT_TRUE(service.bootstrap(std::vector<mg::Point>{pt(0, 0.0, 0.0),
+                                                       pt(1, 0.2, 0.0)})
+                  .ok);
+  const double inf = std::numeric_limits<double>::infinity();
+  service.insert(pt(2, 1e300, 0.5));  // cell index far beyond int32
+  service.insert(pt(3, 0.5, -1e300));
+  service.insert(pt(4, std::nan(""), 0.5));
+  service.insert(pt(5, 0.5, inf));
+  service.insert(pt(6, 0.4, 0.0));  // in range: accepted
+  const auto result = service.advance_epoch();
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(result.stats.inserts, 1u);
+  EXPECT_EQ(result.stats.rejected, 4u);
+  EXPECT_EQ(service.live_points(), 3u);
+  EXPECT_FALSE(service.label_of(2).has_value());
+  expect_matches_batch(service, "after rejecting out-of-domain inserts");
+}
+
+TEST(ServeLifecycle, ReinsertedCoreIdInvalidatesItsLinks) {
+  // Cell (0,0) holds core points 1 and 5; 5 links it to the core pair
+  // 9/10 three cells away. Re-inserting id 5 elsewhere in the same cell
+  // keeps the cell's core ids, but the link must go: 5 has moved out of
+  // Eps of 9.
+  ms::ClusterService service(make_config(1.0, 2));
+  ASSERT_TRUE(service.bootstrap(std::vector<mg::Point>{
+                  pt(1, 0.01, 0.01), pt(5, 0.34, 0.01), pt(9, 1.30, 0.01),
+                  pt(10, 1.31, 0.01)})
+                  .ok);
+  ASSERT_EQ(service.snapshot()->clusters.size(), 1u);
+
+  service.remove(5);
+  service.insert(pt(5, 0.02, 0.02));
+  const auto result = service.advance_epoch();
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(result.stats.edge_tests, 1u);
+  EXPECT_EQ(service.snapshot()->clusters.size(), 2u);
+  expect_matches_batch(service, "after re-inserting a core id");
+}
+
+TEST(ServeLifecycle, BridgeRemovalSplitsAndReinsertMerges) {
+  // Core groups A and B are more than Eps apart; the core group in the
+  // bridge cell between them links both.
+  ms::ClusterService service(make_config(1.0, 3));
+  const std::vector<mg::Point> a{pt(0, 0.05, 0.05), pt(1, 0.10, 0.10),
+                                 pt(2, 0.15, 0.05)};
+  const std::vector<mg::Point> bridge{pt(3, 0.90, 0.05), pt(4, 0.95, 0.10),
+                                      pt(5, 1.00, 0.05)};
+  const std::vector<mg::Point> b{pt(6, 1.80, 0.05), pt(7, 1.85, 0.10),
+                                 pt(8, 1.90, 0.05)};
+  std::vector<mg::Point> all = a;
+  all.insert(all.end(), bridge.begin(), bridge.end());
+  all.insert(all.end(), b.begin(), b.end());
+  ASSERT_TRUE(service.bootstrap(all).ok);
+  ASSERT_EQ(service.snapshot()->clusters.size(), 1u);
+
+  for (const auto& p : bridge) service.remove(p.id);
+  auto result = service.advance_epoch();
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(service.snapshot()->clusters.size(), 2u);
+  EXPECT_NE(service.label_of(0), service.label_of(6));
+  expect_matches_batch(service, "after removing the bridge");
+
+  for (const auto& p : bridge) service.insert(p);
+  result = service.advance_epoch();
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(result.stats.edge_tests, 2u);
+  EXPECT_EQ(service.snapshot()->clusters.size(), 1u);
+  EXPECT_EQ(service.label_of(0), service.label_of(6));
+  expect_matches_batch(service, "after re-inserting the bridge");
+
+  // A far-away point turns nothing core: no link is re-tested.
+  service.insert(pt(9, 50.0, 50.0));
+  result = service.advance_epoch();
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(result.stats.edge_tests, 0u);
+  EXPECT_EQ(service.label_of(9), mrscan::dbscan::kNoise);
+  expect_matches_batch(service, "after a far-away insert");
+}
+
+TEST(ServeCostModel, SeededTwitterStreamChargesPinnedCounts) {
+  // Per-epoch {distance_ops, edge_tests, recluster_points} of a seeded
+  // stream, bootstrap first, then one epoch per 32 mutations. These are
+  // the counts the Titan model prices; any host-side change to the epoch
+  // machinery must leave them exactly as they are.
+  struct Counts {
+    std::uint64_t distance_ops, edge_tests, recluster_points;
+  };
+  const std::vector<Counts> expected{
+      {18787, 4721, 3000}, {1127, 32, 189},  {958, 37, 376},
+      {3004, 194, 846},    {2183, 114, 769}, {1712, 132, 602},
+      {1965, 146, 712},    {751, 52, 285},   {1237, 69, 615},
+      {1920, 131, 562},    {1543, 128, 520}};
+  md::StreamConfig stream_config;
+  stream_config.distribution = md::StreamDistribution::kTwitter;
+  stream_config.initial_points = 3000;
+  stream_config.mutations = 320;
+  stream_config.seed = 11;
+  const auto stream = md::generate_mutation_stream(stream_config);
+  for (const std::size_t threads : {1u, 4u}) {
+    auto config = make_config(0.05, 5);
+    config.host_threads = threads;
+    ms::ClusterService service(config);
+    std::vector<ms::EpochStats> epochs;
+    epochs.push_back(service.bootstrap(stream.initial).stats);
+    for (std::size_t i = 0; i < stream.mutations.size(); ++i) {
+      const auto& m = stream.mutations[i];
+      if (m.kind == md::Mutation::Kind::kInsert) {
+        service.insert(m.point);
+      } else {
+        service.remove(m.point.id);
+      }
+      if ((i + 1) % 32 == 0) epochs.push_back(service.advance_epoch().stats);
+    }
+    ASSERT_EQ(epochs.size(), expected.size());
+    for (std::size_t e = 0; e < epochs.size(); ++e) {
+      const std::string context = "host_threads " + std::to_string(threads) +
+                                  ", epoch " + std::to_string(e + 1);
+      EXPECT_EQ(epochs[e].distance_ops, expected[e].distance_ops) << context;
+      EXPECT_EQ(epochs[e].edge_tests, expected[e].edge_tests) << context;
+      EXPECT_EQ(epochs[e].recluster_points, expected[e].recluster_points)
+          << context;
+    }
+    expect_matches_batch(service, "after the pinned stream");
+  }
 }
 
 TEST(ServeFault, DroppedPublishRetriesThenSucceeds) {
@@ -308,6 +440,57 @@ TEST(ServeState, FromBuildReproducesTheBatchClustering) {
                                             result.labels_for(points)));
   EXPECT_TRUE(
       mrscan::test::same_clustering(snapshot->labels, state.labels));
+}
+
+// ---- the text protocol ----
+
+TEST(ServeScript, RunsEveryCommand) {
+  ms::ClusterService service(make_config(1.0, 2));
+  std::istringstream in(
+      "# two points, one cluster\n"
+      "insert 1 0.0 0.0 2.5\n"
+      "insert 2 0.3 0.0\n"
+      "\n"
+      "epoch\n"
+      "query 1\n"
+      "query 7\n"
+      "stats 0\n"
+      "stats 3\n"
+      "remove 2\n"
+      "epoch\n");
+  std::ostringstream out;
+  const ms::ScriptResult result = ms::run_script(service, in, out);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.commands, 9u);
+  EXPECT_EQ(result.epochs, 2u);
+  EXPECT_EQ(out.str(),
+            "epoch 1 ok points=2 clusters=1 dirty=1 recluster=2\n"
+            "query 1 -> 0\n"
+            "query 7 -> unknown\n"
+            "stats 0 -> size=2 core=2 weight=3.5\n"
+            "stats 3 -> unknown\n"
+            "epoch 2 ok points=1 clusters=0 dirty=1 recluster=1\n");
+}
+
+TEST(ServeScript, RejectsMalformedLinesWithTheirLineNumber) {
+  const std::vector<std::pair<std::string, std::string>> cases{
+      {"insert 1 0.5 0.5 abc\n", "1: insert wants: id x y [weight]"},
+      {"insert 1 0.5 0.5 1 extra\n", "1: insert wants: id x y [weight]"},
+      {"epoch\ninsert 1 0.5\n", "2: insert wants: id x y [weight]"},
+      {"remove 1 2\n", "1: remove wants: id"},
+      {"query\n", "1: query wants: id"},
+      {"stats 0 0\n", "1: stats wants: cluster-id"},
+      {"epoch now\n", "1: epoch takes no arguments"},
+      {"frobnicate\n", "1: unknown command 'frobnicate'"}};
+  for (const auto& [script, error] : cases) {
+    ms::ClusterService service(make_config(1.0, 2));
+    std::istringstream in(script);
+    std::ostringstream out;
+    const ms::ScriptResult result = ms::run_script(service, in, out);
+    EXPECT_FALSE(result.ok) << script;
+    EXPECT_EQ(result.error, error) << script;
+    EXPECT_EQ(service.pending_mutations(), 0u) << script;
+  }
 }
 
 // ---- the shared streaming workload generator ----

@@ -24,7 +24,7 @@ import pathlib
 import subprocess
 import sys
 
-DEFAULT_PATHS = ("src/gpu", "src/cluster", "src/index")
+DEFAULT_PATHS = ("src/gpu", "src/cluster", "src/index", "src/serve")
 
 
 def run_gcov(gcda: list[pathlib.Path], build_dir: pathlib.Path) -> list[dict]:
