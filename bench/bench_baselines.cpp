@@ -12,9 +12,7 @@
 #include "core/mrscan.hpp"
 #include "data/twitter.hpp"
 #include "dbscan/disjoint_set.hpp"
-#include "dbscan/rtree_dbscan.hpp"
 #include "dbscan/sequential.hpp"
-#include "dbscan/ti_dbscan.hpp"
 #include "gpu/cuda_dclust.hpp"
 #include "gpu/mrscan_gpu.hpp"
 #include "util/timer.hpp"
@@ -23,9 +21,9 @@ int main() {
   using namespace mrscan;
   const auto scale = bench::BenchScale::from_env();
   bench::print_header("Baselines: wall-clock seconds on identical data");
-  std::printf("%10s | %10s %10s %10s %12s %12s %12s %12s | %10s\n",
-              "points", "sequential", "ti-dbscan", "rtree", "disjoint",
-              "cuda-dclust", "mrscan-gpu", "pipeline", "union_ops");
+  std::printf("%10s | %10s %12s %12s %12s %12s | %10s\n", "points",
+              "sequential", "disjoint", "cuda-dclust", "mrscan-gpu",
+              "pipeline", "union_ops");
 
   for (std::uint64_t n = scale.quality_points / 4;
        n <= scale.quality_points; n *= 2) {
@@ -37,14 +35,6 @@ int main() {
     util::Timer t1;
     const auto seq = dbscan::dbscan_sequential(points, params);
     const double seq_s = t1.seconds();
-
-    util::Timer t_ti;
-    const auto ti = dbscan::dbscan_ti(points, params);
-    const double ti_s = t_ti.seconds();
-
-    util::Timer t_rt;
-    const auto rt = dbscan::dbscan_rtree(points, params);
-    const double rt_s = t_rt.seconds();
 
     util::Timer t2;
     dbscan::DisjointSetStats ds_stats;
@@ -83,13 +73,10 @@ int main() {
     }
     (void)dsu;
     (void)dc;
-    (void)ti;
-    (void)rt;
 
-    std::printf("%10llu | %10.3f %10.3f %10.3f %12.3f %12.3f %12.3f "
-                "%12.3f | %10zu\n",
-                static_cast<unsigned long long>(n), seq_s, ti_s, rt_s,
-                dsu_s, dc_s, ms_s, pipe_s, ds_stats.union_ops);
+    std::printf("%10llu | %10.3f %12.3f %12.3f %12.3f %12.3f | %10zu\n",
+                static_cast<unsigned long long>(n), seq_s, dsu_s, dc_s, ms_s,
+                pipe_s, ds_stats.union_ops);
   }
   return 0;
 }

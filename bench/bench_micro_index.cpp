@@ -20,7 +20,6 @@
 #include "index/grid.hpp"
 #include "index/kdtree.hpp"
 #include "index/query_scratch.hpp"
-#include "index/rtree.hpp"
 #include "obs/registry.hpp"
 #include "util/rng.hpp"
 
@@ -198,21 +197,6 @@ void BM_BVHCountEarlyExitScratch(benchmark::State& state) {
 }
 BENCHMARK(BM_BVHCountEarlyExitScratch)->Arg(4)->Arg(40)->Arg(400);
 
-void BM_RTreeRadiusQueryScratch(benchmark::State& state) {
-  const auto points = bench_points(100000);
-  index::RTree tree(points);
-  index::QueryScratch scratch;
-  std::size_t cursor = 0;
-  for (auto _ : state) {
-    const auto neighbors =
-        tree.radius_query(points[cursor % points.size()], 0.1, scratch);
-    benchmark::DoNotOptimize(neighbors.data());
-    ++cursor;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RTreeRadiusQueryScratch);
-
 void BM_GridBuild(benchmark::State& state) {
   const auto points = bench_points(state.range(0));
   for (auto _ : state) {
@@ -222,35 +206,6 @@ void BM_GridBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_GridBuild)->Arg(10000)->Arg(100000);
-
-void BM_GridRadiusQuery(benchmark::State& state) {
-  const auto points = bench_points(100000);
-  index::Grid grid(geom::GridGeometry{-125.0, 24.0, 0.1}, points);
-  std::size_t cursor = 0;
-  std::size_t total = 0;
-  for (auto _ : state) {
-    grid.for_each_in_radius(points[cursor % points.size()], 0.1,
-                            [&](std::uint32_t) { ++total; });
-    ++cursor;
-  }
-  benchmark::DoNotOptimize(total);
-}
-BENCHMARK(BM_GridRadiusQuery);
-
-void BM_GridRadiusQueryScratch(benchmark::State& state) {
-  const auto points = bench_points(100000);
-  index::Grid grid(geom::GridGeometry{-125.0, 24.0, 0.1}, points);
-  index::QueryScratch scratch;
-  std::size_t cursor = 0;
-  for (auto _ : state) {
-    const auto neighbors =
-        grid.radius_query(points[cursor % points.size()], 0.1, scratch);
-    benchmark::DoNotOptimize(neighbors.data());
-    ++cursor;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_GridRadiusQueryScratch);
 
 void BM_HistogramMerge(benchmark::State& state) {
   const geom::GridGeometry geometry{-125.0, 24.0, 0.1};

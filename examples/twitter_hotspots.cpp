@@ -10,12 +10,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
-#include <unordered_map>
-#include <vector>
 
 #include "core/mrscan.hpp"
 #include "data/twitter.hpp"
+#include "quality/cluster_stats.hpp"
 
 int main(int argc, char** argv) {
   using namespace mrscan;
@@ -39,54 +37,28 @@ int main(int argc, char** argv) {
   std::printf("found %zu hotspots (clusters) and %zu clustered tweets\n",
               result.cluster_count, result.output.size());
 
-  // Aggregate per-cluster geometry.
-  struct Hotspot {
-    std::size_t count = 0;
-    double sum_x = 0, sum_y = 0;
-    double min_x = std::numeric_limits<double>::infinity();
-    double max_x = -std::numeric_limits<double>::infinity();
-    double min_y = std::numeric_limits<double>::infinity();
-    double max_y = -std::numeric_limits<double>::infinity();
-  };
-  std::unordered_map<dbscan::ClusterId, Hotspot> hotspots;
-  for (const auto& record : result.output) {
-    Hotspot& h = hotspots[record.cluster];
-    ++h.count;
-    h.sum_x += record.point.x;
-    h.sum_y += record.point.y;
-    h.min_x = std::min(h.min_x, record.point.x);
-    h.max_x = std::max(h.max_x, record.point.x);
-    h.min_y = std::min(h.min_y, record.point.y);
-    h.max_y = std::max(h.max_y, record.point.y);
-  }
-
-  std::vector<std::pair<dbscan::ClusterId, Hotspot>> ranked(
-      hotspots.begin(), hotspots.end());
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    return a.second.count > b.second.count;
-  });
+  // Per-cluster geometry, ranked by tweet count (ties by cluster id).
+  const auto ranked = quality::cluster_statistics(result.output);
 
   std::printf("\ntop hotspots by tweet volume:\n");
   std::printf("%8s %10s %12s %12s %16s\n", "cluster", "tweets",
               "centroid lon", "centroid lat", "extent (deg)");
   const std::size_t top = std::min<std::size_t>(10, ranked.size());
   for (std::size_t i = 0; i < top; ++i) {
-    const auto& [id, h] = ranked[i];
+    const quality::ClusterStats& h = ranked[i];
     std::printf("%8lld %10zu %12.3f %12.3f %9.2f x %.2f\n",
-                static_cast<long long>(id), h.count,
-                h.sum_x / static_cast<double>(h.count),
-                h.sum_y / static_cast<double>(h.count), h.max_x - h.min_x,
-                h.max_y - h.min_y);
+                static_cast<long long>(h.cluster), h.count, h.centroid_x,
+                h.centroid_y, h.extent.width(), h.extent.height());
   }
 
   // Dense-box effectiveness on this heavy-tailed data.
-  std::size_t dense_points = 0;
+  std::uint64_t dense_points = 0;
   for (const auto& stats : result.leaf_stats) {
     dense_points += stats.dense_points;
   }
-  std::printf("\ndense-box optimisation eliminated %zu points from "
+  std::printf("\ndense-box optimisation eliminated %llu points from "
               "expansion (%.1f%%)\n",
-              dense_points,
+              static_cast<unsigned long long>(dense_points),
               100.0 * static_cast<double>(dense_points) /
                   static_cast<double>(tweets.size()));
   return 0;

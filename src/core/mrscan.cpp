@@ -21,6 +21,7 @@
 #include "merge/merger.hpp"
 #include "merge/summary.hpp"
 #include "mrnet/topology.hpp"
+#include "obs/names.hpp"
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
@@ -82,50 +83,67 @@ dbscan::Labeling read_owned_labels(const std::filesystem::path& path,
   return labels;
 }
 
+namespace names = obs::names;
+using Stats = gpu::GpuDbscanStats;
+
+/// One GpuDbscanStats member and the series that mirrors it. Exactly one
+/// of `count` (summed over leaves) and `seconds` (max over leaves) is set.
+struct GpuStatsField {
+  const char* metric;
+  std::uint64_t Stats::*count;
+  double Stats::*seconds;
+};
+
+/// GpuDbscanStats' field list, written once. The row order is the layout
+/// of the MRCK checkpoint's stats blob, one eight-byte field per row, so
+/// rows must not be reordered.
+constexpr GpuStatsField kGpuStatsFields[] = {
+    {names::kGpuDenseBoxes, &Stats::dense_boxes, nullptr},
+    {names::kGpuDensePoints, &Stats::dense_points, nullptr},
+    {names::kGpuChains, &Stats::chains, nullptr},
+    {names::kGpuCollisions, &Stats::collisions, nullptr},
+    {names::kGpuDistanceOps, &Stats::distance_ops, nullptr},
+    {names::kGpuKernelLaunches, &Stats::kernel_launches, nullptr},
+    {names::kGpuH2dTransfers, &Stats::h2d_transfers, nullptr},
+    {names::kGpuD2hTransfers, &Stats::d2h_transfers, nullptr},
+    {names::kGpuDeviceSecondsMax, nullptr, &Stats::device_seconds},
+    {names::kClusterCellgraphCells, &Stats::cellgraph_cells, nullptr},
+    {names::kClusterCellgraphCoreCells, &Stats::cellgraph_core_cells, nullptr},
+    {names::kClusterCellgraphWholesalePoints,
+     &Stats::cellgraph_wholesale_points, nullptr},
+    {names::kClusterCellgraphBcpPairs, &Stats::cellgraph_bcp_pairs, nullptr},
+    {names::kClusterCellgraphBcpOps, &Stats::cellgraph_bcp_ops, nullptr},
+    {names::kGpuBvhNodeSteps, &Stats::bvh_node_steps, nullptr},
+};
+
 /// GPU stats round-trip for checkpoint entries, so metric reductions on
 /// a resumed run are identical to the uninterrupted one. fault sits
 /// below mrnet in the module DAG, so the blob is opaque to checkpoint.cpp
 /// and encoded/decoded here.
-std::vector<std::uint8_t> encode_gpu_stats(const gpu::GpuDbscanStats& s) {
+std::vector<std::uint8_t> encode_gpu_stats(const Stats& s) {
   mrnet::Packet p;
-  p.put_u64(s.dense_boxes);
-  p.put_u64(s.dense_points);
-  p.put_u64(s.chains);
-  p.put_u64(s.collisions);
-  p.put_u64(s.distance_ops);
-  p.put_u64(s.kernel_launches);
-  p.put_u64(s.h2d_transfers);
-  p.put_u64(s.d2h_transfers);
-  p.put_f64(s.device_seconds);
-  p.put_u64(s.cellgraph_cells);
-  p.put_u64(s.cellgraph_core_cells);
-  p.put_u64(s.cellgraph_wholesale_points);
-  p.put_u64(s.cellgraph_bcp_pairs);
-  p.put_u64(s.cellgraph_bcp_ops);
-  p.put_u64(s.bvh_node_steps);
+  for (const GpuStatsField& f : kGpuStatsFields) {
+    if (f.count != nullptr) {
+      p.put_u64(s.*f.count);
+    } else {
+      p.put_f64(s.*f.seconds);
+    }
+  }
   const auto bytes = p.bytes();
   return {bytes.begin(), bytes.end()};
 }
 
-gpu::GpuDbscanStats decode_gpu_stats(std::vector<std::uint8_t> blob) {
+Stats decode_gpu_stats(std::vector<std::uint8_t> blob) {
   const mrnet::Packet p(std::move(blob));
   auto r = p.reader();
-  gpu::GpuDbscanStats s;
-  s.dense_boxes = static_cast<std::size_t>(r.get_u64());
-  s.dense_points = static_cast<std::size_t>(r.get_u64());
-  s.chains = static_cast<std::size_t>(r.get_u64());
-  s.collisions = static_cast<std::size_t>(r.get_u64());
-  s.distance_ops = r.get_u64();
-  s.kernel_launches = r.get_u64();
-  s.h2d_transfers = r.get_u64();
-  s.d2h_transfers = r.get_u64();
-  s.device_seconds = r.get_f64();
-  s.cellgraph_cells = static_cast<std::size_t>(r.get_u64());
-  s.cellgraph_core_cells = static_cast<std::size_t>(r.get_u64());
-  s.cellgraph_wholesale_points = static_cast<std::size_t>(r.get_u64());
-  s.cellgraph_bcp_pairs = r.get_u64();
-  s.cellgraph_bcp_ops = r.get_u64();
-  s.bvh_node_steps = r.get_u64();
+  Stats s;
+  for (const GpuStatsField& f : kGpuStatsFields) {
+    if (f.count != nullptr) {
+      s.*f.count = r.get_u64();
+    } else {
+      s.*f.seconds = r.get_f64();
+    }
+  }
   return s;
 }
 
@@ -604,25 +622,16 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   // — which refills its leaf_stats slot during the reduction — contributes
   // its device_seconds too (a killed-before-cluster leaf has no stats at
   // all until recovery runs).
-  for (const auto& stats : result.leaf_stats) {
-    reg.add("gpu.dense_boxes", stats.dense_boxes);
-    reg.add("gpu.dense_points", stats.dense_points);
-    reg.add("gpu.chains", stats.chains);
-    reg.add("gpu.collisions", stats.collisions);
-    reg.add("gpu.distance_ops", stats.distance_ops);
-    reg.add("gpu.kernel_launches", stats.kernel_launches);
-    reg.add("gpu.h2d_transfers", stats.h2d_transfers);
-    reg.add("gpu.d2h_transfers", stats.d2h_transfers);
-    reg.add("cluster.cellgraph.cells", stats.cellgraph_cells);
-    reg.add("cluster.cellgraph.core_cells", stats.cellgraph_core_cells);
-    reg.add("cluster.cellgraph.wholesale_points",
-            stats.cellgraph_wholesale_points);
-    reg.add("cluster.cellgraph.bcp_pairs", stats.cellgraph_bcp_pairs);
-    reg.add("cluster.cellgraph.bcp_ops", stats.cellgraph_bcp_ops);
-    reg.add("gpu.bvh.node_steps", stats.bvh_node_steps);
-    reg.set_max("gpu.device_seconds_max", stats.device_seconds);
+  for (const Stats& stats : result.leaf_stats) {
+    for (const GpuStatsField& f : kGpuStatsFields) {
+      if (f.count != nullptr) {
+        reg.add(f.metric, stats.*f.count);
+      } else {
+        reg.set_max(f.metric, stats.*f.seconds);
+      }
+    }
   }
-  result.gpu_dbscan_seconds = reg.gauge_value("gpu.device_seconds_max");
+  result.gpu_dbscan_seconds = reg.gauge_value(names::kGpuDeviceSecondsMax);
   result.merge_net = net.stats();
   mrnet::record_network_stats(*recorder, "merge", result.merge_net);
   // Cluster + merge pipeline: completion of the reduction, which started
@@ -641,8 +650,13 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
     root_ids[i] = static_cast<std::int64_t>(i);
   }
 
+  // The sweep runs on its own network over the same tree (scatter keeps
+  // no state from the reduction), so "net.sweep.*" is the sweep's traffic
+  // alone.
   const double sweep_base = cluster_base + result.sim.cluster_merge;
-  net.set_observer(recorder.get(), sweep_base, "sweep");
+  mrnet::Network sweep_net(topology, config_.titan.net,
+                           config_.titan.cpu_op_rate);
+  sweep_net.set_observer(recorder.get(), sweep_base, "sweep");
   double scatter_seconds = 0.0;
   // Out-of-core runs stream records to disk as each leaf callback fires
   // on the deterministic simulated event loop — the same order a
@@ -652,7 +666,7 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   if (ooc) ooc_writer.emplace(ooc_dir / "output.labeled");
   {
     obs::PhaseScope scope(*recorder, "sweep");
-    scatter_seconds = net.scatter(
+    scatter_seconds = sweep_net.scatter(
         pack_id_map(root_ids),
         [&](std::uint32_t node, const mrnet::Packet& incoming,
             std::uint32_t child) {
@@ -711,29 +725,8 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   } else {
     result.output_records = result.output.size();
   }
-  result.sweep_net = net.stats();
-  // The Network accumulates stats across reduce + scatter on the same
-  // object, so the sweep's own contribution is the delta from the
-  // merge-phase snapshot — mirroring the cumulative block under
-  // "net.sweep.*" would double-count the merge traffic.
-  {
-    mrnet::NetworkStats sweep_delta = result.sweep_net;
-    sweep_delta.packets_up -= result.merge_net.packets_up;
-    sweep_delta.packets_down -= result.merge_net.packets_down;
-    sweep_delta.bytes_up -= result.merge_net.bytes_up;
-    sweep_delta.bytes_down -= result.merge_net.bytes_down;
-    sweep_delta.acks -= result.merge_net.acks;
-    sweep_delta.packets_dropped -= result.merge_net.packets_dropped;
-    sweep_delta.retries -= result.merge_net.retries;
-    sweep_delta.timeouts -= result.merge_net.timeouts;
-    sweep_delta.reorders_injected -= result.merge_net.reorders_injected;
-    sweep_delta.duplicates_discarded -=
-        result.merge_net.duplicates_discarded;
-    sweep_delta.leaves_recovered -= result.merge_net.leaves_recovered;
-    sweep_delta.recovery_seconds -= result.merge_net.recovery_seconds;
-    sweep_delta.total_seconds -= result.merge_net.total_seconds;
-    mrnet::record_network_stats(*recorder, "sweep", sweep_delta);
-  }
+  result.sweep_net = sweep_net.stats();
+  mrnet::record_network_stats(*recorder, "sweep", result.sweep_net);
 
   // Leaves write the labelled output in parallel: contiguous runs at
   // per-cluster offsets (§3.4) — large ops, unlike the partition phase.

@@ -9,11 +9,13 @@
 
 namespace mrscan::gpu {
 
+/// Per-leaf counters. core/mrscan.cpp's field table lists every member
+/// once, for the metrics mirror and the checkpoint blob alike.
 struct GpuDbscanStats {
-  std::size_t dense_boxes = 0;
-  std::size_t dense_points = 0;  // points eliminated by dense box
-  std::size_t chains = 0;        // block expansion chains created
-  std::size_t collisions = 0;    // chain collisions merged
+  std::uint64_t dense_boxes = 0;
+  std::uint64_t dense_points = 0;  // points eliminated by dense box
+  std::uint64_t chains = 0;        // block expansion chains created
+  std::uint64_t collisions = 0;    // chain collisions merged
   std::uint64_t distance_ops = 0;
   std::uint64_t kernel_launches = 0;
   std::uint64_t h2d_transfers = 0;
@@ -22,9 +24,9 @@ struct GpuDbscanStats {
 
   // Cell-graph path only (mirrored as cluster.cellgraph.* metrics;
   // all zero when the leaf ran the two-pass path).
-  std::size_t cellgraph_cells = 0;       // occupied grid cells
-  std::size_t cellgraph_core_cells = 0;  // cells core wholesale (>= MinPts)
-  std::size_t cellgraph_wholesale_points = 0;  // points they cover
+  std::uint64_t cellgraph_cells = 0;       // occupied grid cells
+  std::uint64_t cellgraph_core_cells = 0;  // cells core wholesale (>= MinPts)
+  std::uint64_t cellgraph_wholesale_points = 0;  // points they cover
   std::uint64_t cellgraph_bcp_pairs = 0;  // cell pairs closest-pair-tested
   std::uint64_t cellgraph_bcp_ops = 0;    // distance ops those tests spent
 
@@ -33,6 +35,8 @@ struct GpuDbscanStats {
   // to the K20 cost model on top of the distance tests, so distance_ops
   // includes them.
   std::uint64_t bvh_node_steps = 0;
+
+  bool operator==(const GpuDbscanStats&) const = default;
 };
 
 struct GpuDbscanResult {

@@ -112,7 +112,7 @@ template <typename Tree>
 void connect_dense_boxes(const Tree& tree, const DenseBoxes& dense,
                          double eps, std::uint32_t block_count,
                          const std::vector<std::uint32_t>& box_chain,
-                         cluster::UnionFind& chains, std::size_t& collisions,
+                         cluster::UnionFind& chains, std::uint64_t& collisions,
                          VirtualDevice& device) {
   if (dense.count() < 2) return;
   const double cell = 2.0 * eps;

@@ -12,8 +12,6 @@
 //               neighbor list is ever materialized, and the K20 cost
 //               model is charged per visited node as well as per distance
 //               test (DESIGN §13).
-// RTree and Grid remain host-side indexes (CPU oracle, merge phase); they
-// are not device-traversal backends.
 #pragma once
 
 #include <optional>

@@ -7,7 +7,7 @@
 namespace mrscan::index {
 
 Grid::Grid(geom::GridGeometry geometry, std::span<const geom::Point> points)
-    : geometry_(geometry), points_(points) {
+    : geometry_(geometry) {
   MRSCAN_REQUIRE(geometry.cell_size > 0.0);
 
   // Pair each point index with its cell code, sort by code (stable within
@@ -46,22 +46,6 @@ std::span<const std::uint32_t> Grid::points_in(geom::CellKey key) const {
   if (slot == npos) return {};
   return std::span<const std::uint32_t>(order_).subspan(
       offsets_[slot], offsets_[slot + 1] - offsets_[slot]);
-}
-
-std::size_t Grid::count_in_radius(const geom::Point& p, double radius,
-                                  std::size_t at_least,
-                                  std::uint64_t* ops) const {
-  // Deduplicated onto the ring scan: the bool-returning callback gives the
-  // early exit once `at_least` neighbours are seen.
-  std::size_t count = 0;
-  for_each_in_radius(
-      p, radius,
-      [&](std::uint32_t) {
-        ++count;
-        return at_least == 0 || count < at_least;
-      },
-      ops);
-  return count;
 }
 
 }  // namespace mrscan::index

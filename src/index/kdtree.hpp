@@ -81,15 +81,6 @@ class KDTree {
   /// Leaf id containing the point at original index `idx`.
   std::uint32_t leaf_of(std::uint32_t idx) const { return point_leaf_[idx]; }
 
-  /// Visit the index of every point within `radius` of `p` (inclusive).
-  template <typename Fn>
-  void for_each_in_radius(const geom::Point& p, double radius,
-                          Fn&& fn) const {
-    if (nodes_.empty()) return;
-    const double r2 = radius * radius;
-    visit(0, p, r2, fn);
-  }
-
   /// Count the Eps-neighbourhood of p, stopping once `at_least` neighbours
   /// have been found (0 = exact count). If `ops` is non-null it is
   /// incremented by the number of point distance computations performed —
@@ -152,23 +143,6 @@ class KDTree {
 
  private:
   std::uint32_t build(std::uint32_t begin, std::uint32_t end, int depth);
-
-  template <typename Fn>
-  void visit(std::uint32_t node_id, const geom::Point& p, double r2,
-             Fn&& fn) const {
-    const Node& node = nodes_[node_id];
-    if (node.box.dist2_to(p) > r2) return;
-    if (node.is_leaf()) {
-      const Leaf& leaf = leaves_[node.leaf_id];
-      for (std::uint32_t i = leaf.begin; i < leaf.end; ++i) {
-        const std::uint32_t idx = order_[i];
-        if (geom::dist2(p, points_[idx]) <= r2) fn(idx);
-      }
-      return;
-    }
-    visit(node.left, p, r2, fn);
-    visit(node.right, p, r2, fn);
-  }
 
   std::span<const geom::Point> points_;
   KDTreeConfig config_;

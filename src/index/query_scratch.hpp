@@ -24,7 +24,7 @@
 namespace mrscan::index {
 
 struct QueryScratch {
-  /// Node ids still to visit (KD-tree / R-tree traversal).
+  /// Node ids still to visit (KD-tree / BVH traversal).
   std::vector<std::uint32_t> stack;
   /// Neighbor indices of the most recent collecting query. Valid until the
   /// next query through the same scratch.

@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "cluster/cell_graph_ops.hpp"
-#include "core/serve_state.hpp"
 #include "obs/names.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
@@ -76,17 +75,6 @@ ClusterService::ClusterService(ServeConfig config)
 }
 
 ClusterService::~ClusterService() = default;
-
-std::unique_ptr<ClusterService> ClusterService::from_build(
-    const core::ServeState& state) {
-  ServeConfig config;
-  config.params = state.params;
-  config.host_threads = state.host_threads;
-  auto service = std::make_unique<ClusterService>(std::move(config));
-  const EpochResult r = service->bootstrap(state.points);
-  MRSCAN_REQUIRE(r.ok);
-  return service;
-}
 
 void ClusterService::insert(const geom::Point& point) {
   pending_.push_back(Mutation{Mutation::Kind::kInsert, point});

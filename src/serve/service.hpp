@@ -49,10 +49,6 @@
 #include "sim/titan.hpp"
 #include "util/thread_pool.hpp"
 
-namespace mrscan::core {
-struct ServeState;
-}
-
 namespace mrscan::serve {
 
 struct ServeConfig {
@@ -137,12 +133,6 @@ class ClusterService {
   ~ClusterService();
   ClusterService(const ClusterService&) = delete;
   ClusterService& operator=(const ClusterService&) = delete;
-
-  /// Construct from the distilled residue of a batch run: same params,
-  /// points bulk-inserted and clustered in epoch 0 (whose labels are
-  /// equivalent to the batch labels by the correctness contract above).
-  static std::unique_ptr<ClusterService> from_build(
-      const core::ServeState& state);
 
   const ServeConfig& config() const { return config_; }
 

@@ -11,9 +11,7 @@
 #include "data/synthetic.hpp"
 #include "data/twitter.hpp"
 #include "dbscan/disjoint_set.hpp"
-#include "dbscan/rtree_dbscan.hpp"
 #include "dbscan/sequential.hpp"
-#include "dbscan/ti_dbscan.hpp"
 #include "gpu/mrscan_gpu.hpp"
 #include "quality/dbdc.hpp"
 
@@ -101,20 +99,6 @@ TEST_P(DbscanEquivalence, DisjointSetMatches) {
             0.995);
 }
 
-TEST_P(DbscanEquivalence, TiDbscanMatches) {
-  const auto got = md::dbscan_ti(points_, params_);
-  expect_core_partition_equal(reference_, got);
-  EXPECT_GT(mrscan::quality::dbdc_quality(reference_.cluster, got.cluster),
-            0.995);
-}
-
-TEST_P(DbscanEquivalence, RtreeDbscanMatches) {
-  const auto got = md::dbscan_rtree(points_, params_);
-  expect_core_partition_equal(reference_, got);
-  EXPECT_GT(mrscan::quality::dbdc_quality(reference_.cluster, got.cluster),
-            0.995);
-}
-
 TEST_P(DbscanEquivalence, MrScanGpuMatches) {
   mrscan::gpu::MrScanGpuConfig config;
   config.params = params_;
@@ -124,17 +108,6 @@ TEST_P(DbscanEquivalence, MrScanGpuMatches) {
   EXPECT_GT(mrscan::quality::dbdc_quality(reference_.cluster,
                                           got.labels.cluster),
             0.995);
-}
-
-TEST_P(DbscanEquivalence, TiDbscanCountsLessWorkThanBruteForce) {
-  md::TiDbscanStats stats;
-  md::dbscan_ti(points_, params_, &stats);
-  // The TI window must prune: far fewer distance computations than the
-  // n-squared comparison (allowing the degenerate all-in-window case some
-  // slack on tiny eps-dense data).
-  const std::uint64_t brute =
-      static_cast<std::uint64_t>(points_.size()) * points_.size();
-  EXPECT_LT(stats.distance_computations, brute);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -478,29 +478,54 @@ TEST(Differential, OutOfCoreRunIsByteIdenticalToResident) {
 
   // Kill/resume: abort right after a checkpoint, then resume on a
   // different worker count — restored leaves plus freshly clustered ones
-  // must still reproduce the resident output byte-for-byte.
-  auto kill_cfg = base_cfg;
-  kill_cfg.host_threads = 4;
-  kill_cfg.ooc.enabled = true;
-  kill_cfg.ooc.dir = root / "killed";
-  kill_cfg.ooc.working_set = 3;
-  kill_cfg.ooc.abort_after_leaves = 7;
-  EXPECT_THROW(mc::MrScan(kill_cfg).run(points), mc::OocAborted);
+  // must still reproduce the resident output byte-for-byte, and every
+  // restored leaf's stats must decode to exactly what it measured. The
+  // cell-graph leg fills the cellgraph_* stats the two-pass leg leaves
+  // at zero.
+  using mrscan::cluster::ClusterAlgo;
+  for (const ClusterAlgo algo :
+       {ClusterAlgo::kTwoPass, ClusterAlgo::kCellGraph}) {
+    auto algo_cfg = base_cfg;
+    algo_cfg.cluster_algo = algo;
+    const auto resident = algo == base_cfg.cluster_algo
+                              ? baseline
+                              : mc::MrScan(algo_cfg).run(points);
+    const std::string tag(mrscan::cluster::to_string(algo));
+    const std::string context = "resume cluster_algo " + tag;
+    if (algo == ClusterAlgo::kCellGraph) {
+      std::uint64_t cells = 0;
+      for (const auto& stats : resident.leaf_stats) {
+        cells += stats.cellgraph_cells;
+      }
+      ASSERT_GT(cells, 0u) << context;
+    }
 
-  auto resume_cfg = kill_cfg;
-  resume_cfg.ooc.abort_after_leaves = 0;
-  resume_cfg.ooc.resume = true;
-  resume_cfg.host_threads = 4;
-  const auto resumed = mc::MrScan(resume_cfg).run(points);
-  EXPECT_GT(resumed.ooc_leaves_restored, 0u);
-  EXPECT_LT(resumed.ooc_leaves_restored, baseline.leaves_used);
-  EXPECT_TRUE(read_labeled(resumed.output_path) == baseline.output)
-      << "resumed run diverged from the resident run";
-  EXPECT_EQ(resumed.cluster_count, baseline.cluster_count);
-  EXPECT_EQ(resumed.merges_detected, baseline.merges_detected);
-  EXPECT_DOUBLE_EQ(resumed.sim.cluster_merge, baseline.sim.cluster_merge);
-  EXPECT_DOUBLE_EQ(resumed.sim.sweep, baseline.sim.sweep);
-  EXPECT_DOUBLE_EQ(resumed.gpu_dbscan_seconds, baseline.gpu_dbscan_seconds);
+    auto kill_cfg = algo_cfg;
+    kill_cfg.host_threads = 4;
+    kill_cfg.ooc.enabled = true;
+    kill_cfg.ooc.dir = root / ("killed" + tag);
+    kill_cfg.ooc.working_set = 3;
+    kill_cfg.ooc.abort_after_leaves = 7;
+    EXPECT_THROW(mc::MrScan(kill_cfg).run(points), mc::OocAborted)
+        << context;
+
+    auto resume_cfg = kill_cfg;
+    resume_cfg.ooc.abort_after_leaves = 0;
+    resume_cfg.ooc.resume = true;
+    const auto resumed = mc::MrScan(resume_cfg).run(points);
+    EXPECT_GT(resumed.ooc_leaves_restored, 0u) << context;
+    EXPECT_LT(resumed.ooc_leaves_restored, resident.leaves_used) << context;
+    EXPECT_TRUE(read_labeled(resumed.output_path) == resident.output)
+        << context << ": resumed run diverged from the resident run";
+    EXPECT_EQ(resumed.cluster_count, resident.cluster_count) << context;
+    EXPECT_EQ(resumed.merges_detected, resident.merges_detected) << context;
+    EXPECT_DOUBLE_EQ(resumed.sim.cluster_merge, resident.sim.cluster_merge)
+        << context;
+    EXPECT_DOUBLE_EQ(resumed.sim.sweep, resident.sim.sweep) << context;
+    EXPECT_DOUBLE_EQ(resumed.gpu_dbscan_seconds, resident.gpu_dbscan_seconds)
+        << context;
+    EXPECT_TRUE(resumed.leaf_stats == resident.leaf_stats) << context;
+  }
 
   fs::remove_all(root);
 }

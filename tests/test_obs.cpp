@@ -338,3 +338,24 @@ TEST(ObsPipeline, MetricsJsonIsByteStableAcrossIdenticalRuns) {
     }
   }
 }
+
+TEST(ObsPipeline, SweepNetworkStatsCoverOnlyTheSweep) {
+  // net.sweep.* describes the scatter alone: its largest packet is one of
+  // the id maps it sent down, not the merge phase's largest summary, and
+  // nothing travelled upstream.
+  const auto points = obs_points();
+  auto cfg = obs_config();
+  cfg.fault_plan = {};
+  const auto result = mc::MrScan(cfg).run(points);
+  const mo::MetricsSnapshot snap = result.obs->metrics().snapshot();
+
+  const double max_packet = snap.gauge("net.sweep.max_packet_bytes");
+  EXPECT_GT(max_packet, 0.0);
+  EXPECT_LE(max_packet,
+            static_cast<double>(snap.counter("net.sweep.bytes_down")));
+  EXPECT_LT(max_packet, snap.gauge("net.merge.max_packet_bytes"));
+  EXPECT_EQ(snap.counter("net.sweep.packets_up"), 0u);
+  EXPECT_EQ(snap.counter("net.sweep.bytes_up"), 0u);
+  EXPECT_EQ(snap.counter("net.sweep.packets_down"),
+            result.sweep_net.packets_down);
+}

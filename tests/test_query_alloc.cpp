@@ -1,7 +1,7 @@
 // Proof of the allocation-free query engine contract (DESIGN §10): once a
-// QueryScratch is warm, radius_query / count_in_radius / *_many on KDTree,
-// BVH, RTree, and Grid perform ZERO heap allocations. The whole binary runs
-// under a counting global operator new, so any hidden allocation on the
+// QueryScratch is warm, radius_query / count_in_radius / *_many on KDTree
+// and BVH perform ZERO heap allocations. The whole binary runs under a
+// counting global operator new, so any hidden allocation on the
 // steady-state path — a stack regrowth, a temporary vector, a span copy
 // gone wrong — shows up as a nonzero delta.
 #include <gtest/gtest.h>
@@ -17,10 +17,8 @@
 #include "data/synthetic.hpp"
 #include "geometry/point.hpp"
 #include "index/bvh.hpp"
-#include "index/grid.hpp"
 #include "index/kdtree.hpp"
 #include "index/query_scratch.hpp"
-#include "index/rtree.hpp"
 
 namespace {
 
@@ -165,50 +163,6 @@ TEST(QueryAlloc, BVHSteadyStateIsAllocationFree) {
         });
     checksum += tree.count_in_radius(pts[0], 0.4, scratch);
     checksum += tree.radius_query(pts[1], 0.4, scratch).size();
-    return checksum;
-  });
-  EXPECT_EQ(delta, 0u);
-}
-
-TEST(QueryAlloc, RTreeSteadyStateIsAllocationFree) {
-  const auto pts = test_points(3000, 22);
-  const mi::RTree tree(pts);
-  const auto queries = all_indices(pts.size());
-  mi::QueryScratch scratch;
-
-  const std::uint64_t delta = steady_state_allocations([&] {
-    std::uint64_t checksum = 0;
-    tree.radius_query_many(
-        queries, 0.4, scratch,
-        [&](std::size_t, std::span<const std::uint32_t> neighbors,
-            std::uint64_t ops) {
-          checksum += neighbors.size() + ops;
-          for (const std::uint32_t nb : neighbors) checksum += nb;
-        });
-    checksum += tree.count_in_radius(pts[0], 0.4, scratch);
-    checksum += tree.radius_query(pts[1], 0.4, scratch).size();
-    return checksum;
-  });
-  EXPECT_EQ(delta, 0u);
-}
-
-TEST(QueryAlloc, GridSteadyStateIsAllocationFree) {
-  const auto pts = test_points(3000, 23);
-  const double eps = 0.5;
-  const mi::Grid grid(mg::GridGeometry{0.0, 0.0, eps}, pts);
-  const auto queries = all_indices(pts.size());
-  mi::QueryScratch scratch;
-
-  const std::uint64_t delta = steady_state_allocations([&] {
-    std::uint64_t checksum = 0;
-    grid.radius_query_many(
-        queries, eps, scratch,
-        [&](std::size_t, std::span<const std::uint32_t> neighbors,
-            std::uint64_t ops) {
-          checksum += neighbors.size() + ops;
-          for (const std::uint32_t nb : neighbors) checksum += nb;
-        });
-    checksum += grid.radius_query(pts[0], eps, scratch).size();
     return checksum;
   });
   EXPECT_EQ(delta, 0u);

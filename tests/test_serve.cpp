@@ -15,9 +15,7 @@
 
 #include "cluster_equiv.hpp"
 #include "core/mrscan.hpp"
-#include "core/serve_state.hpp"
 #include "data/stream.hpp"
-#include "data/synthetic.hpp"
 #include "obs/names.hpp"
 #include "serve/script.hpp"
 #include "serve/service.hpp"
@@ -415,31 +413,6 @@ TEST(ServeQueries, ClusterStatsAggregateTheSnapshot) {
   EXPECT_FALSE(service.cluster_stats(1).has_value());
   EXPECT_FALSE(service.cluster_stats(mrscan::dbscan::kNoise).has_value());
   EXPECT_GE(service.metrics().counter_value(names::kServeQueries), 2u);
-}
-
-TEST(ServeState, FromBuildReproducesTheBatchClustering) {
-  const mg::BBox window{0.0, 0.0, 10.0, 10.0};
-  const std::vector<md::Blob> blobs{{2.0, 2.0, 0.3, 150},
-                                    {7.5, 7.5, 0.3, 150}};
-  auto points = md::gaussian_blobs(blobs, 30, window, 7);
-  std::sort(points.begin(), points.end(),
-            [](const mg::Point& a, const mg::Point& b) { return a.id < b.id; });
-
-  mrscan::core::MrScanConfig config;
-  config.params = {0.35, 5};
-  config.leaves = 4;
-  config.partition_nodes = 2;
-  const auto result = mrscan::core::MrScan(config).run(points);
-  const auto state = mrscan::core::extract_serve_state(config, result, points);
-  ASSERT_EQ(state.points.size(), points.size());
-
-  const auto service = ms::ClusterService::from_build(state);
-  const auto snapshot = service->snapshot();
-  ASSERT_EQ(snapshot->points.size(), points.size());
-  EXPECT_TRUE(mrscan::test::same_clustering(snapshot->labels,
-                                            result.labels_for(points)));
-  EXPECT_TRUE(
-      mrscan::test::same_clustering(snapshot->labels, state.labels));
 }
 
 // ---- the text protocol ----

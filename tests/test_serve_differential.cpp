@@ -4,6 +4,7 @@
 // surviving point set.
 //
 // Coverage matrix:
+//   * the bootstrap epoch itself (prefix 0) against batch;
 //   * serve host_threads {1, 4}: the two services must be bit-identical
 //     (determinism contract), and both equivalent to batch;
 //   * batch cluster algos: two-pass verified at every prefix, cell-graph
@@ -73,6 +74,17 @@ void run_battery(const md::StreamConfig& stream_config,
   ASSERT_TRUE(service1.bootstrap(stream.initial).ok);
   ASSERT_TRUE(service4.bootstrap(stream.initial).ok);
   ASSERT_TRUE(service_faulty.bootstrap(stream.initial).ok);
+
+  // The bootstrap epoch alone already matches a cold batch run.
+  {
+    const auto snap = service1.snapshot();
+    ASSERT_EQ(snap->points.size(), stream.initial.size());
+    ASSERT_TRUE(mrscan::test::same_clustering(
+        snap->labels,
+        batch_labels(snap->points, params,
+                     mrscan::cluster::ClusterAlgo::kTwoPass, 1)))
+        << "bootstrap: serve diverged from batch (two-pass)";
+  }
 
   std::uint64_t fault_retries = 0;
   for (std::size_t prefix = 0; prefix < stream.mutations.size(); ++prefix) {

@@ -41,11 +41,11 @@ ALLOWED_DEPS: dict[str, tuple[str, ...]] = {
     "core": ("cluster", "data", "dbscan", "fault", "geometry", "gpu",
              "index", "io", "merge", "mrnet", "obs", "partition",
              "quality", "sim", "sweep", "util"),
-    # The serving layer sits above core: it reuses the batch pipeline's
-    # cell-graph machinery and bootstraps from a core::MrScan build
-    # (core/serve_state.hpp), but nothing below ever includes serve.
-    "serve": ("cluster", "core", "dbscan", "fault", "geometry", "obs",
-              "sim", "util"),
+    # The serving layer reuses the batch pipeline's cell-graph machinery
+    # (cluster) but never the pipeline driver itself; nothing below ever
+    # includes serve.
+    "serve": ("cluster", "dbscan", "fault", "geometry", "obs", "sim",
+              "util"),
 }
 
 # Only this module may depend on all three of mrnet, gpu and merge —

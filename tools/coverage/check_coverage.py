@@ -24,7 +24,8 @@ import pathlib
 import subprocess
 import sys
 
-DEFAULT_PATHS = ("src/gpu", "src/cluster", "src/index", "src/serve")
+DEFAULT_PATHS = ("src/gpu", "src/cluster", "src/index", "src/serve",
+                 "src/dbscan")
 
 
 def run_gcov(gcda: list[pathlib.Path], build_dir: pathlib.Path) -> list[dict]:
