@@ -22,15 +22,21 @@
 #                         MRSCAN_BENCH_METRICS_DIR set; every emitted
 #                         BENCH_*.json is schema-validated by
 #                         tools/obs/check_obs_json.py --bench
-#   7. asan-ubsan preset  full suite under ASan+UBSan with
+#   7. e2e smoke          1-second e2ebench runs of twitter-16L and
+#                         sdss-256L-ooc (seed 1); each must report
+#                         "correct": true, which pins the labeled text
+#                         output's raw bytes and sim_s to
+#                         e2ebench/reference.json
+#   8. asan-ubsan preset  full suite under ASan+UBSan with
 #                         MRSCAN_CHECK_INVARIANTS=ON and MRSCAN_WERROR=ON
-#   8. tsan preset        full suite (incl. the `stress`-labeled tests)
+#   9. tsan preset        full suite (incl. the `stress`-labeled tests)
 #                         under TSan, same options
-#   9. tidy preset        clang-tidy over every TU (skipped with a notice
+#  10. tidy preset        clang-tidy over every TU (skipped with a notice
 #                         when clang-tidy is not installed)
 #
 # Usage: scripts/check.sh [--quick] [--no-stress] [--coverage] [--jobs N]
-#   --quick      analyze + default preset only (the fast pre-commit loop)
+#   --quick      analyze + default preset + smokes 3-6 only (the fast
+#                pre-commit loop; no e2e smoke, sanitizers or tidy)
 #   --no-stress  skip the `stress`-labeled tests in every preset (the
 #                push/PR CI path; a scheduled job runs them)
 #   --coverage   also build + test the `coverage` preset and gate line
@@ -204,7 +210,22 @@ if [[ "$COVERAGE" -eq 1 ]]; then
     --summary build-coverage/coverage_summary.json
 fi
 
+# End-to-end smoke: short benchmark runs at the seed whose reference is
+# recorded; a "correct": false result means the output bytes, the
+# clustering or sim_s moved (e2ebench/README.md).
+e2e_smoke() {
+  local workload result
+  for workload in twitter-16L sdss-256L-ooc; do
+    result=$(python3 e2ebench/run.py --workload "$workload" --seed 1 \
+               --seconds 1 | tail -n 1) || return 1
+    python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
+      "$result" || { echo "e2e-smoke: $workload: $result" >&2; return 1; }
+  done
+}
+
 if [[ "$QUICK" -eq 0 ]]; then
+  run_step "e2e-smoke" e2e_smoke
   run_preset asan-ubsan
   run_preset tsan
 

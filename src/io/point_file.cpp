@@ -1,10 +1,14 @@
 #include "io/point_file.hpp"
 
+#include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
-#include <sstream>
-#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "io/checked_file.hpp"
@@ -26,7 +30,8 @@ void put_bytes(std::vector<char>& buf, const void* src, std::size_t n) {
 /// Failure with errno context (io::fail); format-validation failures
 /// clear errno first so they don't pick up a stale code.
 [[noreturn]] void io_fail(const std::filesystem::path& path,
-                          const char* what, bool format_error = false) {
+                          const std::string& what,
+                          bool format_error = false) {
   if (format_error) errno = 0;
   fail(path, what);
 }
@@ -85,6 +90,9 @@ void write_points_binary(const std::filesystem::path& path,
   put_bytes(buf, &count, 8);
   for (const geom::Point& p : points) encode_record(buf, p);
   out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  // close() flushes what the stream still buffers; the destructor would
+  // swallow a failure there (a full disk).
+  out.close();
   if (!out) io_fail(path, "write failed");
 }
 
@@ -172,17 +180,36 @@ geom::PointSet read_points_binary_range(const std::filesystem::path& path,
   return points;
 }
 
-void write_points_text(const std::filesystem::path& path,
-                       std::span<const geom::Point> points) {
-  errno = 0;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) io_fail(path, "cannot open for writing");
-  out.precision(17);
-  for (const geom::Point& p : points) {
-    out << p.id << ' ' << p.x << ' ' << p.y << ' ' << p.weight << '\n';
-  }
-  if (!out) io_fail(path, "write failed");
+namespace {
+
+/// The next whitespace-separated field of `line` at or after `pos`
+/// (advanced past it); empty when the line has no more fields.
+std::string_view next_field(std::string_view line, std::size_t& pos) {
+  const auto is_space = [&](std::size_t i) {
+    return std::isspace(static_cast<unsigned char>(line[i])) != 0;
+  };
+  while (pos < line.size() && is_space(pos)) ++pos;
+  const std::size_t start = pos;
+  while (pos < line.size() && !is_space(pos)) ++pos;
+  return line.substr(start, pos - start);
 }
+
+/// Parse a whole field as one number: an unsigned decimal id, or a
+/// finite floating-point value. A leading '+' is accepted; nan, inf,
+/// out-of-range values, a '-' on the id and trailing characters are not.
+template <typename T>
+bool parse_field(std::string_view field, T& value) {
+  if (field.size() > 1 && field[0] == '+' && field[1] != '-') {
+    field.remove_prefix(1);
+  }
+  const char* const end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(value);
+  return true;
+}
+
+}  // namespace
 
 geom::PointSet read_points_text(const std::filesystem::path& path) {
   errno = 0;
@@ -190,14 +217,22 @@ geom::PointSet read_points_text(const std::filesystem::path& path) {
   if (!in) io_fail(path, "cannot open");
   geom::PointSet points;
   std::string line;
+  std::size_t line_no = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    geom::Point p;
-    if (!(ss >> p.id >> p.x >> p.y)) {
-      io_fail(path, "malformed text record", /*format_error=*/true);
+    std::size_t pos = 0;
+    geom::Point p;  // the weight is optional and defaults to 1
+    const bool ok = parse_field(next_field(line, pos), p.id) &&
+                    parse_field(next_field(line, pos), p.x) &&
+                    parse_field(next_field(line, pos), p.y);
+    const std::string_view weight = next_field(line, pos);
+    if (!ok || (!weight.empty() && !parse_field(weight, p.weight)) ||
+        !next_field(line, pos).empty()) {
+      io_fail(path,
+              "malformed text record at line " + std::to_string(line_no),
+              /*format_error=*/true);
     }
-    if (!(ss >> p.weight)) p.weight = 1.0f;
     points.push_back(p);
   }
   if (in.bad()) io_fail(path, "read failed");

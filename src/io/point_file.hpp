@@ -55,12 +55,13 @@ void encode_binary_record(std::vector<std::uint8_t>& buf,
 /// Decode one binary point record from `data` (kBinaryRecordSize bytes).
 geom::Point decode_binary_record(const std::uint8_t* data);
 
-/// Write points as text, one per line: "id x y weight".
-void write_points_text(const std::filesystem::path& path,
-                       std::span<const geom::Point> points);
-
-/// Read a text point file; lines may omit the weight (defaults to 1).
-/// Blank lines and lines starting with '#' are skipped.
+/// Read a text point file, one "id x y [weight]" line per point; the
+/// weight defaults to 1. Empty lines and lines starting with '#' are
+/// skipped. Every other line must hold exactly three or four numbers:
+/// an unsigned decimal id and finite coordinates and weight, each in
+/// its type's range (a value that would underflow to zero is out of
+/// range too). Anything else throws "malformed text record at line N"
+/// (1-based).
 geom::PointSet read_points_text(const std::filesystem::path& path);
 
 }  // namespace mrscan::io

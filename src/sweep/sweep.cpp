@@ -1,11 +1,27 @@
 #include "sweep/sweep.hpp"
 
+#include <cerrno>
+#include <charconv>
 #include <fstream>
-#include <stdexcept>
 
+#include "io/checked_file.hpp"
 #include "util/assert.hpp"
 
 namespace mrscan::sweep {
+
+namespace {
+
+/// The text writer formats records into one block of this size and
+/// hands the stream a full block at a time.
+constexpr std::size_t kTextBlockBytes = std::size_t{1} << 20;
+
+/// Longest text record: a 20-digit id, three %.17g numbers of at most 24
+/// characters ("-1.2345678901234567e-308"), a 20-character cluster id
+/// (INT64_MIN) and five separators. A block with this much room left
+/// always takes one more record.
+constexpr std::ptrdiff_t kMaxTextRecordBytes = 20 + 3 * 24 + 20 + 5;
+
+}  // namespace
 
 GlobalAssignment assign_global_ids(const merge::MergeSummary& root_summary) {
   GlobalAssignment assignment;
@@ -43,34 +59,40 @@ std::vector<LabeledPoint> label_owned_points(
 
 void write_labeled_text(const std::filesystem::path& path,
                         std::span<const LabeledPoint> records) {
+  errno = 0;
   std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("mrscan: cannot open for writing: " +
-                             path.string());
-  }
-  out.precision(17);
+  if (!out) io::fail(path, "cannot open for writing");
+  std::vector<char> block(kTextBlockBytes);
+  char* const block_end = block.data() + block.size();
+  char* cursor = block.data();
+  const auto write_block = [&] {
+    out.write(block.data(), cursor - block.data());
+    if (!out) io::fail(path, "write failed");
+    cursor = block.data();
+  };
+  const auto put_double = [&](double value) {
+    cursor = std::to_chars(cursor, block_end, value,
+                           std::chars_format::general, 17)
+                 .ptr;
+  };
   for (const LabeledPoint& r : records) {
-    out << r.point.id << ' ' << r.point.x << ' ' << r.point.y << ' '
-        << r.point.weight << ' ' << r.cluster << '\n';
+    if (block_end - cursor < kMaxTextRecordBytes) write_block();
+    cursor = std::to_chars(cursor, block_end, r.point.id).ptr;
+    *cursor++ = ' ';
+    put_double(r.point.x);
+    *cursor++ = ' ';
+    put_double(r.point.y);
+    *cursor++ = ' ';
+    put_double(r.point.weight);
+    *cursor++ = ' ';
+    cursor = std::to_chars(cursor, block_end, r.cluster).ptr;
+    *cursor++ = '\n';
   }
-  if (!out) {
-    throw std::runtime_error("mrscan: write failed: " + path.string());
-  }
-}
-
-std::vector<LabeledPoint> read_labeled_text(
-    const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("mrscan: cannot open: " + path.string());
-  }
-  std::vector<LabeledPoint> records;
-  LabeledPoint r;
-  while (in >> r.point.id >> r.point.x >> r.point.y >> r.point.weight >>
-         r.cluster) {
-    records.push_back(r);
-  }
-  return records;
+  write_block();
+  // close() flushes what the stream still buffers; a failure there (a
+  // full disk) must not be left to the destructor, which swallows it.
+  out.close();
+  if (!out) io::fail(path, "write failed");
 }
 
 std::vector<dbscan::ClusterId> labels_in_input_order(

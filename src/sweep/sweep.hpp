@@ -48,13 +48,13 @@ std::vector<LabeledPoint> label_owned_points(
     std::span<const std::int64_t> global_of_local,
     bool keep_noise = false);
 
-/// Write labeled points as text: "id x y weight cluster" per line.
+/// Write labeled points as text: "id x y weight cluster" per line. The
+/// id and cluster are decimal integers; x, y and the weight (widened to
+/// double) are printf "%.17g", which round-trips every double. The bytes
+/// do not depend on the C++ locale. Throws std::runtime_error naming the
+/// path and errno on any open, write or close failure.
 void write_labeled_text(const std::filesystem::path& path,
                         std::span<const LabeledPoint> records);
-
-/// Read back a labeled text file.
-std::vector<LabeledPoint> read_labeled_text(
-    const std::filesystem::path& path);
 
 /// Align a clustered output with an input point order: result[i] is the
 /// cluster of points[i] (noise when absent from `records`). Used by the

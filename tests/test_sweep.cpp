@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <sstream>
 #include <unistd.h>
 
 #include "data/synthetic.hpp"
 #include "sweep/sweep.hpp"
+#include "util/rng.hpp"
 
 namespace mg = mrscan::geom;
 namespace md = mrscan::dbscan;
@@ -67,21 +75,106 @@ TEST(Sweep, LabelOutOfRangeThrows) {
                std::invalid_argument);
 }
 
-TEST(Sweep, LabeledFileRoundTrip) {
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("mrscan_sweep_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  std::vector<msw::LabeledPoint> records{
-      {{1, 0.5, -0.5, 1.0f}, 0},
-      {{2, 1.5, 2.5, 0.25f}, 0},
-      {{3, -3.5, 4.0, 1.0f}, 7},
+namespace {
+
+/// The labeled text writer's byte contract, rendered by the stream
+/// formatting it must equal: decimal integers, and x, y and the weight
+/// (which the stream widens to double) at precision 17, i.e. "%.17g".
+std::string stream_rendering(std::span<const msw::LabeledPoint> records) {
+  std::ostringstream out;
+  out.precision(17);
+  for (const msw::LabeledPoint& r : records) {
+    out << r.point.id << ' ' << r.point.x << ' ' << r.point.y << ' '
+        << r.point.weight << ' ' << r.cluster << '\n';
+  }
+  return out.str();
+}
+
+std::string file_contents(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+}  // namespace
+
+TEST(Sweep, LabeledTextMatchesStreamFormatting) {
+  using dlim = std::numeric_limits<double>;
+  const std::vector<double> specials{
+      0.0,   -0.0,   dlim::denorm_min(),  dlim::max(),
+      1e16,  1e17,   dlim::infinity(),    -dlim::infinity(),
+      dlim::quiet_NaN(), std::copysign(dlim::quiet_NaN(), -1.0)};
+  const std::vector<std::int64_t> clusters{
+      std::numeric_limits<std::int64_t>::min(), -1, 0,
+      std::numeric_limits<std::int64_t>::max()};
+  const std::vector<float> weights{1.0f, 0.3f, 1e-40f,
+                                   std::numeric_limits<float>::max()};
+  mrscan::util::Rng rng(14);
+  const auto bit_pattern = [&rng] {
+    const std::uint64_t bits = rng.next_u64();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof value);
+    return value;
   };
+  // ~4 MiB of text: the writer's 1 MiB block fills several times.
+  std::vector<msw::LabeledPoint> records(48'000);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    msw::LabeledPoint& r = records[i];
+    r.point.id = i % 4 == 0   ? 0
+                 : i % 4 == 1 ? std::numeric_limits<std::uint64_t>::max()
+                              : rng.next_u64();
+    r.point.x = i % 2 == 0 ? specials[(i / 2) % specials.size()]
+                           : bit_pattern();
+    r.point.y = i % 3 == 0   ? specials[(i / 3) % specials.size()]
+                : i % 3 == 1 ? bit_pattern()
+                             : rng.uniform(-180.0, 180.0);
+    r.point.weight = weights[i % weights.size()];
+    r.cluster = i % 5 < clusters.size()
+                    ? clusters[i % 5]
+                    : static_cast<std::int64_t>(rng.next_u64());
+  }
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mrscan_sweep_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
   const fs::path path = dir / "out.txt";
   msw::write_labeled_text(path, records);
-  const auto back = msw::read_labeled_text(path);
-  EXPECT_EQ(back, records);
+  const std::string written = file_contents(path);
   fs::remove_all(dir);
+  const std::string expected = stream_rendering(records);
+  ASSERT_GT(expected.size(), std::size_t{3} << 20);
+  const std::size_t first_diff =
+      std::mismatch(written.begin(), written.end(), expected.begin(),
+                    expected.end())
+          .first -
+      written.begin();
+  EXPECT_EQ(first_diff, expected.size())
+      << "expected from there: " << expected.substr(first_diff, 80);
+  EXPECT_EQ(written.size(), expected.size());
+
+  // An empty span writes an empty file.
+  fs::create_directories(dir);
+  msw::write_labeled_text(path, {});
+  EXPECT_TRUE(file_contents(path).empty());
+  fs::remove_all(dir);
+}
+
+TEST(Sweep, LabeledTextWriteToFullDeviceThrows) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // Two records stay in the stream's buffer until the final flush.
+  const std::vector<msw::LabeledPoint> records{{{1, 0.5, -0.5, 1.0f}, 0},
+                                               {{2, 1.5, 2.5, 0.25f}, 7}};
+  // 30k records fill the writer's block, which fails on its first write.
+  const std::vector<msw::LabeledPoint> many(30'000, records[0]);
+  for (const auto& batch : {std::span(records), std::span(many)}) {
+    try {
+      msw::write_labeled_text("/dev/full", batch);
+      FAIL() << "expected a throw for " << batch.size() << " records";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("/dev/full"), std::string::npos) << what;
+      EXPECT_NE(what.find("No space left on device"), std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(Sweep, LabelsInInputOrderAlignsById) {

@@ -34,7 +34,9 @@ ALLOWED_DEPS: dict[str, tuple[str, ...]] = {
     "fault": ("io", "sim", "util"),
     "mrnet": ("fault", "obs", "sim", "util"),
     "merge": ("cluster", "dbscan", "geometry", "mrnet", "util"),
-    "sweep": ("dbscan", "geometry", "merge", "util"),
+    # sweep -> io: the labeled text writer fails through io::fail, which
+    # adds strerror(errno) context to every file failure (DESIGN §15).
+    "sweep": ("dbscan", "geometry", "io", "merge", "util"),
     "quality": ("dbscan", "geometry", "sweep", "util"),
     "partition": ("geometry", "index", "io", "mrnet", "obs", "sim",
                   "util"),
