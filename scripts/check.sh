@@ -41,7 +41,8 @@
 #                push/PR CI path; a scheduled job runs them)
 #   --coverage   also build + test the `coverage` preset and gate line
 #                coverage of src/gpu/ + src/cluster/ + src/index/ +
-#                src/serve/ + src/dbscan/ at 80% with
+#                src/serve/ + src/dbscan/ + src/partition/ + src/io/ at
+#                80% with
 #                tools/coverage/check_coverage.py; the summary JSON lands
 #                in build-coverage/coverage_summary.json (CI uploads it)
 #   --jobs N     parallelism for builds and ctest (default: nproc)

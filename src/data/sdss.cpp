@@ -1,8 +1,8 @@
 #include "data/sdss.hpp"
 
 #include <algorithm>
-#include <cmath>
 
+#include "data/scaled_histogram.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -50,24 +50,10 @@ geom::PointSet generate_sdss(const SdssConfig& config,
 index::CellHistogram sdss_histogram(const SdssConfig& config, double eps,
                                     std::uint64_t sample_points) {
   MRSCAN_REQUIRE(sample_points > 0);
-  SdssConfig sample_config = config;
-  sample_config.num_points = std::min(config.num_points, sample_points);
-  const geom::PointSet sample = generate_sdss(sample_config);
-  const geom::GridGeometry geometry{config.window.min_x, config.window.min_y,
-                                    eps};
-  index::CellHistogram hist(geometry, sample);
-  if (sample_config.num_points == config.num_points) return hist;
-
-  const double scale = static_cast<double>(config.num_points) /
-                       static_cast<double>(sample_config.num_points);
-  std::vector<index::CellHistogram::Entry> scaled;
-  scaled.reserve(hist.cell_count());
-  for (const auto& e : hist.entries()) {
-    const auto count = static_cast<std::uint64_t>(
-        std::max(1.0, std::round(static_cast<double>(e.count) * scale)));
-    scaled.push_back({e.code, count});
-  }
-  return index::CellHistogram(std::move(scaled));
+  SdssConfig sample = config;
+  sample.num_points = std::min(config.num_points, sample_points);
+  return scaled_histogram(generate_sdss(sample), config.window, eps,
+                          config.num_points);
 }
 
 }  // namespace mrscan::data

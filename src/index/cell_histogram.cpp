@@ -53,19 +53,6 @@ void CellHistogram::merge(const CellHistogram& other) {
   entries_ = std::move(merged);
 }
 
-void CellHistogram::add(geom::CellKey key, std::uint64_t count) {
-  if (count == 0) return;
-  const std::uint64_t code = geom::cell_code(key);
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), code,
-      [](const Entry& e, std::uint64_t c) { return e.code < c; });
-  if (it != entries_.end() && it->code == code) {
-    it->count += count;
-  } else {
-    entries_.insert(it, Entry{code, count});
-  }
-}
-
 std::uint64_t CellHistogram::total_points() const {
   std::uint64_t total = 0;
   for (const Entry& e : entries_) total += e.count;

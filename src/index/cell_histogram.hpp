@@ -34,9 +34,6 @@ class CellHistogram {
   /// Add another histogram's counts into this one (tree reduction step).
   void merge(const CellHistogram& other);
 
-  /// Add `count` points to a single cell.
-  void add(geom::CellKey key, std::uint64_t count);
-
   std::span<const Entry> entries() const { return entries_; }
   std::size_t cell_count() const { return entries_.size(); }
 

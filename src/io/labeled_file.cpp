@@ -95,9 +95,4 @@ bool LabeledFileReader::next(geom::Point& point, std::int64_t& cluster) {
   return true;
 }
 
-std::uint64_t labeled_record_count(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return validated_record_count(path, in);
-}
-
 }  // namespace mrscan::io

@@ -62,8 +62,4 @@ class LabeledFileReader {
   std::uint64_t cursor_ = 0;
 };
 
-/// Number of records in a labeled binary file (validates the header and
-/// that the size is a whole number of records).
-std::uint64_t labeled_record_count(const std::filesystem::path& path);
-
 }  // namespace mrscan::io

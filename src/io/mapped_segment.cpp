@@ -80,23 +80,6 @@ void write_segment_file(const std::filesystem::path& path,
   write_file_atomic(path, buf);
 }
 
-SegmentCounts read_segment_file_counts(const std::filesystem::path& path) {
-  errno = 0;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) fail(path, "cannot open");
-  std::uint8_t header[kSegHeaderSize];
-  const std::size_t got = std::fread(header, 1, kSegHeaderSize, f);
-  struct stat st{};
-  const int stat_rc = ::fstat(::fileno(f), &st);
-  std::fclose(f);
-  if (stat_rc != 0) fail(path, "cannot stat");
-  if (got != kSegHeaderSize) {
-    errno = 0;
-    fail(path, "truncated segment header");
-  }
-  return parse_header(path, header, static_cast<std::size_t>(st.st_size));
-}
-
 MappedSegment::MappedSegment(const std::filesystem::path& path) {
   errno = 0;
   const int fd = ::open(path.c_str(), O_RDONLY);

@@ -18,9 +18,15 @@
 #include <filesystem>
 
 #include "geometry/point.hpp"
-#include "io/segment_file.hpp"
 
 namespace mrscan::io {
+
+/// One leaf's partition in memory: its owned points, then the shadow
+/// points that complete their neighbourhoods (§3.1.1).
+struct Segment {
+  geom::PointSet owned;
+  geom::PointSet shadow;
+};
 
 /// Record counts of a per-leaf segment file (owned points first, then
 /// shadow-region points). The partition phase reports these for every
@@ -36,10 +42,6 @@ struct SegmentCounts {
 /// file. Throws with errno context on any failure.
 void write_segment_file(const std::filesystem::path& path,
                         const Segment& segment);
-
-/// Read just the header counts of a segment file (validates magic,
-/// version, and that the file size matches the header exactly).
-SegmentCounts read_segment_file_counts(const std::filesystem::path& path);
 
 /// A read-only memory mapping of a segment file. Move-only; the mapping
 /// is released (munmap + close) on destruction. The constructor

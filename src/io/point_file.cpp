@@ -99,8 +99,7 @@ void write_points_binary(const std::filesystem::path& path,
 namespace {
 
 std::uint64_t read_header(std::ifstream& in,
-                          const std::filesystem::path& path,
-                          bool check_size = true) {
+                          const std::filesystem::path& path) {
   char magic[4];
   std::uint32_t version = 0;
   std::uint64_t count = 0;
@@ -116,27 +115,16 @@ std::uint64_t read_header(std::ifstream& in,
   // Validate the declared count against the actual file size before any
   // allocation: a corrupt header must fail with context, not attempt a
   // multi-terabyte reserve or silently yield a truncated point set.
-  // Header-only queries (binary_point_count) skip this: the header of a
-  // truncated file stays readable by contract.
-  if (check_size) {
-    const std::uintmax_t size = std::filesystem::file_size(path);
-    if (size < kHeaderSize ||
-        count > (size - kHeaderSize) / kBinaryRecordSize) {
-      io_fail(path, "header record count exceeds file size",
-              /*format_error=*/true);
-    }
+  const std::uintmax_t size = std::filesystem::file_size(path);
+  if (size < kHeaderSize ||
+      count > (size - kHeaderSize) / kBinaryRecordSize) {
+    io_fail(path, "header record count exceeds file size",
+            /*format_error=*/true);
   }
   return count;
 }
 
 }  // namespace
-
-std::uint64_t binary_point_count(const std::filesystem::path& path) {
-  errno = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) io_fail(path, "cannot open");
-  return read_header(in, path, /*check_size=*/false);
-}
 
 geom::PointSet read_points_binary(const std::filesystem::path& path) {
   errno = 0;
@@ -154,30 +142,6 @@ geom::PointSet read_points_binary(const std::filesystem::path& path) {
     }
     return points;
   }();
-}
-
-geom::PointSet read_points_binary_range(const std::filesystem::path& path,
-                                        std::uint64_t first,
-                                        std::uint64_t count) {
-  errno = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) io_fail(path, "cannot open");
-  const std::uint64_t total = read_header(in, path);
-  // Overflow-safe: `first + count` can wrap for adversarial metadata.
-  if (first > total || count > total - first) {
-    io_fail(path, "record range out of bounds", /*format_error=*/true);
-  }
-  in.seekg(static_cast<std::streamoff>(kHeaderSize +
-                                       first * kBinaryRecordSize));
-  geom::PointSet points;
-  points.reserve(count);
-  std::vector<char> buf(count * kBinaryRecordSize);
-  in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
-  if (!in) io_fail(path, "truncated point file", /*format_error=*/true);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    points.push_back(decode_record(buf.data() + i * kBinaryRecordSize));
-  }
-  return points;
 }
 
 namespace {

@@ -38,15 +38,6 @@ void write_points_binary(const std::filesystem::path& path,
 /// Read an entire binary point file. Throws on missing/corrupt file.
 geom::PointSet read_points_binary(const std::filesystem::path& path);
 
-/// Read `count` records starting at record index `first` (for partitioned
-/// reads). Throws if the range exceeds the file.
-geom::PointSet read_points_binary_range(const std::filesystem::path& path,
-                                        std::uint64_t first,
-                                        std::uint64_t count);
-
-/// Number of records in a binary point file.
-std::uint64_t binary_point_count(const std::filesystem::path& path);
-
 /// Append one point's binary record encoding (kBinaryRecordSize bytes,
 /// little-endian) to `buf`. Shared with the per-leaf segment files.
 void encode_binary_record(std::vector<std::uint8_t>& buf,

@@ -4,7 +4,6 @@
 // failure mode, not MRSCAN_REQUIRE (throw).
 #include "partition/audit.hpp"
 
-#include <unordered_map>
 #include <unordered_set>
 
 #include "util/audit.hpp"
@@ -18,22 +17,23 @@ void audit_plan(const PartitionPlan& plan, const index::CellHistogram& hist,
       plan.shadow_rings == 2 * static_cast<std::int32_t>(config.cell_refine),
       "shadow radius must be 2*Eps (two rings per grid refinement factor)");
 
-  // ---- Ownership: each non-empty cell owned exactly once. ----
-  std::unordered_map<std::uint64_t, std::uint32_t> owner;
-  for (std::uint32_t pi = 0; pi < plan.parts.size(); ++pi) {
-    for (const std::uint64_t code : plan.parts[pi].owned_cells) {
+  // ---- Ownership: no part is empty; each non-empty cell owned exactly
+  // once. ----
+  std::unordered_set<std::uint64_t> owned_anywhere;
+  for (const PartitionPart& part : plan.parts) {
+    MRSCAN_AUDIT_ASSERT_MSG(!part.owned_cells.empty(), "empty partition");
+    for (const std::uint64_t code : part.owned_cells) {
       MRSCAN_AUDIT_ASSERT_MSG(hist.count_of(geom::cell_from_code(code)) > 0,
                               "partition owns an empty cell");
-      const bool fresh = owner.emplace(code, pi).second;
+      const bool fresh = owned_anywhere.insert(code).second;
       MRSCAN_AUDIT_ASSERT_MSG(fresh, "cell owned by two partitions");
-      MRSCAN_AUDIT_ASSERT_MSG(plan.owner_of(code) == pi,
-                              "ownership index out of date");
     }
   }
   if (!plan.parts.empty()) {
     for (const auto& entry : hist.entries()) {
-      MRSCAN_AUDIT_ASSERT_MSG(entry.count == 0 || owner.contains(entry.code),
-                              "non-empty cell owned by no partition");
+      MRSCAN_AUDIT_ASSERT_MSG(
+          entry.count == 0 || owned_anywhere.contains(entry.code),
+          "non-empty cell owned by no partition");
     }
     MRSCAN_AUDIT_ASSERT_MSG(
         plan.total_owned_points() == hist.total_points(),

@@ -1,8 +1,8 @@
 // Deep invariant audit of a partition plan (phase boundary: partition).
 //
 // Re-derives from the histogram what plan_partitions promises (§3.1):
-//   * every non-empty cell is owned by exactly one partition, and owned
-//     cells are non-empty;
+//   * every partition owns at least one cell, every non-empty cell is
+//     owned by exactly one partition, and owned cells are non-empty;
 //   * shadow regions are complete — every non-empty cell within
 //     shadow_rings of an owned cell is either owned by the same partition
 //     or in its shadow set — and minimal (each shadow cell is non-empty,

@@ -1,6 +1,7 @@
 #include "partition/distributed.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 
 #include "geometry/bbox.hpp"
@@ -53,7 +54,8 @@ mrnet::Packet pack_plan(const PartitionPlan& plan) {
   return p;
 }
 
-/// Shared timing model for both real and model mode.
+/// Charge the input read and the partition output: the Lustre write of
+/// the segmented file, or the direct send under kDirect.
 void fill_io_times(PartitionPhaseResult& result, std::uint64_t input_bytes,
                    std::uint64_t output_bytes, std::size_t writers,
                    std::size_t n_parts, Transport transport,
@@ -111,6 +113,62 @@ void record_phase(obs::Recorder* recorder,
   mrnet::record_network_stats(*recorder, "partition", result.net_stats);
 }
 
+/// The phase both drivers share once each partitioner leaf holds its
+/// histogram packet: reduce the histograms up a flat tree, plan serially
+/// at the root, broadcast the boundaries, then let `output` produce the
+/// partitions and return how many points the write is charged for.
+PartitionPhaseResult run_phase(
+    std::vector<mrnet::Packet> leaf_packets,
+    const geom::GridGeometry& geometry, std::uint64_t input_points,
+    const DistributedPartitionerConfig& config,
+    const sim::TitanParams& titan,
+    const std::function<std::uint64_t(PartitionPhaseResult&)>& output) {
+  PartitionPhaseResult result;
+  const std::size_t workers = leaf_packets.size();
+  mrnet::Network net(mrnet::Topology::flat(workers), titan.net,
+                     titan.cpu_op_rate);
+  // The partition phase opens the run's virtual timeline (offset 0);
+  // core places startup and the clustering tree after it.
+  net.set_observer(config.recorder, 0.0, "partition");
+  mrnet::Packet root_packet = net.reduce(
+      std::move(leaf_packets),
+      [](std::uint32_t, std::vector<mrnet::Packet> children,
+         std::uint64_t& ops) {
+        index::CellHistogram merged;
+        for (const auto& c : children) {
+          const index::CellHistogram h = unpack_histogram(c);
+          ops += h.cell_count();
+          merged.merge(h);
+        }
+        return pack_histogram(merged);
+      });
+  result.histogram_reduce_seconds = net.stats().last_op_seconds;
+
+  const index::CellHistogram hist = unpack_histogram(root_packet);
+  result.plan = plan_partitions(hist, geometry, config.planner);
+  // Deterministic cost model: the serial planner walks every cell a small
+  // constant number of times (packing + shadow + rebalance).
+  result.plan_seconds = static_cast<double>(hist.cell_count()) * 50.0 /
+                        titan.cpu_op_rate;
+
+  result.broadcast_seconds =
+      net.multicast(pack_plan(result.plan),
+                    [](std::uint32_t, const mrnet::Packet&) {});
+
+  const std::uint64_t output_points = output(result);
+  fill_io_times(result, input_points * io::kBinaryRecordSize,
+                output_points * io::kBinaryRecordSize, workers,
+                result.plan.part_count(), config.transport, titan);
+
+  result.net_stats = net.stats();
+  result.sim_seconds = result.read_seconds +
+                       result.histogram_reduce_seconds + result.plan_seconds +
+                       result.broadcast_seconds + result.write_seconds +
+                       result.send_seconds;
+  record_phase(config.recorder, result);
+  return result;
+}
+
 }  // namespace
 
 PartitionPhaseResult run_distributed_partitioner(
@@ -119,27 +177,19 @@ PartitionPhaseResult run_distributed_partitioner(
     const sim::TitanParams& titan) {
   MRSCAN_REQUIRE(config.partition_nodes >= 1);
   MRSCAN_REQUIRE(config.eps > 0.0);
-
-  PartitionPhaseResult result;
+  MRSCAN_REQUIRE(config.planner.cell_refine >= 1);
   const std::size_t workers = config.partition_nodes;
 
   // Grid origin: the data's lower-left corner. Cell size is Eps divided
   // by the refinement factor (1 = the paper's Eps x Eps grid).
-  MRSCAN_REQUIRE(config.planner.cell_refine >= 1);
   geom::BBox box = geom::bbox_of(points);
   const geom::GridGeometry geometry{
       box.empty() ? 0.0 : box.min_x, box.empty() ? 0.0 : box.min_y,
       config.eps / static_cast<double>(config.planner.cell_refine)};
 
-  // ---- Leaves histogram their slices; reduce to the root. ----
   // Each partitioner node histograms a disjoint slice and writes only its
   // own leaf_packets slot, so the build fans out on the host pool; the
   // packets (and hence the plan) are bit-identical for any worker count.
-  mrnet::Network net(mrnet::Topology::flat(workers), titan.net,
-                     titan.cpu_op_rate);
-  // The partition phase opens the run's virtual timeline (offset 0);
-  // core places startup and the clustering tree after it.
-  net.set_observer(config.recorder, 0.0, "partition");
   const bool tracing =
       config.recorder != nullptr && config.recorder->tracing();
   std::vector<mrnet::Packet> leaf_packets(workers);
@@ -156,65 +206,34 @@ PartitionPhaseResult run_distributed_partitioner(
     index::CellHistogram local(geometry, points.subspan(lo, hi - lo));
     leaf_packets[w] = pack_histogram(local);
   });
-  mrnet::Packet root_packet = net.reduce(
-      std::move(leaf_packets),
-      [](std::uint32_t, std::vector<mrnet::Packet> children,
-         std::uint64_t& ops) {
-        index::CellHistogram merged;
-        for (const auto& c : children) {
-          const index::CellHistogram h = unpack_histogram(c);
-          ops += h.cell_count();
-          merged.merge(h);
+
+  // Leaves materialise the partitions and are charged for every point
+  // they write.
+  return run_phase(
+      std::move(leaf_packets), geometry, points.size(), config, titan,
+      [&](PartitionPhaseResult& result) {
+        const index::Grid grid(geometry, points);
+        if (config.spool_dir.empty()) {
+          result.segments = materialize_partitions(result.plan, grid, points,
+                                                   config.materialize);
+          result.segment_counts.reserve(result.segments.size());
+          for (const auto& seg : result.segments) {
+            result.segment_counts.push_back(
+                {seg.owned.size(), seg.shadow.size()});
+          }
+        } else {
+          // Out-of-core: spool each partition to its per-leaf segment
+          // file and keep only the counts resident (DESIGN §15).
+          result.segment_counts = materialize_partitions_to_files(
+              result.plan, grid, points, config.spool_dir, pool,
+              config.materialize);
         }
-        return pack_histogram(merged);
+        std::uint64_t output_points = 0;
+        for (const auto& counts : result.segment_counts) {
+          output_points += counts.total();
+        }
+        return output_points;
       });
-  result.histogram_reduce_seconds = net.stats().last_op_seconds;
-
-  // ---- Root plans serially. ----
-  const index::CellHistogram hist = unpack_histogram(root_packet);
-  result.plan = plan_partitions(hist, geometry, config.planner);
-  // Deterministic cost model: the serial planner walks every cell a small
-  // constant number of times (packing + shadow + rebalance).
-  result.plan_seconds = static_cast<double>(hist.cell_count()) * 50.0 /
-                        titan.cpu_op_rate;
-
-  // ---- Boundaries broadcast back to the leaves. ----
-  result.broadcast_seconds =
-      net.multicast(pack_plan(result.plan),
-                    [](std::uint32_t, const mrnet::Packet&) {});
-
-  // ---- Leaves materialise and write the segmented file. ----
-  const index::Grid grid(geometry, points);
-  if (config.spool_dir.empty()) {
-    result.segments = materialize_partitions(result.plan, grid, points,
-                                             config.materialize);
-    result.segment_counts.reserve(result.segments.size());
-    for (const auto& seg : result.segments) {
-      result.segment_counts.push_back({seg.owned.size(), seg.shadow.size()});
-    }
-  } else {
-    // Out-of-core: spool each partition to its per-leaf segment file and
-    // keep only the counts resident (DESIGN §15).
-    result.segment_counts = materialize_partitions_to_files(
-        result.plan, grid, points, config.spool_dir, pool,
-        config.materialize);
-  }
-
-  std::uint64_t output_points = 0;
-  for (const auto& counts : result.segment_counts) {
-    output_points += counts.total();
-  }
-  fill_io_times(result, points.size() * io::kBinaryRecordSize,
-                output_points * io::kBinaryRecordSize, workers,
-                result.plan.part_count(), config.transport, titan);
-
-  result.net_stats = net.stats();
-  result.sim_seconds = result.read_seconds +
-                       result.histogram_reduce_seconds + result.plan_seconds +
-                       result.broadcast_seconds + result.write_seconds +
-                       result.send_seconds;
-  record_phase(config.recorder, result);
-  return result;
 }
 
 PartitionPhaseResult run_distributed_partitioner_model(
@@ -223,64 +242,29 @@ PartitionPhaseResult run_distributed_partitioner_model(
     const DistributedPartitionerConfig& config,
     const sim::TitanParams& titan) {
   MRSCAN_REQUIRE(config.partition_nodes >= 1);
-  PartitionPhaseResult result;
   const std::size_t workers = config.partition_nodes;
 
-  // Histogram reduce: model leaves holding equal shares of the cells.
-  mrnet::Network net(mrnet::Topology::flat(workers), titan.net,
-                     titan.cpu_op_rate);
-  net.set_observer(config.recorder, 0.0, "partition");
-  std::vector<mrnet::Packet> leaf_packets(workers);
-  {
-    // Split the global histogram round-robin into per-leaf histograms so
-    // packet sizes are realistic.
-    std::vector<std::vector<index::CellHistogram::Entry>> shares(workers);
-    std::size_t w = 0;
-    for (const auto& e : hist.entries()) {
-      shares[w].push_back(e);
-      w = (w + 1) % workers;
-    }
-    for (std::size_t i = 0; i < workers; ++i) {
-      leaf_packets[i] =
-          pack_histogram(index::CellHistogram(std::move(shares[i])));
-    }
+  // Model leaves holding equal shares of the cells: split the global
+  // histogram round-robin so packet sizes are realistic.
+  std::vector<std::vector<index::CellHistogram::Entry>> shares(workers);
+  std::size_t w = 0;
+  for (const auto& e : hist.entries()) {
+    shares[w].push_back(e);
+    w = (w + 1) % workers;
   }
-  mrnet::Packet root_packet = net.reduce(
-      std::move(leaf_packets),
-      [](std::uint32_t, std::vector<mrnet::Packet> children,
-         std::uint64_t& ops) {
-        index::CellHistogram merged;
-        for (const auto& c : children) {
-          const index::CellHistogram h = unpack_histogram(c);
-          ops += h.cell_count();
-          merged.merge(h);
-        }
-        return pack_histogram(merged);
-      });
-  result.histogram_reduce_seconds = net.stats().last_op_seconds;
+  std::vector<mrnet::Packet> leaf_packets;
+  leaf_packets.reserve(workers);
+  for (auto& share : shares) {
+    leaf_packets.push_back(
+        pack_histogram(index::CellHistogram(std::move(share))));
+  }
 
-  const index::CellHistogram merged_hist = unpack_histogram(root_packet);
-  result.plan = plan_partitions(merged_hist, geometry, config.planner);
-  result.plan_seconds = static_cast<double>(merged_hist.cell_count()) *
-                        50.0 / titan.cpu_op_rate;
-
-  result.broadcast_seconds =
-      net.multicast(pack_plan(result.plan),
-                    [](std::uint32_t, const mrnet::Packet&) {});
-
-  const std::uint64_t output_points =
-      result.plan.total_points_with_shadow();
-  fill_io_times(result, virtual_point_count * io::kBinaryRecordSize,
-                output_points * io::kBinaryRecordSize, workers,
-                result.plan.part_count(), config.transport, titan);
-
-  result.net_stats = net.stats();
-  result.sim_seconds = result.read_seconds +
-                       result.histogram_reduce_seconds + result.plan_seconds +
-                       result.broadcast_seconds + result.write_seconds +
-                       result.send_seconds;
-  record_phase(config.recorder, result);
-  return result;
+  // Nothing is materialised; the write is charged for every point the
+  // plan assigns, shadows included.
+  return run_phase(std::move(leaf_packets), geometry, virtual_point_count,
+                   config, titan, [](PartitionPhaseResult& result) {
+                     return result.plan.total_points_with_shadow();
+                   });
 }
 
 }  // namespace mrscan::partition

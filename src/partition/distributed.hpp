@@ -14,7 +14,9 @@
 //
 // The histogram reduce, planning, and materialisation execute for real;
 // file-system time is modeled with the Titan Lustre parameters so the
-// phase cost is meaningful at paper scale.
+// phase cost is meaningful at paper scale. The replica keeps the segments
+// resident or spools them to per-leaf files (DESIGN §15); the write of
+// step 4 is charged, not performed.
 #pragma once
 
 #include <filesystem>
@@ -22,7 +24,6 @@
 
 #include "geometry/point.hpp"
 #include "io/mapped_segment.hpp"
-#include "io/segment_file.hpp"
 #include "mrnet/network.hpp"
 #include "obs/obs.hpp"
 #include "partition/materialize.hpp"
@@ -89,15 +90,19 @@ struct PartitionPhaseResult {
   mrnet::NetworkStats net_stats;
 };
 
-/// Run the partition phase over `points` (standing in for the input file).
+/// Run the partition phase over `points` (standing in for the input file):
+/// the leaves histogram their slices of the points, and after the plan
+/// they materialise the partitions, whose points the write is charged for.
 PartitionPhaseResult run_distributed_partitioner(
     std::span<const geom::Point> points,
     const DistributedPartitionerConfig& config,
     const sim::TitanParams& titan);
 
-/// Model-mode variant: plan from a pre-computed histogram representing
-/// `virtual_bytes` of input, without materialising points. Used by the
-/// paper-scale benches.
+/// Model-mode variant for the paper-scale benches: the leaves hold
+/// round-robin shares of `hist`, which stands for `virtual_point_count`
+/// input points, and the write is charged for every point the plan
+/// assigns, without materialising any. From the histogram reduce on, both
+/// variants run the same code.
 PartitionPhaseResult run_distributed_partitioner_model(
     const index::CellHistogram& hist, const geom::GridGeometry& geometry,
     std::uint64_t virtual_point_count,

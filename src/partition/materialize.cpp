@@ -77,13 +77,6 @@ std::vector<io::SegmentCounts> materialize_partitions_to_files(
   return counts;
 }
 
-double segment_reread_seconds(const io::Segment& segment,
-                              const sim::LustreParams& lustre) {
-  return segment_reread_seconds(
-      io::SegmentCounts{segment.owned.size(), segment.shadow.size()},
-      lustre);
-}
-
 double segment_reread_seconds(const io::SegmentCounts& counts,
                               const sim::LustreParams& lustre) {
   MRSCAN_REQUIRE(lustre.per_client_bps > 0.0);

@@ -11,7 +11,6 @@
 
 #include "index/grid.hpp"
 #include "io/mapped_segment.hpp"
-#include "io/segment_file.hpp"
 #include "partition/plan.hpp"
 #include "sim/titan.hpp"
 #include "util/thread_pool.hpp"
@@ -54,11 +53,7 @@ std::vector<io::SegmentCounts> materialize_partitions_to_files(
 /// back from the segmented partition file (§3.1.3's layout records each
 /// partition's offset, so the re-read is one contiguous stream). This
 /// PFS-backed restart is what makes leaf failure recoverable at all.
-double segment_reread_seconds(const io::Segment& segment,
-                              const sim::LustreParams& lustre);
-
-/// Counts-based overload for out-of-core runs, where the dead leaf's
-/// points are not resident; charges the identical model.
+/// Takes the leaf's record counts, so out-of-core runs charge it too.
 double segment_reread_seconds(const io::SegmentCounts& counts,
                               const sim::LustreParams& lustre);
 

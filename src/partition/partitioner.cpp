@@ -195,8 +195,8 @@ PartitionPlan plan_partitions(const index::CellHistogram& hist,
 
   const std::vector<CellEntry> cells = cells_in_grid_order(hist);
   if (cells.empty()) {
-    return make_plan(geometry, {},
-                     2 * static_cast<std::int32_t>(config.cell_refine));
+    return PartitionPlan{
+        geometry, 2 * static_cast<std::int32_t>(config.cell_refine), {}, 0};
   }
   const std::size_t n_parts = std::min(config.target_parts, cells.size());
 
@@ -264,8 +264,7 @@ PartitionPlan plan_partitions(const index::CellHistogram& hist,
     }
   }
 
-  PartitionPlan plan = make_plan(geometry, reb.export_parts(), rings);
-  plan.rebalance_moves = rebalance_moves;
+  PartitionPlan plan{geometry, rings, reb.export_parts(), rebalance_moves};
   if constexpr (util::kAuditEnabled) {
     audit_plan(plan, hist, config, used_threshold);
   }

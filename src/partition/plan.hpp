@@ -8,11 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "geometry/cell.hpp"
-#include "index/cell_histogram.hpp"
 
 namespace mrscan::partition {
 
@@ -45,34 +43,16 @@ struct PartitionPlan {
   std::uint64_t rebalance_moves = 0;
 
   std::size_t part_count() const { return parts.size(); }
-  std::uint64_t total_owned_points() const;
-  std::uint64_t total_points_with_shadow() const;
-
-  /// Owner part of each cell (index into parts), or npos for unowned.
-  static constexpr std::uint32_t kUnowned = 0xffffffffu;
-  std::uint32_t owner_of(std::uint64_t cell_code) const;
-
-  /// Recompute one part's shadow cell list and both point counts from the
-  /// histogram and current ownership (used during rebalancing).
-  void rebuild_shadow(std::size_t part_idx,
-                      const index::CellHistogram& hist);
-
-  /// Validate internal consistency (each cell owned once; shadows disjoint
-  /// from ownership; counts match the histogram). Throws on violation.
-  void validate(const index::CellHistogram& hist) const;
-
-  /// Rebuild the cell -> owner map (call after manual edits).
-  void reindex();
-
- private:
-  friend PartitionPlan make_plan(geom::GridGeometry,
-                                 std::vector<PartitionPart>, std::int32_t);
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> owner_;  // sorted
+  std::uint64_t total_owned_points() const {
+    std::uint64_t total = 0;
+    for (const auto& p : parts) total += p.owned_points;
+    return total;
+  }
+  std::uint64_t total_points_with_shadow() const {
+    std::uint64_t total = 0;
+    for (const auto& p : parts) total += p.total_points();
+    return total;
+  }
 };
-
-/// Assemble a plan and build its ownership index.
-PartitionPlan make_plan(geom::GridGeometry geometry,
-                        std::vector<PartitionPart> parts,
-                        std::int32_t shadow_rings = 2);
 
 }  // namespace mrscan::partition

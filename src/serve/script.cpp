@@ -1,8 +1,10 @@
 #include "serve/script.hpp"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 namespace mrscan::serve {
 
@@ -21,6 +23,19 @@ bool at_end(std::istream& fields) {
   return fields.eof();
 }
 
+/// Read the next field whole as a point id, as io::read_points_text
+/// does: unsigned decimal with an optional leading '+'. `istream >>`
+/// would take "-5" as 2^64 - 5.
+bool read_id(std::istream& fields, geom::PointId& id) {
+  std::string token;
+  if (!(fields >> token)) return false;
+  std::string_view digits = token;
+  if (digits.size() > 1 && digits[0] == '+') digits.remove_prefix(1);
+  const char* const end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, id);
+  return ec == std::errc{} && ptr == end;
+}
+
 }  // namespace
 
 ScriptResult run_script(ClusterService& service, std::istream& in,
@@ -36,7 +51,7 @@ ScriptResult run_script(ClusterService& service, std::istream& in,
     ++result.commands;
     if (command == "insert") {
       geom::Point p;  // the weight is optional and defaults to 1
-      if (!(fields >> p.id >> p.x >> p.y) ||
+      if (!read_id(fields, p.id) || !(fields >> p.x >> p.y) ||
           !(at_end(fields) || ((fields >> p.weight) && at_end(fields)))) {
         fail(result, line_no, "insert wants: id x y [weight]");
         break;
@@ -44,7 +59,7 @@ ScriptResult run_script(ClusterService& service, std::istream& in,
       service.insert(p);
     } else if (command == "remove") {
       geom::PointId id = 0;
-      if (!(fields >> id) || !at_end(fields)) {
+      if (!read_id(fields, id) || !at_end(fields)) {
         fail(result, line_no, "remove wants: id");
         break;
       }
@@ -67,7 +82,7 @@ ScriptResult run_script(ClusterService& service, std::istream& in,
       }
     } else if (command == "query") {
       geom::PointId id = 0;
-      if (!(fields >> id) || !at_end(fields)) {
+      if (!read_id(fields, id) || !at_end(fields)) {
         fail(result, line_no, "query wants: id");
         break;
       }

@@ -123,6 +123,14 @@ TEST(PartitionAuditDeath, CatchesDoubleOwnership) {
   EXPECT_DEATH(mp::audit_plan(broken, f.hist, f.config, 0.0), kAuditMsg);
 }
 
+TEST(PartitionAuditDeath, CatchesEmptyPart) {
+  PlanFixture f;
+  auto broken = f.plan;
+  broken.parts.emplace_back();  // owns nothing, shadows nothing
+  EXPECT_DEATH(mp::audit_plan(broken, f.hist, f.config, 0.0),
+               "empty partition");
+}
+
 TEST(MergeAudit, AcceptsRealMergeOutput) {
   const auto a = tiny_summary(1, 0.4, 0.4);
   const auto b = tiny_summary(2, 0.6, 0.6);

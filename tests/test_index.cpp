@@ -358,11 +358,10 @@ TEST(CellHistogram, MergeIsAdditive) {
 }
 
 TEST(CellHistogram, AddAndMaxCellCount) {
-  mi::CellHistogram hist;
-  hist.add(mg::CellKey{0, 0}, 5);
-  hist.add(mg::CellKey{1, 0}, 3);
-  hist.add(mg::CellKey{0, 0}, 2);
-  hist.add(mg::CellKey{2, 2}, 0);  // no-op
+  // Entries for the same cell add up.
+  const mi::CellHistogram hist({{mg::cell_code(mg::CellKey{0, 0}), 5},
+                                {mg::cell_code(mg::CellKey{1, 0}), 3},
+                                {mg::cell_code(mg::CellKey{0, 0}), 2}});
   EXPECT_EQ(hist.total_points(), 10u);
   EXPECT_EQ(hist.count_of(mg::CellKey{0, 0}), 7u);
   EXPECT_EQ(hist.count_of(mg::CellKey{2, 2}), 0u);

@@ -6,7 +6,6 @@
 
 #include "data/synthetic.hpp"
 #include "io/point_file.hpp"
-#include "io/segment_file.hpp"
 
 namespace mg = mrscan::geom;
 namespace mio = mrscan::io;
@@ -27,7 +26,6 @@ class TempDir : public ::testing::Test {
 };
 
 using PointFileTest = TempDir;
-using SegmentFileTest = TempDir;
 
 mg::PointSet sample_points(std::size_t n) {
   return mrscan::data::uniform_points(n, mg::BBox{-5.0, -5.0, 5.0, 5.0}, 99);
@@ -39,33 +37,12 @@ TEST_F(PointFileTest, BinaryRoundTrip) {
   const auto pts = sample_points(1234);
   const auto path = dir_ / "pts.bin";
   mio::write_points_binary(path, pts);
-  EXPECT_EQ(mio::binary_point_count(path), pts.size());
   EXPECT_EQ(mio::read_points_binary(path), pts);
-}
-
-TEST_F(PointFileTest, BinaryRangeRead) {
-  const auto pts = sample_points(100);
-  const auto path = dir_ / "pts.bin";
-  mio::write_points_binary(path, pts);
-  const auto mid = mio::read_points_binary_range(path, 30, 20);
-  ASSERT_EQ(mid.size(), 20u);
-  for (std::size_t i = 0; i < 20; ++i) EXPECT_EQ(mid[i], pts[30 + i]);
-  const auto none = mio::read_points_binary_range(path, 100, 0);
-  EXPECT_TRUE(none.empty());
-}
-
-TEST_F(PointFileTest, BinaryRangeOutOfBoundsThrows) {
-  const auto pts = sample_points(10);
-  const auto path = dir_ / "pts.bin";
-  mio::write_points_binary(path, pts);
-  EXPECT_THROW(mio::read_points_binary_range(path, 5, 6),
-               std::runtime_error);
 }
 
 TEST_F(PointFileTest, BinaryEmptyFile) {
   const auto path = dir_ / "empty.bin";
   mio::write_points_binary(path, mg::PointSet{});
-  EXPECT_EQ(mio::binary_point_count(path), 0u);
   EXPECT_TRUE(mio::read_points_binary(path).empty());
 }
 
@@ -205,42 +182,4 @@ TEST_F(PointFileTest, TextErrorNamesTheOneBasedLine) {
             std::string::npos);
   EXPECT_NE(text_read_error(path, "1 2 3\n   \n").find("at line 2"),
             std::string::npos);
-}
-
-TEST_F(SegmentFileTest, SegmentedRoundTrip) {
-  const auto all = sample_points(90);
-  std::vector<mio::Segment> segments(3);
-  segments[0].owned = {all.begin(), all.begin() + 30};
-  segments[0].shadow = {all.begin() + 30, all.begin() + 40};
-  segments[1].owned = {all.begin() + 40, all.begin() + 70};
-  segments[1].shadow = {};
-  segments[2].owned = {all.begin() + 70, all.begin() + 85};
-  segments[2].shadow = {all.begin() + 85, all.end()};
-
-  const auto base = dir_ / "parts";
-  mio::write_segmented(base, segments);
-
-  const auto metas = mio::read_segment_meta(base);
-  ASSERT_EQ(metas.size(), 3u);
-  EXPECT_EQ(metas[0].first_record, 0u);
-  EXPECT_EQ(metas[0].owned_count, 30u);
-  EXPECT_EQ(metas[0].shadow_count, 10u);
-  EXPECT_EQ(metas[1].first_record, 40u);
-  EXPECT_EQ(metas[2].first_record, 70u);
-
-  for (std::size_t s = 0; s < 3; ++s) {
-    const auto seg = mio::read_segment(base, metas[s]);
-    EXPECT_EQ(seg.owned, segments[s].owned);
-    EXPECT_EQ(seg.shadow, segments[s].shadow);
-  }
-}
-
-TEST_F(SegmentFileTest, EmptySegmentsList) {
-  const auto base = dir_ / "none";
-  mio::write_segmented(base, {});
-  EXPECT_TRUE(mio::read_segment_meta(base).empty());
-}
-
-TEST_F(SegmentFileTest, MissingMetadataThrows) {
-  EXPECT_THROW(mio::read_segment_meta(dir_ / "absent"), std::runtime_error);
 }

@@ -19,7 +19,6 @@
 #include "io/labeled_file.hpp"
 #include "io/mapped_segment.hpp"
 #include "io/point_file.hpp"
-#include "io/segment_file.hpp"
 
 namespace mg = mrscan::geom;
 namespace mio = mrscan::io;
@@ -112,10 +111,6 @@ TEST_F(MappedSegmentTest, RoundTrip) {
   const auto path = mio::segment_file_path(dir_, 3);
   mio::write_segment_file(path, seg);
 
-  const auto counts = mio::read_segment_file_counts(path);
-  EXPECT_EQ(counts.owned, 123u);
-  EXPECT_EQ(counts.shadow, 45u);
-
   mio::MappedSegment mapped(path);
   EXPECT_EQ(mapped.owned_count(), 123u);
   EXPECT_EQ(mapped.shadow_count(), 45u);
@@ -150,8 +145,6 @@ TEST_F(MappedSegmentTest, MoveTransfersMapping) {
 
 TEST_F(MappedSegmentTest, MissingFileThrows) {
   EXPECT_THROW(mio::MappedSegment(dir_ / "absent.seg"), std::runtime_error);
-  EXPECT_THROW(mio::read_segment_file_counts(dir_ / "absent.seg"),
-               std::runtime_error);
 }
 
 TEST_F(MappedSegmentTest, TruncatedFileThrows) {
@@ -196,8 +189,6 @@ TEST_F(LabeledFileTest, RoundTrip) {
     EXPECT_EQ(writer.records(), pts.size());
     writer.close();
   }
-  EXPECT_EQ(mio::labeled_record_count(path), pts.size());
-
   mio::LabeledFileReader reader(path);
   EXPECT_EQ(reader.records(), pts.size());
   mg::Point p;
@@ -218,7 +209,6 @@ TEST_F(LabeledFileTest, TornSizeRejected) {
     writer.close();
   }
   append_bytes(path, 5);  // not a whole record
-  EXPECT_THROW(mio::labeled_record_count(path), std::runtime_error);
   EXPECT_THROW(mio::LabeledFileReader{path}, std::runtime_error);
 }
 
@@ -358,32 +348,4 @@ TEST_F(ReaderRegressionTest, HugeHeaderCountFailsWithContextNotBadAlloc) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("evil.bin"), std::string::npos);
   }
-}
-
-TEST_F(ReaderRegressionTest, RangeReadOverflowRejected) {
-  const auto pts = sample_points(10);
-  const auto path = dir_ / "pts.bin";
-  mio::write_points_binary(path, pts);
-  // first + count would overflow u64; the overflow-safe check must
-  // reject it rather than wrap around and "succeed".
-  EXPECT_THROW(mio::read_points_binary_range(
-                   path, std::numeric_limits<std::uint64_t>::max() - 1, 4),
-               std::runtime_error);
-  EXPECT_THROW(mio::read_points_binary_range(path, 8, 3),
-               std::runtime_error);
-  EXPECT_EQ(mio::read_points_binary_range(path, 8, 2).size(), 2u);
-}
-
-TEST_F(ReaderRegressionTest, SegmentMetaCorruptCountRejected) {
-  // A metadata file whose header count exceeds what the file actually
-  // holds must fail with "truncated", not return garbage meta entries.
-  const auto base = dir_ / "seg";
-  std::vector<mio::Segment> segments(2);
-  segments[0].owned = sample_points(4, 1);
-  segments[1].owned = sample_points(6, 2);
-  mio::write_segmented(base, segments);
-  const auto meta_path = fs::path(base.string() + ".meta");
-  const auto full = fs::file_size(meta_path);
-  truncate_file(meta_path, full - 8);
-  EXPECT_THROW(mio::read_segment_meta(base), std::runtime_error);
 }

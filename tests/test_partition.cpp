@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <bit>
+#include <filesystem>
 #include <numeric>
 #include <set>
+#include <span>
 #include <unordered_set>
 
+#include "data/sdss.hpp"
 #include "data/synthetic.hpp"
 #include "data/twitter.hpp"
 #include "geometry/rep_points.hpp"
 #include "index/grid.hpp"
+#include "partition/audit.hpp"
 #include "partition/distributed.hpp"
 #include "partition/materialize.hpp"
 #include "partition/partitioner.hpp"
@@ -41,9 +48,9 @@ struct TestData {
 
 TEST(Partitioner, CoversAllCellsExactlyOnce) {
   TestData s(twitter_points(30000), 0.1);
-  const auto plan = mp::plan_partitions(
-      s.hist, s.geometry, mp::PartitionerConfig{16, 4, true, 1.075});
-  plan.validate(s.hist);  // throws on any violation
+  const mp::PartitionerConfig config{16, 4, true, 1.075};
+  const auto plan = mp::plan_partitions(s.hist, s.geometry, config);
+  mp::audit_plan(plan, s.hist, config, 0.0);  // aborts on any violation
   EXPECT_LE(plan.part_count(), 16u);
   EXPECT_GE(plan.part_count(), 2u);
   EXPECT_EQ(plan.total_owned_points(), s.points.size());
@@ -109,12 +116,14 @@ TEST(Partitioner, ShadowRegionsAreExactlyTheNonOwnedNeighbors) {
   ASSERT_EQ(plan.shadow_rings, 2);
   for (std::size_t pi = 0; pi < plan.part_count(); ++pi) {
     const auto& part = plan.parts[pi];
+    const std::set<std::uint64_t> owned(part.owned_cells.begin(),
+                                        part.owned_cells.end());
     std::set<std::uint64_t> expected;
     for (const std::uint64_t code : part.owned_cells) {
       mg::for_each_neighbor_within(
           mg::cell_from_code(code), plan.shadow_rings, [&](mg::CellKey nbr) {
             if (s.hist.count_of(nbr) == 0) return;
-            if (plan.owner_of(mg::cell_code(nbr)) == pi) return;
+            if (owned.contains(mg::cell_code(nbr))) return;
             expected.insert(mg::cell_code(nbr));
           });
     }
@@ -146,10 +155,10 @@ TEST(Partitioner, SinglePartitionOwnsEverything) {
 TEST(Partitioner, MorePartsThanCellsClamps) {
   // 10 points in a handful of cells, 1000 requested partitions.
   TestData s(mrscan::data::uniform_points(10, mg::BBox{0, 0, 1, 1}, 3), 0.5);
-  const auto plan = mp::plan_partitions(
-      s.hist, s.geometry, mp::PartitionerConfig{1000, 1, true, 1.075});
+  const mp::PartitionerConfig config{1000, 1, true, 1.075};
+  const auto plan = mp::plan_partitions(s.hist, s.geometry, config);
   EXPECT_LE(plan.part_count(), s.hist.cell_count());
-  plan.validate(s.hist);
+  mp::audit_plan(plan, s.hist, config, 0.0);
 }
 
 TEST(Partitioner, EmptyHistogram) {
@@ -161,21 +170,30 @@ TEST(Partitioner, EmptyHistogram) {
 }
 
 TEST(Partitioner, PartitionsAreContiguousInGridOrder) {
-  // Cells assigned to partition k must all precede cells of partition k+1
-  // in grid order — before rebalancing moves boundary cells.
+  // Packing hands out cells in grid order, and the backward pass only
+  // moves a part's first cell to the end of the part before it, so with
+  // or without rebalancing every part owns one contiguous run of grid
+  // order: the parts' owned lists, concatenated, are the histogram's
+  // cells in grid order.
   TestData s(twitter_points(30000), 0.1);
-  const auto plan = mp::plan_partitions(
-      s.hist, s.geometry, mp::PartitionerConfig{8, 4, false, 1.075});
-  mg::CellKey prev_max{INT32_MIN, INT32_MIN};
-  for (const auto& part : plan.parts) {
-    mg::CellKey lo{INT32_MAX, INT32_MAX}, hi{INT32_MIN, INT32_MIN};
-    for (const std::uint64_t code : part.owned_cells) {
-      const mg::CellKey k = mg::cell_from_code(code);
-      if (k < lo) lo = k;
-      if (hi < k) hi = k;
+  std::vector<std::uint64_t> grid_order;
+  for (const auto& e : s.hist.entries()) grid_order.push_back(e.code);
+  std::sort(grid_order.begin(), grid_order.end(),
+            [](std::uint64_t a, std::uint64_t b) {
+              return mg::cell_from_code(a) < mg::cell_from_code(b);
+            });
+  for (const bool rebalance : {false, true}) {
+    SCOPED_TRACE(rebalance ? "rebalance on" : "rebalance off");
+    const auto plan = mp::plan_partitions(
+        s.hist, s.geometry, mp::PartitionerConfig{8, 4, rebalance, 1.075});
+    ASSERT_EQ(plan.part_count(), 8u);
+    EXPECT_EQ(plan.rebalance_moves > 0, rebalance);
+    std::vector<std::uint64_t> concatenated;
+    for (const auto& part : plan.parts) {
+      concatenated.insert(concatenated.end(), part.owned_cells.begin(),
+                          part.owned_cells.end());
     }
-    EXPECT_TRUE(prev_max < lo);
-    prev_max = hi;
+    EXPECT_EQ(concatenated, grid_order);
   }
 }
 
@@ -340,4 +358,198 @@ TEST(DistributedPartitioner, ModelModeMatchesPlanOfRealMode) {
   }
   EXPECT_TRUE(model.segments.empty());
   EXPECT_GT(model.sim_seconds, 0.0);
+}
+
+// ---- the pinned partition phase -------------------------------------
+//
+// Digests of plan_partitions output and the exact cost fields of both
+// partition-phase drivers, on fixed seeded inputs. A rewrite of the
+// planner or the drivers must reproduce every plan and every simulated
+// second bit for bit; any difference fails here.
+
+namespace {
+
+/// FNV-1a over the little-endian bytes of 64-bit words.
+class Digest {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  void add(std::span<const std::uint64_t> words) {
+    add(std::uint64_t{words.size()});
+    for (const std::uint64_t w : words) add(w);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t plan_digest(const mp::PartitionPlan& plan) {
+  Digest d;
+  d.add(plan.geometry.origin_x);
+  d.add(plan.geometry.origin_y);
+  d.add(plan.geometry.cell_size);
+  d.add(static_cast<std::uint64_t>(plan.shadow_rings));
+  d.add(std::uint64_t{plan.part_count()});
+  d.add(plan.rebalance_moves);
+  for (const auto& part : plan.parts) {
+    d.add(part.owned_cells);
+    d.add(part.shadow_cells);
+    d.add(part.owned_points);
+    d.add(part.shadow_points);
+  }
+  return d.value();
+}
+
+struct PlanPin {
+  std::size_t parts;
+  std::uint64_t rebalance_moves;
+  std::uint64_t digest;
+};
+
+void expect_plan(const mp::PartitionPlan& plan, const PlanPin& pin) {
+  EXPECT_EQ(plan.part_count(), pin.parts);
+  EXPECT_EQ(plan.rebalance_moves, pin.rebalance_moves);
+  EXPECT_EQ(plan_digest(plan), pin.digest)
+      << std::hex << "digest 0x" << plan_digest(plan);
+}
+
+/// Every simulated cost of a partition phase, plus one digest of the
+/// plan, the per-leaf segment counts and the tree's network stats.
+struct PhasePin {
+  double sim, read, histogram_reduce, plan, broadcast, write, send;
+  std::uint64_t digest;
+};
+
+void expect_phase(const mp::PartitionPhaseResult& r, const PhasePin& pin) {
+  const struct {
+    const char* name;
+    double got, want;
+  } costs[] = {{"sim_seconds", r.sim_seconds, pin.sim},
+               {"read_seconds", r.read_seconds, pin.read},
+               {"histogram_reduce_seconds", r.histogram_reduce_seconds,
+                pin.histogram_reduce},
+               {"plan_seconds", r.plan_seconds, pin.plan},
+               {"broadcast_seconds", r.broadcast_seconds, pin.broadcast},
+               {"write_seconds", r.write_seconds, pin.write},
+               {"send_seconds", r.send_seconds, pin.send}};
+  for (const auto& c : costs) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(c.got),
+              std::bit_cast<std::uint64_t>(c.want))
+        << c.name << " = " << std::hexfloat << c.got;
+  }
+  Digest d;
+  d.add(plan_digest(r.plan));
+  for (const auto& counts : r.segment_counts) {
+    d.add(counts.owned);
+    d.add(counts.shadow);
+  }
+  const mrscan::mrnet::NetworkStats& net = r.net_stats;
+  for (const std::uint64_t w :
+       {net.packets_up, net.packets_down, net.bytes_up, net.bytes_down,
+        std::uint64_t{net.max_packet_bytes}}) {
+    d.add(w);
+  }
+  d.add(net.last_op_seconds);
+  d.add(net.total_seconds);
+  EXPECT_EQ(d.value(), pin.digest) << std::hex << "digest 0x" << d.value();
+}
+
+}  // namespace
+
+TEST(PartitionPin, SdssPlan256Parts) {
+  mrscan::data::SdssConfig sdss;
+  sdss.num_points = 200'000;
+  TestData s(mrscan::data::generate_sdss(sdss), 0.00015);
+  expect_plan(mp::plan_partitions(s.hist, s.geometry,
+                                  mp::PartitionerConfig{256, 5, true, 1.075}),
+              {256, 1160, 0x442433ae25d26d1d});
+}
+
+TEST(PartitionPin, TwitterPlans16And1024Parts) {
+  TestData s(twitter_points(200'000), 0.1);
+  expect_plan(mp::plan_partitions(s.hist, s.geometry,
+                                  mp::PartitionerConfig{16, 4, true, 1.075}),
+              {16, 3521, 0xeaa69576c54120b2});
+  expect_plan(
+      mp::plan_partitions(s.hist, s.geometry,
+                          mp::PartitionerConfig{1024, 4, true, 1.075}),
+      {1024, 26277, 0x2f721b2e9610d3bf});
+}
+
+TEST(PartitionPin, RefinedGridPlan) {
+  // cell_refine 2: the histogram is built at Eps/2 = 0.05.
+  TestData s(twitter_points(100'000, 3), 0.05);
+  expect_plan(
+      mp::plan_partitions(s.hist, s.geometry,
+                          mp::PartitionerConfig{16, 4, true, 1.075, true, 2}),
+      {16, 127, 0x7cb2710287f8fcb8});
+}
+
+TEST(PartitionPin, ShadowRegionsOffPlan) {
+  TestData s(twitter_points(100'000, 5), 0.1);
+  expect_plan(
+      mp::plan_partitions(s.hist, s.geometry,
+                          mp::PartitionerConfig{16, 4, true, 1.075, false}),
+      {16, 312, 0x19b44dba6bd1b91a});
+}
+
+TEST(PartitionPin, ModelModeTable1RowBothTransports) {
+  // Table 1's 25.6M-point row: 32 leaves, 8 partition nodes.
+  mrscan::data::TwitterConfig tw;
+  tw.num_points = 25'600'000;
+  const auto hist = mrscan::data::twitter_histogram(tw, 0.1, 50'000);
+  const mg::GridGeometry geometry{tw.window.min_x, tw.window.min_y, 0.1};
+  mp::DistributedPartitionerConfig config;
+  config.eps = 0.1;
+  config.partition_nodes = 8;
+  config.planner = mp::PartitionerConfig{32, 40, true, 1.075};
+  const mrscan::sim::TitanParams titan;
+  expect_phase(mp::run_distributed_partitioner_model(
+                   hist, geometry, tw.num_points, config, titan),
+               {0x1.9df3a2c517269p+4, 0x1.e09e60f04c757p+2,
+                0x1.9a8aec68da9b2p-13, 0x1.0b630a91537ap-8,
+                0x1.2ea1b19ea6a75p-13, 0x1.25b9efc20bf04p+4, 0.0,
+                0x27de9c4436f83ab4});
+  config.transport = mp::Transport::kDirect;
+  expect_phase(mp::run_distributed_partitioner_model(
+                   hist, geometry, tw.num_points, config, titan),
+               {0x1.e2f4dfb9f872ep+2, 0x1.e09e60f04c757p+2,
+                0x1.9a8aec68da9b2p-13, 0x1.0b630a91537ap-8,
+                0x1.2ea1b19ea6a75p-13, 0.0, 0x1.0709d6e5ccc56p-5,
+                0x27de9c4436f83ab4});
+}
+
+TEST(PartitionPin, RealModeResidentAndSpooled) {
+  const auto points = twitter_points(20'000);
+  mp::DistributedPartitionerConfig config;
+  config.eps = 0.1;
+  config.partition_nodes = 4;
+  config.planner = mp::PartitionerConfig{8, 4, true, 1.075};
+  const mrscan::sim::TitanParams titan;
+  // The timing model charges the same Lustre write whether the segments
+  // stay resident or spool to per-leaf files.
+  const PhasePin pin{0x1.fe8525045d48cp-5,  0x1.9f0fb38a94d24p-7,
+                     0x1.de2358c2056afp-14, 0x1.d462c343b70efp-10,
+                     0x1.31e84943da8f2p-14, 0x1.86961c36976bcp-5,
+                     0.0,                   0x4beeacc03993d81e};
+  const auto resident =
+      mp::run_distributed_partitioner(points, config, titan);
+  expect_phase(resident, pin);
+  EXPECT_EQ(resident.segments.size(), resident.plan.part_count());
+
+  const std::filesystem::path spool =
+      std::filesystem::temp_directory_path() /
+      ("mrscan_partition_pin_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(spool);
+  config.spool_dir = spool;
+  const auto spooled = mp::run_distributed_partitioner(points, config, titan);
+  std::filesystem::remove_all(spool);
+  expect_phase(spooled, pin);
+  EXPECT_TRUE(spooled.segments.empty());
 }

@@ -11,6 +11,7 @@
 #include "dbscan/sequential.hpp"
 #include "index/grid.hpp"
 #include "index/kdtree.hpp"
+#include "partition/audit.hpp"
 #include "partition/materialize.hpp"
 #include "partition/partitioner.hpp"
 #include "quality/dbdc.hpp"
@@ -115,20 +116,20 @@ class PartitionerSweep : public ::testing::TestWithParam<PartitionerCase> {
     geometry_ = mg::GridGeometry{mg::bbox_of(points_).min_x,
                                  mg::bbox_of(points_).min_y, 0.1};
     hist_ = mrscan::index::CellHistogram(geometry_, points_);
-    plan_ = mp::plan_partitions(
-        hist_, geometry_,
-        mp::PartitionerConfig{GetParam().parts, 4, GetParam().rebalance,
-                              1.075});
+    config_ = mp::PartitionerConfig{GetParam().parts, 4, GetParam().rebalance,
+                                    1.075};
+    plan_ = mp::plan_partitions(hist_, geometry_, config_);
   }
 
   mg::PointSet points_;
   mg::GridGeometry geometry_;
   mrscan::index::CellHistogram hist_;
+  mp::PartitionerConfig config_;
   mp::PartitionPlan plan_;
 };
 
 TEST_P(PartitionerSweep, PlanIsInternallyConsistent) {
-  plan_.validate(hist_);
+  mp::audit_plan(plan_, hist_, config_, 0.0);
 }
 
 TEST_P(PartitionerSweep, NeighborhoodsAreCompleteWithinPartitions) {

@@ -450,8 +450,11 @@ TEST(ServeScript, RejectsMalformedLinesWithTheirLineNumber) {
       {"insert 1 0.5 0.5 abc\n", "1: insert wants: id x y [weight]"},
       {"insert 1 0.5 0.5 1 extra\n", "1: insert wants: id x y [weight]"},
       {"epoch\ninsert 1 0.5\n", "2: insert wants: id x y [weight]"},
+      {"insert -5 0.5 0.5\n", "1: insert wants: id x y [weight]"},
       {"remove 1 2\n", "1: remove wants: id"},
+      {"remove -5\n", "1: remove wants: id"},
       {"query\n", "1: query wants: id"},
+      {"query -5\n", "1: query wants: id"},
       {"stats 0 0\n", "1: stats wants: cluster-id"},
       {"epoch now\n", "1: epoch takes no arguments"},
       {"frobnicate\n", "1: unknown command 'frobnicate'"}};

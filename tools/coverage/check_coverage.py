@@ -25,7 +25,7 @@ import subprocess
 import sys
 
 DEFAULT_PATHS = ("src/gpu", "src/cluster", "src/index", "src/serve",
-                 "src/dbscan")
+                 "src/dbscan", "src/partition", "src/io")
 
 
 def run_gcov(gcda: list[pathlib.Path], build_dir: pathlib.Path) -> list[dict]:
