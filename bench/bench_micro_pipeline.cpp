@@ -8,8 +8,10 @@
 
 #include "common/experiment.hpp"
 #include "core/mrscan.hpp"
+#include "data/sdss.hpp"
 #include "data/twitter.hpp"
 #include "dbscan/sequential.hpp"
+#include "geometry/bbox.hpp"
 #include "gpu/dense_box.hpp"
 #include "index/cell_histogram.hpp"
 #include "merge/merger.hpp"
@@ -53,6 +55,24 @@ void BM_PartitionPlanning(benchmark::State& state) {
   state.SetLabel(std::to_string(hist.cell_count()) + " cells");
 }
 BENCHMARK(BM_PartitionPlanning)->Arg(32)->Arg(256)->Arg(1024);
+
+void BM_PartitionPlanningSdss(benchmark::State& state) {
+  // SDSS at the paper's Eps: a few cells per grid column, so planning
+  // time is mostly ring-neighbour lookups rather than packing.
+  data::SdssConfig config;
+  config.num_points = 200000;
+  const auto points = data::generate_sdss(config);
+  const geom::BBox box = geom::bbox_of(points);
+  const geom::GridGeometry geometry{box.min_x, box.min_y, 0.00015};
+  const index::CellHistogram hist(geometry, points);
+  for (auto _ : state) {
+    auto plan = partition::plan_partitions(
+        hist, geometry, partition::PartitionerConfig{256, 5, true, 1.075});
+    benchmark::DoNotOptimize(plan.part_count());
+  }
+  state.SetLabel(std::to_string(hist.cell_count()) + " cells");
+}
+BENCHMARK(BM_PartitionPlanningSdss);
 
 struct SummaryFixtureData {
   geom::PointSet points;

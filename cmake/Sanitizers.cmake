@@ -33,10 +33,13 @@ function(mrscan_enable_sanitizers)
   endif()
 
   # Keep stacks readable and make every report fatal: a sanitizer finding
-  # must fail the test run, not scroll past it.
+  # must fail the test run, not scroll past it. GCC's -fsanitize=undefined
+  # leaves out float-cast-overflow (an out-of-range double -> int cast),
+  # so it is named explicitly.
   list(APPEND _flags -fno-omit-frame-pointer -g)
   if("undefined" IN_LIST MRSCAN_SANITIZE)
-    list(APPEND _flags -fno-sanitize-recover=all)
+    list(APPEND _flags -fsanitize=float-cast-overflow
+                       -fno-sanitize-recover=all)
   endif()
 
   add_compile_options(${_flags})

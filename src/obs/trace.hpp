@@ -25,8 +25,8 @@ enum class SpanClock : std::uint8_t { kWall, kSim };
 
 struct TraceSpan {
   std::string name;
-  /// Coarse grouping rendered as the Chrome "cat" field: "phase", "leaf",
-  /// "net", "fault", "pool".
+  /// Coarse grouping rendered as the Chrome "cat" field: "phase",
+  /// "layer", "leaf", "net", "fault", "pool".
   std::string category;
   SpanClock clock = SpanClock::kWall;
   /// Seconds in the clock's domain.

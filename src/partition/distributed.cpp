@@ -14,6 +14,20 @@ namespace mrscan::partition {
 
 namespace {
 
+/// A wall span over one layer of the phase (histogram, plan, materialize,
+/// spill), created only while the run is traced.
+class LayerSpan {
+ public:
+  LayerSpan(obs::Recorder* recorder, const char* name) {
+    if (recorder != nullptr && recorder->tracing()) {
+      scope_.emplace(recorder->tracer(), name, "layer");
+    }
+  }
+
+ private:
+  std::optional<obs::Tracer::WallScope> scope_;
+};
+
 /// Serialise a histogram as (code, count) pairs.
 mrnet::Packet pack_histogram(const index::CellHistogram& hist) {
   mrnet::Packet p;
@@ -113,47 +127,54 @@ void record_phase(obs::Recorder* recorder,
   mrnet::record_network_stats(*recorder, "partition", result.net_stats);
 }
 
-/// The phase both drivers share once each partitioner leaf holds its
-/// histogram packet: reduce the histograms up a flat tree, plan serially
-/// at the root, broadcast the boundaries, then let `output` produce the
-/// partitions and return how many points the write is charged for.
+/// The phase that the real and the model partitioner share:
+/// `leaf_histograms` gives each partitioner leaf's histogram packet; they
+/// reduce up a flat tree, the root plans serially and broadcasts the
+/// boundaries, then `output` produces the partitions and returns how many
+/// points the write is charged for.
 PartitionPhaseResult run_phase(
-    std::vector<mrnet::Packet> leaf_packets,
+    const std::function<std::vector<mrnet::Packet>()>& leaf_histograms,
     const geom::GridGeometry& geometry, std::uint64_t input_points,
     const DistributedPartitionerConfig& config,
     const sim::TitanParams& titan,
     const std::function<std::uint64_t(PartitionPhaseResult&)>& output) {
   PartitionPhaseResult result;
-  const std::size_t workers = leaf_packets.size();
+  const std::size_t workers = config.partition_nodes;
   mrnet::Network net(mrnet::Topology::flat(workers), titan.net,
                      titan.cpu_op_rate);
   // The partition phase opens the run's virtual timeline (offset 0);
   // core places startup and the clustering tree after it.
   net.set_observer(config.recorder, 0.0, "partition");
-  mrnet::Packet root_packet = net.reduce(
-      std::move(leaf_packets),
-      [](std::uint32_t, std::vector<mrnet::Packet> children,
-         std::uint64_t& ops) {
-        index::CellHistogram merged;
-        for (const auto& c : children) {
-          const index::CellHistogram h = unpack_histogram(c);
-          ops += h.cell_count();
-          merged.merge(h);
-        }
-        return pack_histogram(merged);
-      });
-  result.histogram_reduce_seconds = net.stats().last_op_seconds;
+  index::CellHistogram hist;
+  {
+    const LayerSpan span(config.recorder, "partition.histogram");
+    const mrnet::Packet root_packet = net.reduce(
+        leaf_histograms(), [](std::uint32_t,
+                              std::vector<mrnet::Packet> children,
+                              std::uint64_t& ops) {
+          index::CellHistogram merged;
+          for (const auto& c : children) {
+            const index::CellHistogram h = unpack_histogram(c);
+            ops += h.cell_count();
+            merged.merge(h);
+          }
+          return pack_histogram(merged);
+        });
+    result.histogram_reduce_seconds = net.stats().last_op_seconds;
+    hist = unpack_histogram(root_packet);
+  }
 
-  const index::CellHistogram hist = unpack_histogram(root_packet);
-  result.plan = plan_partitions(hist, geometry, config.planner);
-  // Deterministic cost model: the serial planner walks every cell a small
-  // constant number of times (packing + shadow + rebalance).
-  result.plan_seconds = static_cast<double>(hist.cell_count()) * 50.0 /
-                        titan.cpu_op_rate;
-
-  result.broadcast_seconds =
-      net.multicast(pack_plan(result.plan),
-                    [](std::uint32_t, const mrnet::Packet&) {});
+  {
+    const LayerSpan span(config.recorder, "partition.plan");
+    result.plan = plan_partitions(hist, geometry, config.planner);
+    // Deterministic cost model: the serial planner walks every cell a
+    // small constant number of times (packing + shadow + rebalance).
+    result.plan_seconds = static_cast<double>(hist.cell_count()) * 50.0 /
+                          titan.cpu_op_rate;
+    result.broadcast_seconds =
+        net.multicast(pack_plan(result.plan),
+                      [](std::uint32_t, const mrnet::Packet&) {});
+  }
 
   const std::uint64_t output_points = output(result);
   fill_io_times(result, input_points * io::kBinaryRecordSize,
@@ -187,31 +208,38 @@ PartitionPhaseResult run_distributed_partitioner(
       box.empty() ? 0.0 : box.min_x, box.empty() ? 0.0 : box.min_y,
       config.eps / static_cast<double>(config.planner.cell_refine)};
 
-  // Each partitioner node histograms a disjoint slice and writes only its
-  // own leaf_packets slot, so the build fans out on the host pool; the
-  // packets (and hence the plan) are bit-identical for any worker count.
   const bool tracing =
       config.recorder != nullptr && config.recorder->tracing();
-  std::vector<mrnet::Packet> leaf_packets(workers);
-  const std::size_t chunk = (points.size() + workers - 1) / workers;
   util::ThreadPool pool(config.host_threads);
-  pool.parallel_for(0, workers, [&](std::size_t w) {
-    std::optional<obs::Tracer::WallScope> span;
-    if (tracing) {
-      span.emplace(config.recorder->tracer(),
-                   "histogram node " + std::to_string(w), "leaf");
-    }
-    const std::size_t lo = std::min(points.size(), w * chunk);
-    const std::size_t hi = std::min(points.size(), lo + chunk);
-    index::CellHistogram local(geometry, points.subspan(lo, hi - lo));
-    leaf_packets[w] = pack_histogram(local);
-  });
+  // Each partitioner node histograms a disjoint slice and writes only its
+  // own packet slot, so the build fans out on the host pool; the packets
+  // (and hence the plan) are bit-identical for any worker count.
+  const auto leaf_histograms = [&] {
+    std::vector<mrnet::Packet> leaf_packets(workers);
+    const std::size_t chunk = (points.size() + workers - 1) / workers;
+    pool.parallel_for(0, workers, [&](std::size_t w) {
+      std::optional<obs::Tracer::WallScope> span;
+      if (tracing) {
+        span.emplace(config.recorder->tracer(),
+                     "histogram node " + std::to_string(w), "leaf");
+      }
+      const std::size_t lo = std::min(points.size(), w * chunk);
+      const std::size_t hi = std::min(points.size(), lo + chunk);
+      index::CellHistogram local(geometry, points.subspan(lo, hi - lo));
+      leaf_packets[w] = pack_histogram(local);
+    });
+    return leaf_packets;
+  };
 
   // Leaves materialise the partitions and are charged for every point
   // they write.
   return run_phase(
-      std::move(leaf_packets), geometry, points.size(), config, titan,
+      leaf_histograms, geometry, points.size(), config, titan,
       [&](PartitionPhaseResult& result) {
+        // The grid build, and the copies when resident, are the
+        // materialize layer; out of core, writing the files is the spill.
+        std::optional<LayerSpan> span(std::in_place, config.recorder,
+                                      "partition.materialize");
         const index::Grid grid(geometry, points);
         if (config.spool_dir.empty()) {
           result.segments = materialize_partitions(result.plan, grid, points,
@@ -224,6 +252,7 @@ PartitionPhaseResult run_distributed_partitioner(
         } else {
           // Out-of-core: spool each partition to its per-leaf segment
           // file and keep only the counts resident (DESIGN §15).
+          span.emplace(config.recorder, "partition.spill");
           result.segment_counts = materialize_partitions_to_files(
               result.plan, grid, points, config.spool_dir, pool,
               config.materialize);
@@ -246,23 +275,26 @@ PartitionPhaseResult run_distributed_partitioner_model(
 
   // Model leaves holding equal shares of the cells: split the global
   // histogram round-robin so packet sizes are realistic.
-  std::vector<std::vector<index::CellHistogram::Entry>> shares(workers);
-  std::size_t w = 0;
-  for (const auto& e : hist.entries()) {
-    shares[w].push_back(e);
-    w = (w + 1) % workers;
-  }
-  std::vector<mrnet::Packet> leaf_packets;
-  leaf_packets.reserve(workers);
-  for (auto& share : shares) {
-    leaf_packets.push_back(
-        pack_histogram(index::CellHistogram(std::move(share))));
-  }
+  const auto leaf_histograms = [&] {
+    std::vector<std::vector<index::CellHistogram::Entry>> shares(workers);
+    std::size_t w = 0;
+    for (const auto& e : hist.entries()) {
+      shares[w].push_back(e);
+      w = (w + 1) % workers;
+    }
+    std::vector<mrnet::Packet> leaf_packets;
+    leaf_packets.reserve(workers);
+    for (auto& share : shares) {
+      leaf_packets.push_back(
+          pack_histogram(index::CellHistogram(std::move(share))));
+    }
+    return leaf_packets;
+  };
 
   // Nothing is materialised; the write is charged for every point the
   // plan assigns, shadows included.
-  return run_phase(std::move(leaf_packets), geometry, virtual_point_count,
-                   config, titan, [](PartitionPhaseResult& result) {
+  return run_phase(leaf_histograms, geometry, virtual_point_count, config,
+                   titan, [](PartitionPhaseResult& result) {
                      return result.plan.total_points_with_shadow();
                    });
 }

@@ -54,8 +54,10 @@ struct DistributedPartitionerConfig {
   /// Per-run observability recorder (non-owning, may be null). The phase
   /// records its sub-phase gauges ("partition.*"), the rebalance-move
   /// counter, and its tree's network stats ("net.partition.*") into the
-  /// registry; with tracing enabled it also emits per-node histogram
-  /// wall spans and network sim spans. Never alters the plan.
+  /// registry; with tracing enabled it also emits wall spans for the
+  /// phase's layers (partition.histogram, .plan, .materialize and, out of
+  /// core, .spill) and each node's histogram, plus network sim spans.
+  /// Never alters the plan.
   obs::Recorder* recorder = nullptr;
   /// Out-of-core spool directory (DESIGN §15). When non-empty, segments
   /// are written as per-leaf files under this directory instead of kept

@@ -1,9 +1,6 @@
 #include "partition/partitioner.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "partition/audit.hpp"
 #include "util/assert.hpp"
@@ -13,176 +10,163 @@ namespace mrscan::partition {
 
 namespace {
 
-struct CellEntry {
-  geom::CellKey key;
-  std::uint64_t count;
-};
-
-/// Histogram cells in the partitioner's iteration order: "first along the
-/// y axis, and then along the x axis" — y varies fastest (CellKey's
-/// ordering).
-std::vector<CellEntry> cells_in_grid_order(const index::CellHistogram& hist) {
-  std::vector<CellEntry> cells;
-  cells.reserve(hist.cell_count());
-  for (const auto& e : hist.entries()) {
-    cells.push_back(CellEntry{geom::cell_from_code(e.code), e.count});
-  }
-  std::sort(cells.begin(), cells.end(),
-            [](const CellEntry& a, const CellEntry& b) {
-              return a.key < b.key;
-            });
-  return cells;
-}
-
-/// Mutable rebalancing state: ownership map plus per-part incremental
-/// shadow bookkeeping, so moving one cell is O(neighbourhood), not O(grid).
-class Rebalancer {
+/// The histogram's cells in the partitioner's iteration order, "first
+/// along the y axis, and then along the x axis" (y varies fastest,
+/// CellKey's ordering), addressed by rank. Every part owns one rank range,
+/// so ownership needs no map. A column is one ix value; its cells are a
+/// run of increasing iy, which is how ring neighbours are found.
+class RankedCells {
  public:
-  Rebalancer(std::vector<std::deque<std::uint64_t>> owned,
-             const index::CellHistogram& hist, bool shadow_regions,
-             std::int32_t rings)
-      : owned_(std::move(owned)),
-        hist_(hist),
-        shadow_regions_(shadow_regions),
-        rings_(rings) {
-    parts_ = owned_.size();
-    shadow_.resize(parts_);
-    owned_points_.assign(parts_, 0);
-    shadow_points_.assign(parts_, 0);
-    for (std::uint32_t pi = 0; pi < parts_; ++pi) {
-      for (const std::uint64_t code : owned_[pi]) {
-        owner_[code] = pi;
-        owned_points_[pi] += count_of(code);
+  explicit RankedCells(const index::CellHistogram& hist) {
+    struct Cell {
+      geom::CellKey key;
+      std::uint64_t count;
+    };
+    std::vector<Cell> cells;
+    cells.reserve(hist.cell_count());
+    for (const auto& e : hist.entries()) {
+      cells.push_back(Cell{geom::cell_from_code(e.code), e.count});
+    }
+    // The histogram is in code order, which is grid order unless some
+    // key is negative (the grid's origin is not its lower-left corner).
+    const auto in_grid_order = [](const Cell& a, const Cell& b) {
+      return a.key < b.key;
+    };
+    if (!std::is_sorted(cells.begin(), cells.end(), in_grid_order)) {
+      std::sort(cells.begin(), cells.end(), in_grid_order);
+    }
+    keys_.reserve(cells.size());
+    column_of_.reserve(cells.size());
+    prefix_.reserve(cells.size() + 1);
+    prefix_.push_back(0);
+    for (std::size_t r = 0; r < cells.size(); ++r) {
+      if (r == 0 || cells[r].key.ix != cells[r - 1].key.ix) {
+        column_begin_.push_back(r);
+      }
+      keys_.push_back(cells[r].key);
+      column_of_.push_back(column_begin_.size() - 1);
+      prefix_.push_back(prefix_.back() + cells[r].count);
+    }
+    column_begin_.push_back(cells.size());
+  }
+
+  std::size_t size() const { return keys_.size(); }
+  std::uint64_t code(std::size_t r) const { return geom::cell_code(keys_[r]); }
+  std::uint64_t count(std::size_t r) const {
+    return prefix_[r + 1] - prefix_[r];
+  }
+  /// Points in the cells of ranks [begin, end).
+  std::uint64_t points(std::size_t begin, std::size_t end) const {
+    return prefix_[end] - prefix_[begin];
+  }
+
+  /// Calls fn(rank) for every cell within `rings` (Chebyshev) of cell r,
+  /// r itself excluded. Column indices are distinct ix values in
+  /// increasing order, so the columns in reach lie within `rings` columns
+  /// of r's own; each is searched only over its own run.
+  template <class Fn>
+  void for_each_ring_neighbor(std::size_t r, std::int32_t rings,
+                              Fn&& fn) const {
+    const geom::CellKey k = keys_[r];
+    const std::int64_t lo_y = std::int64_t{k.iy} - rings;
+    const std::int64_t hi_y = std::int64_t{k.iy} + rings;
+    const std::size_t c = column_of_[r];
+    const auto reach = static_cast<std::size_t>(rings);
+    const std::size_t first = c - std::min(c, reach);
+    const std::size_t last = std::min(column_begin_.size() - 1, c + reach + 1);
+    for (std::size_t col = first; col < last; ++col) {
+      const auto begin = keys_.begin() + column_begin_[col];
+      const auto end = keys_.begin() + column_begin_[col + 1];
+      const std::int64_t dx = std::int64_t{begin->ix} - k.ix;
+      if (dx < -rings || dx > rings) continue;
+      auto it = std::lower_bound(
+          begin, end, lo_y,
+          [](const geom::CellKey& key, std::int64_t y) { return key.iy < y; });
+      for (; it != end && it->iy <= hi_y; ++it) {
+        const auto n = static_cast<std::size_t>(it - keys_.begin());
+        if (n != r) fn(n);
       }
     }
-    for (std::uint32_t pi = 0; pi < parts_; ++pi) rebuild_shadow(pi);
-  }
-
-  std::uint32_t part_count() const {
-    return static_cast<std::uint32_t>(parts_);
-  }
-
-  std::uint64_t total_points(std::uint32_t pi) const {
-    return owned_points_[pi] + shadow_points_[pi];
-  }
-  std::uint64_t owned_points(std::uint32_t pi) const {
-    return owned_points_[pi];
-  }
-  std::size_t owned_cell_count(std::uint32_t pi) const {
-    return owned_[pi].size();
-  }
-  std::uint64_t total_with_shadow() const {
-    std::uint64_t t = 0;
-    for (std::uint32_t pi = 0; pi < parts_; ++pi) t += total_points(pi);
-    return t;
-  }
-
-  std::uint64_t front_cell_count(std::uint32_t pi) const {
-    return count_of(owned_[pi].front());
-  }
-
-  /// Move part pi's first owned cell (earliest in grid order, adjacent to
-  /// part pi-1) to part pi-1, updating both parts' shadows incrementally.
-  void move_front_cell(std::uint32_t pi) {
-    MRSCAN_ASSERT(pi >= 1 && owned_[pi].size() > 1);
-    const std::uint64_t code = owned_[pi].front();
-    owned_[pi].pop_front();
-    owned_points_[pi] -= count_of(code);
-    owner_[code] = pi - 1;
-    owned_[pi - 1].push_back(code);
-    owned_points_[pi - 1] += count_of(code);
-
-    // Shadow membership can only change for the moved cell and its
-    // neighbours, and only for the two involved parts.
-    refresh_around(code, pi);
-    refresh_around(code, pi - 1);
-  }
-
-  /// Export final per-part cell lists (owned in grid-order, shadows sorted)
-  /// and counts.
-  std::vector<PartitionPart> export_parts() const {
-    std::vector<PartitionPart> out(parts_);
-    for (std::uint32_t pi = 0; pi < parts_; ++pi) {
-      out[pi].owned_cells.assign(owned_[pi].begin(), owned_[pi].end());
-      out[pi].shadow_cells.assign(shadow_[pi].begin(), shadow_[pi].end());
-      std::sort(out[pi].shadow_cells.begin(), out[pi].shadow_cells.end());
-      out[pi].owned_points = owned_points_[pi];
-      out[pi].shadow_points = shadow_points_[pi];
-    }
-    return out;
   }
 
  private:
-  std::uint64_t count_of(std::uint64_t code) const {
-    return hist_.count_of(geom::cell_from_code(code));
-  }
+  std::vector<geom::CellKey> keys_;
+  std::vector<std::size_t> column_of_;
+  std::vector<std::size_t> column_begin_;  // one past the end: size()
+  std::vector<std::uint64_t> prefix_;      // prefix_[r]: points below rank r
+};
 
-  bool owned_by(std::uint64_t code, std::uint32_t pi) const {
-    const auto it = owner_.find(code);
-    return it != owner_.end() && it->second == pi;
-  }
+/// One part at a time: its rank range and its shadow, the non-empty cells
+/// it does not own that lie within the ring of a cell it does own. The
+/// shadow depends only on the owned cells, so one counter per rank serves
+/// every part: near_[r] is how many owned cells have r in their ring. The
+/// ranks with a non-zero counter are listed in touched_, so moving on to
+/// another part clears only those. A ring of 0 leaves every shadow empty.
+class PartShadow {
+ public:
+  PartShadow(const RankedCells& cells, std::int32_t rings)
+      : cells_(cells), rings_(rings), near_(cells.size(), 0) {}
 
-  /// True when `code` qualifies as a shadow cell of part pi: non-empty,
-  /// not owned by pi, and adjacent to a cell pi owns.
-  bool qualifies_as_shadow(std::uint64_t code, std::uint32_t pi) const {
-    if (owned_by(code, pi)) return false;
-    if (count_of(code) == 0) return false;
-    bool adjacent = false;
-    geom::for_each_neighbor_within(geom::cell_from_code(code), rings_,
-                                   [&](geom::CellKey nbr) {
-                                     if (owned_by(geom::cell_code(nbr), pi))
-                                       adjacent = true;
-                                   });
-    return adjacent;
-  }
-
-  void set_shadow(std::uint64_t code, std::uint32_t pi, bool member) {
-    if (!shadow_regions_) return;
-    const bool present = shadow_[pi].contains(code);
-    if (member && !present) {
-      shadow_[pi].insert(code);
-      shadow_points_[pi] += count_of(code);
-    } else if (!member && present) {
-      shadow_[pi].erase(code);
-      shadow_points_[pi] -= count_of(code);
+  /// Take part [begin, end) and count its whole shadow.
+  void assign(std::size_t begin, std::size_t end) {
+    for (const std::size_t r : touched_) near_[r] = 0;
+    touched_.clear();
+    begin_ = begin;
+    end_ = end;
+    shadow_points_ = 0;
+    for (std::size_t r = begin; r < end; ++r) {
+      cells_.for_each_ring_neighbor(r, rings_, [&](std::size_t n) {
+        if (near_[n]++ == 0) touched_.push_back(n);
+      });
+    }
+    for (const std::size_t r : touched_) {
+      if (!owns(r)) shadow_points_ += cells_.count(r);
     }
   }
 
-  /// Re-evaluate shadow membership of `code` and its 8 neighbours for pi.
-  void refresh_around(std::uint64_t code, std::uint32_t pi) {
-    set_shadow(code, pi, qualifies_as_shadow(code, pi));
-    geom::for_each_neighbor_within(
-        geom::cell_from_code(code), rings_, [&](geom::CellKey nbr) {
-          const std::uint64_t ncode = geom::cell_code(nbr);
-          set_shadow(ncode, pi, qualifies_as_shadow(ncode, pi));
-        });
+  /// Hand the first owned cell, the one next to the previous part, to that
+  /// part; only that cell's ring can change shadow membership.
+  void pop_front() {
+    const std::size_t front = begin_++;
+    cells_.for_each_ring_neighbor(front, rings_, [&](std::size_t n) {
+      if (--near_[n] == 0 && !owns(n)) shadow_points_ -= cells_.count(n);
+    });
+    if (near_[front] > 0) shadow_points_ += cells_.count(front);
   }
 
-  void rebuild_shadow(std::uint32_t pi) {
-    shadow_[pi].clear();
-    shadow_points_[pi] = 0;
-    if (!shadow_regions_) return;
-    for (const std::uint64_t code : owned_[pi]) {
-      geom::for_each_neighbor_within(
-          geom::cell_from_code(code), rings_, [&](geom::CellKey nbr) {
-            const std::uint64_t ncode = geom::cell_code(nbr);
-            if (owned_by(ncode, pi) || count_of(ncode) == 0) return;
-            if (shadow_[pi].insert(ncode).second) {
-              shadow_points_[pi] += count_of(ncode);
-            }
-          });
+  std::size_t begin() const { return begin_; }
+  std::size_t owned_cell_count() const { return end_ - begin_; }
+  std::uint64_t owned_points() const { return cells_.points(begin_, end_); }
+  std::uint64_t total_points() const { return owned_points() + shadow_points_; }
+
+  /// The part as planned: owned cells in grid order, shadow cells sorted.
+  PartitionPart export_part() const {
+    PartitionPart part;
+    part.owned_cells.reserve(owned_cell_count());
+    for (std::size_t r = begin_; r < end_; ++r) {
+      part.owned_cells.push_back(cells_.code(r));
     }
+    for (const std::size_t r : touched_) {
+      if (near_[r] > 0 && !owns(r) && cells_.count(r) > 0) {
+        part.shadow_cells.push_back(cells_.code(r));
+      }
+    }
+    std::sort(part.shadow_cells.begin(), part.shadow_cells.end());
+    part.owned_points = owned_points();
+    part.shadow_points = shadow_points_;
+    return part;
   }
 
-  std::size_t parts_ = 0;
-  std::vector<std::deque<std::uint64_t>> owned_;
-  const index::CellHistogram& hist_;
-  bool shadow_regions_ = true;
-  std::int32_t rings_ = 1;
-  std::unordered_map<std::uint64_t, std::uint32_t> owner_;
-  std::vector<std::unordered_set<std::uint64_t>> shadow_;
-  std::vector<std::uint64_t> owned_points_;
-  std::vector<std::uint64_t> shadow_points_;
+ private:
+  bool owns(std::size_t r) const { return r >= begin_ && r < end_; }
+
+  const RankedCells& cells_;
+  const std::int32_t rings_;
+  std::vector<std::uint32_t> near_;
+  std::vector<std::size_t> touched_;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  std::uint64_t shadow_points_ = 0;
 };
 
 }  // namespace
@@ -192,12 +176,16 @@ PartitionPlan plan_partitions(const index::CellHistogram& hist,
                               const PartitionerConfig& config) {
   MRSCAN_REQUIRE(config.target_parts >= 1);
   MRSCAN_REQUIRE(config.rebalance_threshold >= 1.0);
+  MRSCAN_REQUIRE(config.cell_refine >= 1);
+  // Shadow radius 2*Eps (two Eps-sized rings, 2k refined ones): the inner
+  // Eps band completes owned points' neighbourhoods, the outer band makes
+  // the inner band's *core flags* exact — a shadow point within Eps of an
+  // owned cell sees its own full Eps-ball, so border attachment and core
+  // connectivity never depend on which leaf owns which side of a cut.
+  const auto rings = 2 * static_cast<std::int32_t>(config.cell_refine);
 
-  const std::vector<CellEntry> cells = cells_in_grid_order(hist);
-  if (cells.empty()) {
-    return PartitionPlan{
-        geometry, 2 * static_cast<std::int32_t>(config.cell_refine), {}, 0};
-  }
+  const RankedCells cells(hist);
+  if (cells.size() == 0) return PartitionPlan{geometry, rings, {}, 0};
   const std::size_t n_parts = std::min(config.target_parts, cells.size());
 
   const double target = static_cast<double>(hist.total_points()) /
@@ -206,65 +194,73 @@ PartitionPlan plan_partitions(const index::CellHistogram& hist,
 
   // ---- Sequential packing with the running-difference rule (§3.1.2):
   // cells are appended until the next one would overflow the current
-  // target; oversized partitions shrink the targets that follow. ----
-  std::vector<std::deque<std::uint64_t>> owned(1);
-  std::vector<std::uint64_t> owned_points(1, 0);
+  // target; oversized partitions shrink the targets that follow. Part pi
+  // owns ranks [begin[pi], begin[pi + 1]). ----
+  std::vector<std::size_t> begin{0};
+  std::uint64_t packed = 0;  // points in the part being packed
   double running_diff = 0.0;
   auto current_target = [&]() {
     return running_diff > 0.0 ? std::max(min_size, target - running_diff)
                               : target;
   };
-
-  for (const CellEntry& cell : cells) {
-    const bool is_final_part = owned.size() == n_parts;
-    const double would_be =
-        static_cast<double>(owned_points.back() + cell.count);
-    if (!owned.back().empty() && !is_final_part &&
-        would_be > current_target()) {
-      running_diff += static_cast<double>(owned_points.back()) - target;
-      owned.emplace_back();
-      owned_points.push_back(0);
+  for (std::size_t r = 0; r < cells.size(); ++r) {
+    const bool is_final_part = begin.size() == n_parts;
+    const double would_be = static_cast<double>(packed + cells.count(r));
+    if (r > begin.back() && !is_final_part && would_be > current_target()) {
+      running_diff += static_cast<double>(packed) - target;
+      begin.push_back(r);
+      packed = 0;
     }
-    owned.back().push_back(geom::cell_code(cell.key));
-    owned_points.back() += cell.count;
+    packed += cells.count(r);
   }
+  begin.push_back(cells.size());
+  const std::size_t parts = begin.size() - 1;
 
-  MRSCAN_REQUIRE(config.cell_refine >= 1);
-  // Shadow radius 2*Eps (two Eps-sized rings, 2k refined ones): the inner
-  // Eps band completes owned points' neighbourhoods, the outer band makes
-  // the inner band's *core flags* exact — a shadow point within Eps of an
-  // owned cell sees its own full Eps-ball, so border attachment and core
-  // connectivity never depend on which leaf owns which side of a cut.
-  const auto rings = 2 * static_cast<std::int32_t>(config.cell_refine);
-  Rebalancer reb(std::move(owned), hist, config.shadow_regions, rings);
+  // Without shadow regions (the ablation) no cell is in any ring.
+  PartShadow part(cells, config.shadow_regions ? rings : 0);
+  std::vector<PartitionPart> planned(parts);
+  std::uint64_t total_with_shadow = 0;
+  for (std::size_t pi = 0; pi < parts; ++pi) {
+    part.assign(begin[pi], begin[pi + 1]);
+    planned[pi] = part.export_part();
+    total_with_shadow += planned[pi].total_points();
+  }
 
   // ---- Backward rebalancing (Figure 2c/2d): update the target to the
   // mean including shadow regions, then trim each partition from the back
   // of the sequence toward the front, handing trimmed cells to the
-  // previous partition. The first partition absorbs the residue. ----
+  // previous partition. The first partition absorbs the residue. A part
+  // is planned again only if it is over the threshold or was handed
+  // cells. ----
   double used_threshold = 0.0;
   std::uint64_t rebalance_moves = 0;
-  if (config.rebalance && reb.part_count() >= 2) {
-    const double final_target =
-        static_cast<double>(reb.total_with_shadow()) /
-        static_cast<double>(reb.part_count());
-    const double threshold = config.rebalance_threshold * final_target;
-    used_threshold = threshold;
-
-    for (std::uint32_t pi = reb.part_count() - 1; pi >= 1; --pi) {
-      while (reb.owned_cell_count(pi) > 1 &&
-             static_cast<double>(reb.total_points(pi)) > threshold) {
-        const std::uint64_t front = reb.front_cell_count(pi);
-        if (static_cast<double>(reb.owned_points(pi) - front) < min_size) {
+  if (config.rebalance && parts >= 2) {
+    const double final_target = static_cast<double>(total_with_shadow) /
+                                static_cast<double>(parts);
+    used_threshold = config.rebalance_threshold * final_target;
+    bool grew = false;  // the part after pi handed cells to pi
+    for (std::size_t pi = parts; pi-- > 0;) {
+      const bool over =
+          pi >= 1 &&
+          static_cast<double>(planned[pi].total_points()) > used_threshold;
+      if (!grew && !over) continue;
+      part.assign(begin[pi], begin[pi + 1]);
+      while (pi >= 1 && part.owned_cell_count() > 1 &&
+             static_cast<double>(part.total_points()) > used_threshold) {
+        const std::uint64_t front = cells.count(part.begin());
+        if (static_cast<double>(part.owned_points() - front) < min_size) {
           break;  // keep every partition at least MinPts points
         }
-        reb.move_front_cell(pi);
+        part.pop_front();
         ++rebalance_moves;
       }
+      grew = part.begin() > begin[pi];
+      begin[pi] = part.begin();
+      planned[pi] = part.export_part();
     }
   }
 
-  PartitionPlan plan{geometry, rings, reb.export_parts(), rebalance_moves};
+  PartitionPlan plan{geometry, rings, std::move(planned), rebalance_moves};
   if constexpr (util::kAuditEnabled) {
     audit_plan(plan, hist, config, used_threshold);
   }

@@ -8,11 +8,15 @@
 //   * enabling observability on a fault-injected multi-threaded pipeline
 //     run changes NOTHING about the clustering: output records, cluster
 //     count, and fault counters are identical, while the trace covers all
-//     four phases plus the leaf-recovery re-read, and the sim.* gauges
-//     equal MrScanResult::PhaseBreakdown exactly.
+//     four phases, the partition phase's layers and the leaf-recovery
+//     re-read, and the sim.* gauges equal MrScanResult::PhaseBreakdown
+//     exactly.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -264,6 +268,12 @@ TEST(ObsPipeline, TracingLeavesFaultInjectedOutputByteIdentical) {
   }
   EXPECT_TRUE(has_span(spans, "reread leaf 1 partition"));
   EXPECT_TRUE(has_span(spans, "recluster leaf 1"));
+  // The partition phase's layers; a resident run spills nothing.
+  for (const char* layer : {"partition.histogram", "partition.plan",
+                            "partition.materialize"}) {
+    EXPECT_TRUE(has_span(spans, layer)) << layer;
+  }
+  EXPECT_FALSE(has_span(spans, "partition.spill"));
 
   // The disabled run recorded no spans at all.
   ASSERT_NE(off.obs, nullptr);
@@ -292,6 +302,26 @@ TEST(ObsPipeline, TracingLeavesFaultInjectedOutputByteIdentical) {
     EXPECT_EQ(snap.gauge(std::string("wall.") + phase),
               on.wall.get(phase))
         << phase;
+  }
+}
+
+TEST(ObsPipeline, OutOfCoreTraceShowsThePartitionSpill) {
+  const auto points = obs_points();
+  auto cfg = obs_config();
+  cfg.fault_plan = {};
+  cfg.observability.enabled = true;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mrscan_obs_ooc_" + std::to_string(::getpid()));
+  cfg.ooc.enabled = true;
+  cfg.ooc.dir = dir;
+  const auto result = mc::MrScan(cfg).run(points);
+  std::filesystem::remove_all(dir);
+  ASSERT_NE(result.obs, nullptr);
+  const auto spans = result.obs->tracer().spans();
+  for (const char* layer : {"partition.histogram", "partition.plan",
+                            "partition.materialize", "partition.spill"}) {
+    EXPECT_TRUE(has_span(spans, layer)) << layer;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "data/sdss.hpp"
@@ -33,14 +34,26 @@ mg::PointSet twitter_points(std::uint64_t n, std::uint64_t seed = 1) {
   return mrscan::data::generate_twitter(config);
 }
 
+/// Where the grid is anchored. At the data's lower-left corner every cell
+/// key is non-negative; at the bounding-box centre about three quarters
+/// of the keys have a negative ix or iy, so code order is not grid order.
+enum class Origin { kLowerLeft, kCentre };
+
+mg::GridGeometry grid_of(const mg::PointSet& points, double eps,
+                         Origin origin) {
+  const mg::BBox box = mg::bbox_of(points);
+  if (origin == Origin::kLowerLeft) return {box.min_x, box.min_y, eps};
+  return {0.5 * (box.min_x + box.max_x), 0.5 * (box.min_y + box.max_y), eps};
+}
+
 struct TestData {
   mg::PointSet points;
   mg::GridGeometry geometry;
   mi::CellHistogram hist;
 
-  TestData(mg::PointSet pts, double eps)
+  TestData(mg::PointSet pts, double eps, Origin origin = Origin::kLowerLeft)
       : points(std::move(pts)),
-        geometry{mg::bbox_of(points).min_x, mg::bbox_of(points).min_y, eps},
+        geometry(grid_of(points, eps, origin)),
         hist(geometry, points) {}
 };
 
@@ -167,6 +180,11 @@ TEST(Partitioner, EmptyHistogram) {
       empty, mg::GridGeometry{0, 0, 1.0},
       mp::PartitionerConfig{4, 4, true, 1.075});
   EXPECT_EQ(plan.part_count(), 0u);
+  // The config is checked before an empty histogram returns early.
+  EXPECT_THROW(mp::plan_partitions(
+                   empty, mg::GridGeometry{0, 0, 1.0},
+                   mp::PartitionerConfig{4, 4, true, 1.075, true, 0}),
+               std::invalid_argument);
 }
 
 TEST(Partitioner, PartitionsAreContiguousInGridOrder) {
@@ -497,6 +515,67 @@ TEST(PartitionPin, ShadowRegionsOffPlan) {
       mp::plan_partitions(s.hist, s.geometry,
                           mp::PartitionerConfig{16, 4, true, 1.075, false}),
       {16, 312, 0x19b44dba6bd1b91a});
+}
+
+namespace {
+
+/// One grid line through the origin, negative keys included: a column
+/// (fixed ix) or a row (fixed iy), with uneven counts, one-cell gaps and
+/// one gap wider than the shadow ring.
+mi::CellHistogram line_histogram(bool column) {
+  std::vector<mi::CellHistogram::Entry> entries;
+  for (std::int32_t i = -400; i < 400; ++i) {
+    if ((i + 400) % 13 == 5 || (i >= 100 && i < 106)) continue;
+    const mg::CellKey key = column ? mg::CellKey{-3, i} : mg::CellKey{i, -3};
+    entries.push_back({mg::cell_code(key),
+                       1 + static_cast<std::uint64_t>((i + 400) * 7919 % 37)});
+  }
+  return mi::CellHistogram(std::move(entries));
+}
+
+}  // namespace
+
+TEST(PartitionPin, NegativeAndDegenerateGrids) {
+  // The pins above anchor the grid at the data's lower-left corner, where
+  // code order is grid order. Here the keys go negative, and a single
+  // column or row leaves one cell per column or one column in all.
+  {
+    SCOPED_TRACE("twitter, centred origin");
+    TestData s(twitter_points(30'000, 7), 0.1, Origin::kCentre);
+    expect_plan(mp::plan_partitions(s.hist, s.geometry,
+                                    mp::PartitionerConfig{16, 4, true, 1.075}),
+                {16, 53590, 0xdba7ccc45d0b971c});
+    expect_plan(
+        mp::plan_partitions(s.hist, s.geometry,
+                            mp::PartitionerConfig{16, 4, true, 1.075, false}),
+        {16, 1748, 0x7ea8fa415d661d15});
+  }
+  {
+    SCOPED_TRACE("twitter, centred origin, cell_refine 3");
+    TestData s(twitter_points(30'000, 7), 0.1 / 3, Origin::kCentre);
+    expect_plan(
+        mp::plan_partitions(s.hist, s.geometry,
+                            mp::PartitionerConfig{16, 4, true, 1.075, true, 3}),
+        {16, 90147, 0xc7b7c4f4481512b3});
+  }
+  {
+    SCOPED_TRACE("single column, then single row");
+    const mg::GridGeometry unit{0, 0, 1.0};
+    const mp::PartitionerConfig config{16, 4, true, 1.075};
+    expect_plan(mp::plan_partitions(line_histogram(true), unit, config),
+                {16, 13, 0xc2f367af65465d88});
+    expect_plan(mp::plan_partitions(line_histogram(false), unit, config),
+                {16, 13, 0x267eebdff4a570bc});
+  }
+  {
+    SCOPED_TRACE("sdss, centred origin");
+    mrscan::data::SdssConfig sdss;
+    sdss.num_points = 100'000;
+    TestData s(mrscan::data::generate_sdss(sdss), 0.00015, Origin::kCentre);
+    expect_plan(mp::plan_partitions(s.hist, s.geometry,
+                                    mp::PartitionerConfig{256, 5, true, 1.075}),
+                {256, 3006, 0xbc8006e91d44f60b});
+  }
 }
 
 TEST(PartitionPin, ModelModeTable1RowBothTransports) {
