@@ -1,17 +1,14 @@
 // Baseline comparison (§2.2 context): wall-clock time of the DBSCAN
 // implementations in this repository on identical data —
 //   * sequential DBSCAN (the quality reference, ELKI's role),
-//   * disjoint-set DBSCAN (PDSDBSCAN-style),
 //   * CUDA-DClust on the virtual device,
 //   * Mr. Scan's GPGPU DBSCAN (single leaf),
 //   * the full Mr. Scan pipeline (partition + cluster + merge + sweep).
-// Also reports the PDSDBSCAN proxy for communication: union operations.
 #include <cstdio>
 
 #include "common/experiment.hpp"
 #include "core/mrscan.hpp"
 #include "data/twitter.hpp"
-#include "dbscan/disjoint_set.hpp"
 #include "dbscan/sequential.hpp"
 #include "gpu/cuda_dclust.hpp"
 #include "gpu/mrscan_gpu.hpp"
@@ -21,9 +18,8 @@ int main() {
   using namespace mrscan;
   const auto scale = bench::BenchScale::from_env();
   bench::print_header("Baselines: wall-clock seconds on identical data");
-  std::printf("%10s | %10s %12s %12s %12s %12s | %10s\n", "points",
-              "sequential", "disjoint", "cuda-dclust", "mrscan-gpu",
-              "pipeline", "union_ops");
+  std::printf("%10s | %10s %12s %12s %12s\n", "points", "sequential",
+              "cuda-dclust", "mrscan-gpu", "pipeline");
 
   for (std::uint64_t n = scale.quality_points / 4;
        n <= scale.quality_points; n *= 2) {
@@ -37,31 +33,26 @@ int main() {
     const double seq_s = t1.seconds();
 
     util::Timer t2;
-    dbscan::DisjointSetStats ds_stats;
-    const auto dsu = dbscan::dbscan_disjoint_set(points, params, &ds_stats);
-    const double dsu_s = t2.seconds();
-
-    util::Timer t3;
     gpu::CudaDClustConfig dc_config;
     dc_config.params = params;
     gpu::VirtualDevice dc_dev;
     const auto dc = gpu::cuda_dclust(points, dc_config, dc_dev);
-    const double dc_s = t3.seconds();
+    const double dc_s = t2.seconds();
 
-    util::Timer t4;
+    util::Timer t3;
     gpu::MrScanGpuConfig ms_config;
     ms_config.params = params;
     gpu::VirtualDevice ms_dev;
     const auto ms = gpu::mrscan_gpu_dbscan(points, ms_config, ms_dev);
-    const double ms_s = t4.seconds();
+    const double ms_s = t3.seconds();
 
-    util::Timer t5;
+    util::Timer t4;
     core::MrScanConfig pipe_config;
     pipe_config.params = params;
     pipe_config.leaves = 8;
     const core::MrScan pipeline(pipe_config);
     const auto pipe = pipeline.run(points);
-    const double pipe_s = t5.seconds();
+    const double pipe_s = t4.seconds();
 
     // Sanity: every implementation found the same number of clusters.
     if (seq.cluster_count() != ms.labels.cluster_count() ||
@@ -71,12 +62,11 @@ int main() {
                   seq.cluster_count(), ms.labels.cluster_count(),
                   pipe.cluster_count);
     }
-    (void)dsu;
     (void)dc;
 
-    std::printf("%10llu | %10.3f %12.3f %12.3f %12.3f %12.3f | %10zu\n",
-                static_cast<unsigned long long>(n), seq_s, dsu_s, dc_s, ms_s,
-                pipe_s, ds_stats.union_ops);
+    std::printf("%10llu | %10.3f %12.3f %12.3f %12.3f\n",
+                static_cast<unsigned long long>(n), seq_s, dc_s, ms_s,
+                pipe_s);
   }
   return 0;
 }

@@ -21,7 +21,9 @@
 #                         + bench_serve + bench_ooc runs with
 #                         MRSCAN_BENCH_METRICS_DIR set; every emitted
 #                         BENCH_*.json is schema-validated by
-#                         tools/obs/check_obs_json.py --bench
+#                         tools/obs/check_obs_json.py --bench and
+#                         compared with the committed snapshot by
+#                         tools/bench/compare.py
 #   7. e2e smoke          1-second e2ebench runs of twitter-16L and
 #                         sdss-256L-ooc (seed 1); each must report
 #                         "correct": true, which pins the labeled text
@@ -167,14 +169,16 @@ ooc_smoke() {
 run_step "ooc-smoke" ooc_smoke
 
 # Bench smoke: the micro benches must run, export BENCH_*.json metric
-# files, and those files must validate. Tiny min_time / fixture sizes —
-# this checks the machinery, not the numbers. (--benchmark_min_time takes
-# a plain double with this google-benchmark version, not "0.05s".)
-# The validated snapshots are copied to the repo root as the canonical
-# BENCH_*.json artifacts (committed, so index-backend regressions show up
-# in review diffs) — except BENCH_ooc_scale.json, whose committed copy
-# carries the full 8,192-leaf numbers from a dedicated bench_ooc run; the
-# smoke only validates that a tiny run still exports a clean file.
+# files, and those files must validate. Tiny min_time / fixture sizes.
+# (--benchmark_min_time takes a plain double with this google-benchmark
+# version, not "0.05s".) Each validated snapshot is then compared with
+# the committed BENCH_*.json of the same name: counters and deterministic
+# gauges must match exactly and no metric may disappear; timing gauges
+# are printed only. `python3 tools/bench/compare.py --record FILE...`
+# rewrites the committed snapshots after an intended change. The
+# exception is BENCH_ooc_scale.json, whose committed copy carries the
+# full 8,192-leaf numbers from a dedicated bench_ooc run; the smoke only
+# validates that a tiny run still exports a clean file.
 bench_smoke() {
   local dir=build/bench_metrics
   rm -rf "$dir" && mkdir -p "$dir" \
@@ -196,7 +200,7 @@ bench_smoke() {
          ./build/bench/bench_ooc \
     && python3 tools/obs/check_obs_json.py --bench "$dir"/BENCH_*.json \
     && rm "$dir"/BENCH_ooc_scale.json \
-    && cp "$dir"/BENCH_*.json .
+    && python3 tools/bench/compare.py "$dir"/BENCH_*.json
 }
 run_step "bench-smoke" bench_smoke
 

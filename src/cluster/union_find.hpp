@@ -2,9 +2,8 @@
 //
 // Promoted to the shared cluster module: this is the structure every
 // cluster phase leans on — resolving GPGPU block collisions and
-// cell-graph cell connections into clusters (§3.2.1), the
-// PDSDBSCAN-style baseline (§2.2), and merging cluster summaries at
-// tree nodes (§3.3.2).
+// cell-graph cell connections into clusters (§3.2.1), and merging
+// cluster summaries at tree nodes (§3.3.2).
 #pragma once
 
 #include <cstdint>

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <system_error>
 #include <unordered_map>
@@ -41,47 +43,173 @@ std::vector<std::int64_t> unpack_id_map(const mrnet::Packet& packet) {
   return packet.reader().get_pod_vector<std::int64_t>();
 }
 
-// ---- out-of-core helpers (DESIGN §15) -----------------------------
+// ---- the leaf store (DESIGN §15) --------------------------------------
 
-std::filesystem::path ooc_labels_path(const std::filesystem::path& dir,
-                                      std::size_t leaf_rank) {
-  return dir / ("labels_" + std::to_string(leaf_rank) + ".lbl");
-}
+/// Where each leaf's points and owned labels live between its cluster
+/// step and the sweep, and where the sweep's records go. A resident run
+/// keeps the leaf's segment where the partition phase left it, its owned
+/// cluster ids in memory, and the records in MrScanResult::output. An
+/// out-of-core run maps the leaf's MRSG file from the spool directory,
+/// spills the ids beside it, and streams the records to an MRLB file.
+/// Nothing outside this class knows which. Every per-leaf operation
+/// touches only that leaf's slot and files, so leaves may run
+/// concurrently (DESIGN §8).
+class LeafStore {
+ public:
+  /// `spool` is empty on a resident run.
+  LeafStore(const partition::PartitionPhaseResult& phase,
+            std::filesystem::path spool, bool keep_noise,
+            obs::Recorder& recorder)
+      : segments_(phase.segments),
+        counts_(phase.segment_counts),
+        spool_(std::move(spool)),
+        keep_noise_(keep_noise),
+        recorder_(recorder),
+        kept_(resident() ? counts_.size() : 0) {}
+  LeafStore(const LeafStore&) = delete;
+  LeafStore& operator=(const LeafStore&) = delete;
 
-/// Spill a leaf's owned-point cluster ids (what the sweep callback
-/// needs); shadow labels are only consumed inside the leaf summary and
-/// never re-read. Atomic write: a crash can't leave a torn spill that a
-/// later resume would trust.
-void spill_owned_labels(const std::filesystem::path& path,
-                        const dbscan::Labeling& labels,
-                        std::size_t owned_count) {
-  std::vector<std::uint8_t> buf(owned_count * sizeof(std::int64_t));
-  if (owned_count > 0) {
-    std::memcpy(buf.data(), labels.cluster.data(), buf.size());
+  /// The leaf's owned points, then its shadow points: a copy of the
+  /// resident segment, or the segment file mapped and decoded.
+  geom::PointSet load(std::size_t leaf) const {
+    if (resident()) {
+      const io::Segment& seg = segments_[leaf];
+      geom::PointSet pts;
+      pts.reserve(seg.owned.size() + seg.shadow.size());
+      pts.insert(pts.end(), seg.owned.begin(), seg.owned.end());
+      pts.insert(pts.end(), seg.shadow.begin(), seg.shadow.end());
+      return pts;
+    }
+    const obs::LayerSpan span(&recorder_, "io.map");
+    const io::MappedSegment seg(io::segment_file_path(spool_, leaf));
+    recorder_.metrics().add("ooc.mapped_bytes", seg.mapped_bytes());
+    return seg.decode_all();
   }
-  io::write_file_atomic(path, buf);
-}
 
-/// Expected spill size; resume re-clusters a leaf whose file mismatches.
-std::uint64_t ooc_labels_bytes(std::uint64_t owned_count) {
-  return owned_count * sizeof(std::int64_t);
-}
+  /// Keep the owned points' cluster ids for the sweep; shadow labels are
+  /// read only by the leaf summary. The spill is atomic, so a crash
+  /// cannot leave a torn file that a later resume would trust.
+  void keep(std::size_t leaf, const dbscan::Labeling& labels) {
+    const auto owned = static_cast<std::ptrdiff_t>(counts_[leaf].owned);
+    if (resident()) {
+      kept_[leaf].cluster.assign(labels.cluster.begin(),
+                                 labels.cluster.begin() + owned);
+      return;
+    }
+    const obs::LayerSpan span(&recorder_, "io.spill_labels");
+    std::vector<std::uint8_t> buf(kept_bytes(leaf));
+    if (owned > 0) std::memcpy(buf.data(), labels.cluster.data(), buf.size());
+    io::write_file_atomic(labels_path(leaf), buf);
+  }
 
-dbscan::Labeling read_owned_labels(const std::filesystem::path& path,
-                                   std::size_t owned_count) {
-  const std::vector<std::uint8_t> bytes = io::read_file_bytes(path);
-  if (bytes.size() != ooc_labels_bytes(owned_count)) {
-    errno = 0;
-    io::fail(path, "label spill size does not match the leaf's owned count");
+  /// Label the leaf's owned points with the global ids the sweep
+  /// delivered and append the records to the output.
+  void sweep(std::size_t leaf, std::span<const std::int64_t> global_of_local) {
+    if (resident()) {
+      const obs::LayerSpan span(&recorder_, "sweep.label");
+      const auto records = sweep::label_owned_points(
+          segments_[leaf].owned, kept_[leaf], global_of_local, keep_noise_);
+      output_.insert(output_.end(), records.begin(), records.end());
+      return;
+    }
+    // Re-map just this leaf's owned points and its label spill; both are
+    // dropped again on return.
+    geom::PointSet owned;
+    dbscan::Labeling labels;
+    {
+      const obs::LayerSpan span(&recorder_, "io.map");
+      const io::MappedSegment seg(io::segment_file_path(spool_, leaf));
+      recorder_.metrics().add("ooc.mapped_bytes", seg.mapped_bytes());
+      owned = seg.decode_owned();
+      labels.cluster = read_spill(leaf, owned.size());
+    }
+    std::vector<sweep::LabeledPoint> records;
+    {
+      const obs::LayerSpan span(&recorder_, "sweep.label");
+      records = sweep::label_owned_points(owned, labels, global_of_local,
+                                          keep_noise_);
+    }
+    const obs::LayerSpan span(&recorder_, "io.append");
+    io::LabeledFileWriter& out = writer();
+    for (const sweep::LabeledPoint& record : records) {
+      out.append(record.point, record.cluster);
+    }
   }
-  dbscan::Labeling labels;
-  labels.cluster.resize(owned_count);
-  labels.core.assign(owned_count, 0);
-  if (owned_count > 0) {
-    std::memcpy(labels.cluster.data(), bytes.data(), bytes.size());
+
+  /// Close the output and record it in `result`: the records themselves,
+  /// or the streamed file's path.
+  void finish(MrScanResult& result) {
+    if (resident()) {
+      result.output = std::move(output_);
+      result.output_records = result.output.size();
+      return;
+    }
+    const obs::LayerSpan span(&recorder_, "io.append");
+    io::LabeledFileWriter& out = writer();
+    out.close();
+    result.output_path = output_path();
+    result.output_records = out.records();
+    recorder_.metrics().add("ooc.output_records", result.output_records);
   }
-  return labels;
-}
+
+  /// Size of a leaf's label spill, as a checkpoint entry records it.
+  std::uint64_t kept_bytes(std::size_t leaf) const {
+    return counts_[leaf].owned * sizeof(dbscan::ClusterId);
+  }
+
+  /// Resume: true when the leaf's label spill survived at the size its
+  /// checkpoint entry recorded. A leaf whose spill is missing or short is
+  /// clustered again.
+  bool spill_intact(std::size_t leaf, std::uint64_t recorded_bytes) const {
+    std::error_code ec;
+    const std::uintmax_t size =
+        std::filesystem::file_size(labels_path(leaf), ec);
+    return !ec && size == recorded_bytes && recorded_bytes == kept_bytes(leaf);
+  }
+
+ private:
+  bool resident() const { return spool_.empty(); }
+
+  std::filesystem::path labels_path(std::size_t leaf) const {
+    return spool_ / ("labels_" + std::to_string(leaf) + ".lbl");
+  }
+
+  std::filesystem::path output_path() const {
+    return spool_ / "output.labeled";
+  }
+
+  /// The output file opens at the first record, so a run aborted in the
+  /// cluster phase leaves none behind.
+  io::LabeledFileWriter& writer() {
+    if (!writer_) writer_.emplace(output_path());
+    return *writer_;
+  }
+
+  std::vector<dbscan::ClusterId> read_spill(std::size_t leaf,
+                                            std::size_t owned_count) const {
+    const std::filesystem::path path = labels_path(leaf);
+    const std::vector<std::uint8_t> bytes = io::read_file_bytes(path);
+    std::vector<dbscan::ClusterId> ids(owned_count);
+    if (bytes.size() != ids.size() * sizeof(dbscan::ClusterId)) {
+      errno = 0;
+      io::fail(path, "label spill size does not match the leaf's owned count");
+    }
+    if (!ids.empty()) std::memcpy(ids.data(), bytes.data(), bytes.size());
+    return ids;
+  }
+
+  std::span<const io::Segment> segments_;
+  std::span<const io::SegmentCounts> counts_;
+  std::filesystem::path spool_;
+  bool keep_noise_;
+  obs::Recorder& recorder_;
+  /// Resident: each leaf's owned cluster ids (`core` stays empty).
+  std::vector<dbscan::Labeling> kept_;
+  /// Resident: the records, in sweep delivery order.
+  std::vector<sweep::LabeledPoint> output_;
+  /// Out of core: the streamed MRLB output.
+  std::optional<io::LabeledFileWriter> writer_;
+};
 
 namespace names = obs::names;
 using Stats = gpu::GpuDbscanStats;
@@ -147,36 +275,50 @@ Stats decode_gpu_stats(std::vector<std::uint8_t> blob) {
   return s;
 }
 
-/// FNV-1a over the run invariants a checkpoint must match before any of
-/// its entries may be restored. host_threads and the working-set size
-/// are deliberately excluded — the determinism contract (DESIGN §8)
-/// makes output independent of both, so a resume may change them.
+/// FNV-1a, one 64-bit word at a time, over everything a restored
+/// checkpoint entry depends on: every input point, the plan's settings,
+/// the leaf kernels' settings, and the machine-model terms a leaf's
+/// stats and ready time are charged from. A checkpoint must match it
+/// before any of its entries may be restored. host_threads and the
+/// working-set size are deliberately excluded — the determinism contract
+/// (DESIGN §8) makes output independent of both, so a resume may change
+/// them.
 std::uint64_t ooc_fingerprint(const MrScanConfig& config,
-                              index::Backend resolved_backend,
-                              std::uint64_t point_count) {
-  const std::uint64_t words[] = {
-      point_count,
-      static_cast<std::uint64_t>(config.leaves),
-      static_cast<std::uint64_t>(config.fanout),
-      static_cast<std::uint64_t>(config.partition_nodes),
-      std::bit_cast<std::uint64_t>(config.params.eps),
-      static_cast<std::uint64_t>(config.params.min_pts),
-      static_cast<std::uint64_t>(config.cluster_algo),
-      static_cast<std::uint64_t>(resolved_backend),
-      static_cast<std::uint64_t>(config.shadow_rep_threshold),
-      static_cast<std::uint64_t>(config.transport),
-      static_cast<std::uint64_t>(config.shadow_regions),
-      static_cast<std::uint64_t>(config.cell_refine),
-      static_cast<std::uint64_t>(config.rebalance),
-      std::bit_cast<std::uint64_t>(config.rebalance_threshold),
-      static_cast<std::uint64_t>(config.keep_noise),
-  };
+                              const gpu::MrScanGpuConfig& gpu,
+                              std::span<const geom::Point> points) {
   std::uint64_t hash = 14695981039346656037ULL;
-  for (const std::uint64_t w : words) {
-    for (std::size_t byte = 0; byte < 8; ++byte) {
-      hash ^= (w >> (8 * byte)) & 0xffULL;
-      hash *= 1099511628211ULL;
-    }
+  const auto mix = [&hash](std::uint64_t word) {
+    hash ^= word;
+    hash *= 1099511628211ULL;
+  };
+  const auto mix_f64 = [&mix](double v) {
+    mix(std::bit_cast<std::uint64_t>(v));
+  };
+  const sim::LustreParams& lustre = config.titan.lustre;
+  const gpu::DeviceSpec& spec = config.titan.gpu_spec;
+  const std::uint64_t words[] = {
+      points.size(), config.leaves, config.fanout, config.partition_nodes,
+      config.params.min_pts, static_cast<std::uint64_t>(config.cluster_algo),
+      static_cast<std::uint64_t>(gpu.index_backend),
+      config.shadow_rep_threshold,
+      static_cast<std::uint64_t>(config.transport), config.shadow_regions,
+      config.cell_refine, config.rebalance, config.keep_noise,
+      gpu.block_count, gpu.points_per_block, gpu.max_leaf_points,
+      gpu.dense_box, lustre.writer_cap, spec.sm_count, spec.global_mem_bytes};
+  for (const std::uint64_t w : words) mix(w);
+  for (const double v :
+       {config.params.eps, config.rebalance_threshold,
+        lustre.aggregate_read_bps, lustre.aggregate_write_bps,
+        lustre.per_client_bps, lustre.per_op_latency_s,
+        spec.kernel_launch_overhead_s, spec.pcie_bandwidth_bps,
+        spec.pcie_latency_s, spec.block_op_rate, config.titan.cpu_op_rate}) {
+    mix_f64(v);
+  }
+  for (const geom::Point& p : points) {
+    mix(p.id);
+    mix_f64(p.x);
+    mix_f64(p.y);
+    mix(std::bit_cast<std::uint32_t>(p.weight));
   }
   return hash;
 }
@@ -242,12 +384,15 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   };
 
   // ---- Partition phase (its own flat tree, §3.1.3). ----
+  // Out of core, the partition phase spools every leaf's segment to a
+  // file in the spool directory instead of keeping it resident.
   const bool ooc = config_.ooc.enabled;
-  const std::filesystem::path ooc_dir = config_.ooc.dir;
+  const std::filesystem::path spool =
+      ooc ? config_.ooc.dir : std::filesystem::path();
   if (ooc) {
-    MRSCAN_REQUIRE_MSG(!ooc_dir.empty(),
+    MRSCAN_REQUIRE_MSG(!spool.empty(),
                        "out-of-core execution needs OocOptions::dir");
-    std::filesystem::create_directories(ooc_dir);
+    std::filesystem::create_directories(spool);
   }
 
   partition::DistributedPartitionerConfig part_config;
@@ -262,7 +407,7 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   part_config.transport = config_.transport;
   part_config.host_threads = config_.host_threads;
   part_config.recorder = recorder.get();
-  if (ooc) part_config.spool_dir = ooc_dir;
+  part_config.spool_dir = spool;
 
   {
     obs::PhaseScope scope(*recorder, "partition");
@@ -271,11 +416,8 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   }
   result.sim.partition = result.partition_phase.sim_seconds;
 
-  // Resident mode holds the segments; out-of-core mode spooled them to
-  // per-leaf files and keeps only the record counts. Everything
-  // downstream that needs sizes reads seg_counts so both modes drive
-  // the identical cost model.
-  const auto& segments = result.partition_phase.segments;
+  // Everything downstream that needs sizes reads the counts, which both
+  // modes report, so both drive the identical cost model.
   const auto& seg_counts = result.partition_phase.segment_counts;
   const auto& plan = result.partition_phase.plan;
   const std::size_t leaf_count = seg_counts.size();
@@ -314,25 +456,28 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
     }
   }
 
-  std::vector<dbscan::Labeling> leaf_labels(leaf_count);
+  LeafStore store(result.partition_phase, spool, config_.keep_noise,
+                  *recorder);
   std::vector<mrnet::Packet> leaf_packets(leaf_count);
   std::vector<double> leaf_ready(leaf_count, 0.0);
-  std::vector<geom::PointSet> leaf_points(leaf_count);
+  std::vector<std::uint8_t> leaf_done(leaf_count, 0);
   result.leaf_stats.resize(leaf_count);
 
-  // Cluster one partition's points (owned first, shadow after): fills the
-  // leaf's stats slot and labels, and returns the summary packet plus the
-  // host + device compute seconds (partition read time is charged
-  // separately by the caller). Fully deterministic, so a recovery re-run
-  // — or an out-of-core re-read of the same segment file — produces the
-  // exact packet the leaf would have sent.
-  const auto cluster_points =
-      [&](std::size_t leaf, const geom::PointSet& pts,
-          std::size_t owned_count,
-          dbscan::Labeling& labels) -> std::pair<mrnet::Packet, double> {
-    gpu::VirtualDevice device(config_.titan.gpu_spec);
-    gpu::GpuDbscanResult clustered =
-        gpu::mrscan_gpu_dbscan(pts, gpu_config, device);
+  // One leaf's lifecycle up to the merge: load its partition (owned
+  // points first, shadow after), cluster it, build its summary and keep
+  // its owned labels. Fills the leaf's stats slot and returns the summary
+  // packet plus the host + device compute seconds (the partition read is
+  // charged by the caller). Fully deterministic, so the recovery
+  // handler's re-run produces the exact packet the leaf would have sent.
+  const auto cluster_leaf =
+      [&](std::size_t leaf) -> std::pair<mrnet::Packet, double> {
+    const geom::PointSet pts = store.load(leaf);
+    gpu::GpuDbscanResult clustered;
+    {
+      const obs::LayerSpan span(recorder.get(), "gpu.dbscan");
+      gpu::VirtualDevice device(config_.titan.gpu_spec);
+      clustered = gpu::mrscan_gpu_dbscan(pts, gpu_config, device);
+    }
     result.leaf_stats[leaf] = clustered.stats;
 
     // Host-side KD-tree build cost (the tree ships to the device).
@@ -341,55 +486,25 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
                     : static_cast<double>(pts.size()) *
                           std::log2(static_cast<double>(pts.size()) + 1) /
                           config_.titan.cpu_op_rate;
-    labels = std::move(clustered.labels);
 
-    merge::LeafSummaryInput input;
-    input.points = pts;
-    input.owned_count = owned_count;
-    input.labels = &labels;
-    input.geometry = plan.geometry;
-    input.owned_cells = plan.parts[leaf].owned_cells;
-    input.shadow_cells = plan.parts[leaf].shadow_cells;
-    input.shadow_rings = plan.shadow_rings;
-    return {merge::build_leaf_summary(input).to_packet(),
+    mrnet::Packet summary;
+    {
+      const obs::LayerSpan span(recorder.get(), "merge.summary");
+      merge::LeafSummaryInput input;
+      input.points = pts;
+      input.owned_count = static_cast<std::size_t>(seg_counts[leaf].owned);
+      input.labels = &clustered.labels;
+      input.geometry = plan.geometry;
+      input.owned_cells = plan.parts[leaf].owned_cells;
+      input.shadow_cells = plan.parts[leaf].shadow_cells;
+      input.shadow_rings = plan.shadow_rings;
+      summary = merge::build_leaf_summary(input).to_packet();
+    }
+    store.keep(leaf, clustered.labels);
+    return {std::move(summary),
             host_build + clustered.stats.device_seconds};
   };
 
-  // Resident mode: concatenate the segment into the leaf's slot and keep
-  // points + labels resident for the sweep.
-  const auto cluster_leaf =
-      [&](std::size_t leaf) -> std::pair<mrnet::Packet, double> {
-    geom::PointSet& pts = leaf_points[leaf];
-    pts = segments[leaf].owned;
-    pts.insert(pts.end(), segments[leaf].shadow.begin(),
-               segments[leaf].shadow.end());
-    return cluster_points(leaf, pts, segments[leaf].owned.size(),
-                          leaf_labels[leaf]);
-  };
-
-  // Out-of-core mode: map the leaf's segment file, cluster, spill the
-  // owned labels, and drop every per-leaf structure on return — after
-  // which only the summary packet (and the sweep-time re-map) remain.
-  const auto ooc_cluster_leaf =
-      [&](std::size_t leaf) -> std::pair<mrnet::Packet, double> {
-    const io::MappedSegment seg(io::segment_file_path(ooc_dir, leaf));
-    reg.add("ooc.mapped_bytes", seg.mapped_bytes());
-    const geom::PointSet pts = seg.decode_all();
-    dbscan::Labeling labels;
-    auto summary = cluster_points(
-        leaf, pts, static_cast<std::size_t>(seg.owned_count()), labels);
-    spill_owned_labels(ooc_labels_path(ooc_dir, leaf), labels,
-                       static_cast<std::size_t>(seg.owned_count()));
-    return summary;
-  };
-
-  // The per-leaf cluster loop is the host-side concurrency the paper's
-  // thousands of leaves give for free (§3.2); here a ThreadPool supplies
-  // it. Every iteration writes only its own slots of leaf_labels /
-  // leaf_packets / leaf_ready / leaf_points / result.leaf_stats, and the
-  // cross-leaf gpu_dbscan_seconds max is reduced after the merge barrier
-  // (so recovery re-runs are included too) — which is what keeps the
-  // output bit-identical for any worker count.
   // Leaf reads its partition from the segmented file (modeled); with
   // direct transport the data already arrived over the network. Driven
   // by the counts so resident and out-of-core runs charge identically.
@@ -403,16 +518,46 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
                      sim::kSequentialOp);
   };
 
-  // Out-of-core checkpoint/restart (DESIGN §15). A leaf is `done` once
-  // its summary packet, ready time, stats, and label spill exist; the
-  // manifest written after each working-set chunk is exactly the done
-  // frontier. Merge state is a pure function of the leaf summaries, so
-  // nothing else needs saving.
-  const std::uint64_t fingerprint =
-      ooc_fingerprint(config_, gpu_config.index_backend, points.size());
-  const std::filesystem::path checkpoint_path = ooc_dir / "checkpoint.mrck";
-  std::vector<std::uint8_t> leaf_done(leaf_count, 0);
+  // Leaves run in chunks: a resident run is one chunk of every leaf; out
+  // of core, a chunk is working_set leaves, so at most that many are
+  // loaded at once, and a checkpoint lands after every chunk so a kill
+  // forfeits one chunk of work (DESIGN §15). A leaf is `done` once its
+  // summary packet, ready time, stats, and label spill exist; the
+  // manifest is exactly the done frontier. Merge state is a pure
+  // function of the leaf summaries, so nothing else needs saving.
+  const std::filesystem::path checkpoint_path = spool / "checkpoint.mrck";
+  std::uint64_t fingerprint = 0;
+  std::size_t chunk = leaf_count;
+  if (ooc) {
+    chunk = std::max<std::size_t>(1, config_.ooc.working_set);
+    if (config_.ooc.checkpoint || config_.ooc.resume) {
+      fingerprint = ooc_fingerprint(config_, gpu_config, points);
+    }
+    if (config_.ooc.resume) {
+      fault::CheckpointManifest manifest =
+          fault::load_checkpoint(checkpoint_path, fingerprint);
+      MRSCAN_REQUIRE_MSG(manifest.total_leaves == leaf_count,
+                         "checkpoint leaf count does not match this run");
+      for (auto& entry : manifest.entries) {
+        const std::size_t rank = entry.rank;
+        if (!store.spill_intact(rank, entry.labels_bytes)) continue;
+        leaf_packets[rank] = mrnet::Packet(std::move(entry.summary));
+        leaf_ready[rank] = entry.ready_seconds;
+        result.leaf_stats[rank] = decode_gpu_stats(std::move(entry.stats));
+        leaf_done[rank] = 1;
+        ++result.ooc_leaves_restored;
+      }
+    }
+    reg.set("ooc.working_set", static_cast<double>(chunk));
+    reg.add("ooc.leaves_restored", result.ooc_leaves_restored);
+    reg.add("ooc.chunks", 0);
+    reg.add("ooc.leaves_clustered", 0);
+    reg.add("ooc.checkpoint_writes", 0);
+    reg.add("ooc.checkpoint_bytes", 0);
+    reg.add("ooc.mapped_bytes", 0);
+  }
   const auto save_ooc_checkpoint = [&]() {
+    const obs::LayerSpan span(recorder.get(), "fault.checkpoint");
     fault::CheckpointManifest manifest;
     manifest.fingerprint = fingerprint;
     manifest.total_leaves = leaf_count;
@@ -421,7 +566,7 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
       fault::CheckpointEntry entry;
       entry.rank = static_cast<std::uint32_t>(leaf);
       entry.ready_seconds = leaf_ready[leaf];
-      entry.labels_bytes = ooc_labels_bytes(seg_counts[leaf].owned);
+      entry.labels_bytes = store.kept_bytes(leaf);
       entry.stats = encode_gpu_stats(result.leaf_stats[leaf]);
       const auto packet_bytes = leaf_packets[leaf].bytes();
       entry.summary.assign(packet_bytes.begin(), packet_bytes.end());
@@ -433,30 +578,6 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
     reg.add("ooc.checkpoint_bytes", bytes);
   };
 
-  if (ooc && config_.ooc.resume) {
-    fault::CheckpointManifest manifest =
-        fault::load_checkpoint(checkpoint_path, fingerprint);
-    MRSCAN_REQUIRE_MSG(manifest.total_leaves == leaf_count,
-                       "checkpoint leaf count does not match this run");
-    for (auto& entry : manifest.entries) {
-      const std::size_t rank = entry.rank;
-      // Trust an entry only if its label spill survived intact; a leaf
-      // whose spill is missing or short is simply re-clustered.
-      std::error_code ec;
-      const std::uintmax_t spill_size =
-          std::filesystem::file_size(ooc_labels_path(ooc_dir, rank), ec);
-      if (ec || spill_size != entry.labels_bytes ||
-          entry.labels_bytes != ooc_labels_bytes(seg_counts[rank].owned)) {
-        continue;
-      }
-      leaf_packets[rank] = mrnet::Packet(std::move(entry.summary));
-      leaf_ready[rank] = entry.ready_seconds;
-      result.leaf_stats[rank] = decode_gpu_stats(std::move(entry.stats));
-      leaf_done[rank] = 1;
-      ++result.ooc_leaves_restored;
-    }
-  }
-
   util::ThreadPool pool(config_.host_threads);
   // Per-task pool instrumentation is hot-path cost, so the observer is
   // attached only when tracing (DESIGN §9).
@@ -464,75 +585,55 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   if (tracing) pool.set_observer(&pool_metrics);
   {
     obs::PhaseScope scope(*recorder, "cluster");
-    // Per-leaf body shared by both modes; every iteration writes only
-    // its own slots of leaf_* / result.leaf_stats (DESIGN §8).
-    const auto run_leaf = [&](std::size_t leaf) {
-      std::optional<obs::Tracer::WallScope> span;
-      if (tracing) {
-        span.emplace(tracer, "cluster leaf " + std::to_string(leaf),
-                     "leaf");
-      }
-      if (injector && injector->leaf_killed_before_cluster(
-                          static_cast<std::uint32_t>(leaf))) {
-        // The leaf process died before any clustering work; its partition
-        // is re-read and clustered on a sibling during the reduction.
-        return;
-      }
-      const double read_time = leaf_read_seconds(leaf);
-      auto summary = ooc ? ooc_cluster_leaf(leaf) : cluster_leaf(leaf);
-      leaf_packets[leaf] = std::move(summary.first);
-      leaf_ready[leaf] = read_time + summary.second;
-      leaf_done[leaf] = 1;
-    };
-
-    if (!ooc) {
-      pool.parallel_for(0, leaf_count, run_leaf);
+    // The per-leaf loop is the host-side concurrency the paper's
+    // thousands of leaves give for free (§3.2); a ThreadPool supplies it.
+    // Every iteration writes only its own slots of leaf_* /
+    // result.leaf_stats and the store, and the cross-leaf
+    // gpu_dbscan_seconds max is reduced after the merge barrier (so
+    // recovery re-runs are included too) — which is what keeps the
+    // output bit-identical for any worker count (DESIGN §8).
+    std::size_t fresh_clustered = 0;
+    for (std::size_t begin = 0; begin < leaf_count; begin += chunk) {
+      const std::size_t end = std::min(leaf_count, begin + chunk);
+      const auto done_in_chunk = [&] {
+        return static_cast<std::size_t>(std::count(
+            leaf_done.begin() + static_cast<std::ptrdiff_t>(begin),
+            leaf_done.begin() + static_cast<std::ptrdiff_t>(end), 1));
+      };
+      const std::size_t done_before = done_in_chunk();
+      pool.parallel_for(begin, end, [&](std::size_t leaf) {
+        if (leaf_done[leaf] != 0) return;  // restored from checkpoint
+        const obs::LayerSpan span(recorder.get(), "cluster leaf", leaf,
+                                  "leaf");
+        if (injector && injector->leaf_killed_before_cluster(
+                            static_cast<std::uint32_t>(leaf))) {
+          // The leaf process died before any clustering work; its
+          // partition is re-read and clustered on a sibling during the
+          // reduction.
+          return;
+        }
+        const double read_time = leaf_read_seconds(leaf);
+        auto summary = cluster_leaf(leaf);
+        leaf_packets[leaf] = std::move(summary.first);
+        leaf_ready[leaf] = read_time + summary.second;
+        leaf_done[leaf] = 1;
+      });
       // parallel_for rethrows the first leaf failure; any concurrent ones
       // must have been counted, never silently swallowed.
       MRSCAN_ASSERT_MSG(pool.dropped_exceptions() == 0,
                         "cluster phase swallowed a worker exception");
-    } else {
-      // Stream leaves through the bounded working set: at most
-      // working_set leaves are mapped/resident at once, and a checkpoint
-      // lands after every chunk so a kill forfeits one chunk of work.
-      const std::size_t working_set =
-          std::max<std::size_t>(1, config_.ooc.working_set);
-      reg.set("ooc.working_set", static_cast<double>(working_set));
-      reg.add("ooc.leaves_restored", result.ooc_leaves_restored);
-      reg.add("ooc.chunks", 0);
-      reg.add("ooc.leaves_clustered", 0);
-      reg.add("ooc.checkpoint_writes", 0);
-      reg.add("ooc.checkpoint_bytes", 0);
-      reg.add("ooc.mapped_bytes", 0);
-      std::size_t fresh_clustered = 0;
-      for (std::size_t begin = 0; begin < leaf_count;
-           begin += working_set) {
-        const std::size_t end = std::min(leaf_count, begin + working_set);
-        const std::size_t done_before =
-            static_cast<std::size_t>(std::count(
-                leaf_done.begin() + static_cast<std::ptrdiff_t>(begin),
-                leaf_done.begin() + static_cast<std::ptrdiff_t>(end), 1));
-        pool.parallel_for(begin, end, [&](std::size_t leaf) {
-          if (leaf_done[leaf] != 0) return;  // restored from checkpoint
-          run_leaf(leaf);
-        });
-        MRSCAN_ASSERT_MSG(pool.dropped_exceptions() == 0,
-                          "cluster phase swallowed a worker exception");
-        const std::size_t done_after =
-            static_cast<std::size_t>(std::count(
-                leaf_done.begin() + static_cast<std::ptrdiff_t>(begin),
-                leaf_done.begin() + static_cast<std::ptrdiff_t>(end), 1));
-        fresh_clustered += done_after - done_before;
-        reg.add("ooc.chunks", 1);
-        reg.add("ooc.leaves_clustered", done_after - done_before);
-        if (config_.ooc.checkpoint) save_ooc_checkpoint();
-        if (config_.ooc.abort_after_leaves != 0 &&
-            fresh_clustered >= config_.ooc.abort_after_leaves) {
-          throw OocAborted(
-              "mrscan: out-of-core run aborted after " +
-              std::to_string(fresh_clustered) +
-              " freshly clustered leaves (OocOptions::abort_after_leaves)");
-        }
+      if (!ooc) continue;
+      const std::size_t fresh = done_in_chunk() - done_before;
+      fresh_clustered += fresh;
+      reg.add("ooc.chunks", 1);
+      reg.add("ooc.leaves_clustered", fresh);
+      if (config_.ooc.checkpoint) save_ooc_checkpoint();
+      if (config_.ooc.abort_after_leaves != 0 &&
+          fresh_clustered >= config_.ooc.abort_after_leaves) {
+        throw OocAborted(
+            "mrscan: out-of-core run aborted after " +
+            std::to_string(fresh_clustered) +
+            " freshly clustered leaves (OocOptions::abort_after_leaves)");
       }
     }
   }
@@ -560,14 +661,13 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
         [&](std::uint32_t rank, double detected_at_s,
             double& recovery_cost_s) {
           // The adopting sibling re-reads the dead leaf's materialized
-          // partition from the PFS and re-clusters it from scratch.
-          // Runs on the event-loop thread after the cluster-phase barrier,
-          // so refilling the dead rank's leaf_* slots cannot race the
-          // (already joined) cluster workers. Out-of-core runs really do
-          // re-read: the segment file is mapped and clustered afresh.
+          // partition and re-clusters it from scratch. Runs on the
+          // event-loop thread after the cluster-phase barrier, so
+          // refilling the dead rank's slots cannot race the (already
+          // joined) cluster workers.
           const double reread = partition::segment_reread_seconds(
               seg_counts[rank], config_.titan.lustre);
-          auto summary = ooc ? ooc_cluster_leaf(rank) : cluster_leaf(rank);
+          auto summary = cluster_leaf(rank);
           recovery_cost_s = reread + summary.second;
           if (tracing) {
             const std::uint32_t track = topology.leaves()[rank];
@@ -590,6 +690,7 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
         std::move(leaf_packets),
         [&](std::uint32_t node, std::vector<mrnet::Packet> children,
             std::uint64_t& ops) {
+          const obs::LayerSpan span(recorder.get(), "merge.merge");
           // Per-child deserialization is independent (each Reader holds
           // its own cursor); fan it out slot-by-slot on the pool. The
           // merge itself needs all children and stays sequential.
@@ -639,15 +740,18 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   result.sim.cluster_merge = result.merge_net.last_op_seconds;
 
   // ---- Sweep phase: global ids travel back down (§3.4). ----
-  const merge::MergeSummary root_summary =
-      merge::MergeSummary::from_packet(root_packet);
-  const sweep::GlobalAssignment assignment =
-      sweep::assign_global_ids(root_summary);
-  result.cluster_count = assignment.cluster_count;
-
-  std::vector<std::int64_t> root_ids(assignment.cluster_count);
-  for (std::size_t i = 0; i < root_ids.size(); ++i) {
-    root_ids[i] = static_cast<std::int64_t>(i);
+  std::vector<std::int64_t> root_ids;
+  {
+    const obs::LayerSpan span(recorder.get(), "sweep.assign");
+    const merge::MergeSummary root_summary =
+        merge::MergeSummary::from_packet(root_packet);
+    const sweep::GlobalAssignment assignment =
+        sweep::assign_global_ids(root_summary);
+    result.cluster_count = assignment.cluster_count;
+    root_ids.resize(assignment.cluster_count);
+    for (std::size_t i = 0; i < root_ids.size(); ++i) {
+      root_ids[i] = static_cast<std::int64_t>(i);
+    }
   }
 
   // The sweep runs on its own network over the same tree (scatter keeps
@@ -658,12 +762,6 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
                            config_.titan.cpu_op_rate);
   sweep_net.set_observer(recorder.get(), sweep_base, "sweep");
   double scatter_seconds = 0.0;
-  // Out-of-core runs stream records to disk as each leaf callback fires
-  // on the deterministic simulated event loop — the same order a
-  // resident run appends to result.output, so the file is byte-identical
-  // to the resident records (DESIGN §8, §15).
-  std::optional<io::LabeledFileWriter> ooc_writer;
-  if (ooc) ooc_writer.emplace(ooc_dir / "output.labeled");
   {
     obs::PhaseScope scope(*recorder, "sweep");
     scatter_seconds = sweep_net.scatter(
@@ -689,42 +787,14 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
           }
           return pack_id_map(child_ids);
         },
+        // Leaves are delivered on the deterministic simulated event loop,
+        // so the records land in the same order in either mode (DESIGN
+        // §8, §15).
         [&](std::uint32_t leaf_rank, const mrnet::Packet& packet) {
-          const std::vector<std::int64_t> global_of_local =
-              unpack_id_map(packet);
-          if (!ooc) {
-            auto records = sweep::label_owned_points(
-                std::span<const geom::Point>(leaf_points[leaf_rank])
-                    .first(segments[leaf_rank].owned.size()),
-                leaf_labels[leaf_rank], global_of_local,
-                config_.keep_noise);
-            result.output.insert(result.output.end(), records.begin(),
-                                 records.end());
-            return;
-          }
-          // Re-map just this leaf's owned points and its label spill;
-          // both are dropped again when the callback returns.
-          const io::MappedSegment seg(
-              io::segment_file_path(ooc_dir, leaf_rank));
-          reg.add("ooc.mapped_bytes", seg.mapped_bytes());
-          const geom::PointSet owned = seg.decode_owned();
-          const dbscan::Labeling labels = read_owned_labels(
-              ooc_labels_path(ooc_dir, leaf_rank), owned.size());
-          const auto records = sweep::label_owned_points(
-              owned, labels, global_of_local, config_.keep_noise);
-          for (const sweep::LabeledPoint& record : records) {
-            ooc_writer->append(record.point, record.cluster);
-          }
+          store.sweep(leaf_rank, unpack_id_map(packet));
         });
   }
-  if (ooc) {
-    ooc_writer->close();
-    result.output_path = ooc_dir / "output.labeled";
-    result.output_records = ooc_writer->records();
-    reg.add("ooc.output_records", result.output_records);
-  } else {
-    result.output_records = result.output.size();
-  }
+  store.finish(result);
   result.sweep_net = sweep_net.stats();
   mrnet::record_network_stats(*recorder, "sweep", result.sweep_net);
 

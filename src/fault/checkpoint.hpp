@@ -48,9 +48,11 @@ struct CheckpointEntry {
 };
 
 struct CheckpointManifest {
-  /// FNV-1a over the run configuration + input invariants; a mismatch on
-  /// load means the checkpoint belongs to a different run and must not
-  /// be restored.
+  /// Word-wise FNV-1a over every input point (id, x, y, weight) and every
+  /// setting a restored entry depends on: the plan's, the leaf kernels',
+  /// and the machine-model terms of a leaf's stats and ready time. A
+  /// mismatch on load means the checkpoint belongs to a different run and
+  /// must not be restored.
   std::uint64_t fingerprint = 0;
   std::uint64_t total_leaves = 0;
   std::vector<CheckpointEntry> entries;

@@ -79,6 +79,21 @@ PhaseScope::~PhaseScope() {
   }
 }
 
+LayerSpan::LayerSpan(Recorder* recorder, const char* name,
+                     const char* category) {
+  if (recorder != nullptr && recorder->tracing()) {
+    scope_.emplace(recorder->tracer(), name, category);
+  }
+}
+
+LayerSpan::LayerSpan(Recorder* recorder, const char* name, std::size_t index,
+                     const char* category) {
+  if (recorder != nullptr && recorder->tracing()) {
+    scope_.emplace(recorder->tracer(),
+                   std::string(name) + ' ' + std::to_string(index), category);
+  }
+}
+
 void PoolMetrics::on_enqueue(std::size_t queue_depth) {
   registry_.add("pool.tasks");
   registry_.observe("pool.queue_depth", static_cast<double>(queue_depth));

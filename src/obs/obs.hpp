@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "obs/export.hpp"
@@ -88,6 +89,23 @@ class PhaseScope {
   std::string phase_;
   util::Timer timer_;
   double trace_begin_;
+};
+
+/// A wall span over one layer of a phase, opened only while `recorder`
+/// traces: untraced, it builds no name and reads no clock (DESIGN §9).
+/// The indexed form names the span "<name> <index>", e.g. "cluster leaf
+/// 3". `recorder` may be null.
+class LayerSpan {
+ public:
+  LayerSpan(Recorder* recorder, const char* name,
+            const char* category = "layer");
+  LayerSpan(Recorder* recorder, const char* name, std::size_t index,
+            const char* category);
+  LayerSpan(const LayerSpan&) = delete;
+  LayerSpan& operator=(const LayerSpan&) = delete;
+
+ private:
+  std::optional<Tracer::WallScope> scope_;
 };
 
 /// Adapter publishing util::ThreadPool activity into the registry:

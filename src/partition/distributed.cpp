@@ -14,20 +14,6 @@ namespace mrscan::partition {
 
 namespace {
 
-/// A wall span over one layer of the phase (histogram, plan, materialize,
-/// spill), created only while the run is traced.
-class LayerSpan {
- public:
-  LayerSpan(obs::Recorder* recorder, const char* name) {
-    if (recorder != nullptr && recorder->tracing()) {
-      scope_.emplace(recorder->tracer(), name, "layer");
-    }
-  }
-
- private:
-  std::optional<obs::Tracer::WallScope> scope_;
-};
-
 /// Serialise a histogram as (code, count) pairs.
 mrnet::Packet pack_histogram(const index::CellHistogram& hist) {
   mrnet::Packet p;
@@ -147,7 +133,7 @@ PartitionPhaseResult run_phase(
   net.set_observer(config.recorder, 0.0, "partition");
   index::CellHistogram hist;
   {
-    const LayerSpan span(config.recorder, "partition.histogram");
+    const obs::LayerSpan span(config.recorder, "partition.histogram");
     const mrnet::Packet root_packet = net.reduce(
         leaf_histograms(), [](std::uint32_t,
                               std::vector<mrnet::Packet> children,
@@ -165,7 +151,7 @@ PartitionPhaseResult run_phase(
   }
 
   {
-    const LayerSpan span(config.recorder, "partition.plan");
+    const obs::LayerSpan span(config.recorder, "partition.plan");
     result.plan = plan_partitions(hist, geometry, config.planner);
     // Deterministic cost model: the serial planner walks every cell a
     // small constant number of times (packing + shadow + rebalance).
@@ -208,8 +194,6 @@ PartitionPhaseResult run_distributed_partitioner(
       box.empty() ? 0.0 : box.min_x, box.empty() ? 0.0 : box.min_y,
       config.eps / static_cast<double>(config.planner.cell_refine)};
 
-  const bool tracing =
-      config.recorder != nullptr && config.recorder->tracing();
   util::ThreadPool pool(config.host_threads);
   // Each partitioner node histograms a disjoint slice and writes only its
   // own packet slot, so the build fans out on the host pool; the packets
@@ -218,11 +202,7 @@ PartitionPhaseResult run_distributed_partitioner(
     std::vector<mrnet::Packet> leaf_packets(workers);
     const std::size_t chunk = (points.size() + workers - 1) / workers;
     pool.parallel_for(0, workers, [&](std::size_t w) {
-      std::optional<obs::Tracer::WallScope> span;
-      if (tracing) {
-        span.emplace(config.recorder->tracer(),
-                     "histogram node " + std::to_string(w), "leaf");
-      }
+      const obs::LayerSpan span(config.recorder, "histogram node", w, "leaf");
       const std::size_t lo = std::min(points.size(), w * chunk);
       const std::size_t hi = std::min(points.size(), lo + chunk);
       index::CellHistogram local(geometry, points.subspan(lo, hi - lo));
@@ -238,8 +218,8 @@ PartitionPhaseResult run_distributed_partitioner(
       [&](PartitionPhaseResult& result) {
         // The grid build, and the copies when resident, are the
         // materialize layer; out of core, writing the files is the spill.
-        std::optional<LayerSpan> span(std::in_place, config.recorder,
-                                      "partition.materialize");
+        std::optional<obs::LayerSpan> span(std::in_place, config.recorder,
+                                           "partition.materialize");
         const index::Grid grid(geometry, points);
         if (config.spool_dir.empty()) {
           result.segments = materialize_partitions(result.plan, grid, points,

@@ -10,7 +10,6 @@
 #include "data/sdss.hpp"
 #include "data/synthetic.hpp"
 #include "data/twitter.hpp"
-#include "dbscan/disjoint_set.hpp"
 #include "dbscan/sequential.hpp"
 #include "gpu/mrscan_gpu.hpp"
 #include "quality/dbdc.hpp"
@@ -91,13 +90,6 @@ class DbscanEquivalence : public ::testing::TestWithParam<Case> {
 };
 
 }  // namespace
-
-TEST_P(DbscanEquivalence, DisjointSetMatches) {
-  const auto got = md::dbscan_disjoint_set(points_, params_);
-  expect_core_partition_equal(reference_, got);
-  EXPECT_GT(mrscan::quality::dbdc_quality(reference_.cluster, got.cluster),
-            0.995);
-}
 
 TEST_P(DbscanEquivalence, MrScanGpuMatches) {
   mrscan::gpu::MrScanGpuConfig config;

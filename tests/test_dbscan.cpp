@@ -1,11 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
-#include <set>
-
 #include "data/synthetic.hpp"
-#include "dbscan/disjoint_set.hpp"
 #include "dbscan/sequential.hpp"
 #include "geometry/point.hpp"
 
@@ -26,24 +21,6 @@ std::vector<std::uint8_t> brute_core(const mg::PointSet& pts,
     core[i] = count >= params.min_pts ? 1 : 0;
   }
   return core;
-}
-
-/// True when two labelings induce the same partition of the point set
-/// (same clusters up to id renaming) and the same noise set.
-bool same_partition(const md::Labeling& a, const md::Labeling& b) {
-  if (a.size() != b.size()) return false;
-  std::map<md::ClusterId, md::ClusterId> fwd, bwd;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const bool a_noise = a.cluster[i] < 0;
-    const bool b_noise = b.cluster[i] < 0;
-    if (a_noise != b_noise) return false;
-    if (a_noise) continue;
-    auto [fit, fnew] = fwd.emplace(a.cluster[i], b.cluster[i]);
-    if (!fnew && fit->second != b.cluster[i]) return false;
-    auto [bit, bnew] = bwd.emplace(b.cluster[i], a.cluster[i]);
-    if (!bnew && bit->second != a.cluster[i]) return false;
-  }
-  return true;
 }
 
 mg::PointSet two_blob_data(std::vector<int>* truth = nullptr) {
@@ -137,46 +114,6 @@ TEST(SequentialDbscan, NoiseRelabelledAsBorderWhenReachedLater) {
   const auto labels = md::dbscan_sequential(pts, md::DbscanParams{1.0, 5});
   EXPECT_GE(labels.cluster[0], 0);
   EXPECT_FALSE(labels.core[0]);
-}
-
-TEST(DisjointSetDbscan, MatchesSequentialOnBlobs) {
-  const auto pts = two_blob_data();
-  const md::DbscanParams params{0.3, 4};
-  const auto seq = md::dbscan_sequential(pts, params);
-  const auto dsu = md::dbscan_disjoint_set(pts, params);
-  EXPECT_EQ(seq.core, dsu.core);
-  EXPECT_EQ(seq.cluster_count(), dsu.cluster_count());
-  // Core-point cluster structure must agree exactly (border ties may not).
-  md::Labeling seq_cores, dsu_cores;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    if (!seq.core[i]) continue;
-    seq_cores.cluster.push_back(seq.cluster[i]);
-    dsu_cores.cluster.push_back(dsu.cluster[i]);
-  }
-  EXPECT_TRUE(same_partition(seq_cores, dsu_cores));
-}
-
-TEST(DisjointSetDbscan, MatchesSequentialOnUniformData) {
-  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    const auto pts = mrscan::data::uniform_points(
-        600, mg::BBox{0.0, 0.0, 8.0, 8.0}, seed);
-    const md::DbscanParams params{0.45, 4};
-    const auto seq = md::dbscan_sequential(pts, params);
-    const auto dsu = md::dbscan_disjoint_set(pts, params);
-    EXPECT_EQ(seq.core, dsu.core) << "seed " << seed;
-    EXPECT_EQ(seq.cluster_count(), dsu.cluster_count()) << "seed " << seed;
-    EXPECT_EQ(seq.noise_count(), dsu.noise_count()) << "seed " << seed;
-  }
-}
-
-TEST(DisjointSetDbscan, StatsAreReported) {
-  const auto pts = two_blob_data();
-  md::DisjointSetStats stats;
-  md::dbscan_disjoint_set(pts, md::DbscanParams{0.3, 4}, &stats);
-  EXPECT_GT(stats.neighbor_queries, pts.size());
-  EXPECT_GT(stats.union_ops, 0u);
-  // Union ops are bounded by n-1 per component merge sequence.
-  EXPECT_LT(stats.union_ops, pts.size());
 }
 
 TEST(Labeling, RenumberCompactsIds) {

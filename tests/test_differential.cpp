@@ -14,6 +14,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 
 #include "cluster_equiv.hpp"
@@ -23,6 +24,8 @@
 #include "data/synthetic.hpp"
 #include "data/twitter.hpp"
 #include "dbscan/sequential.hpp"
+#include "geometry/bbox.hpp"
+#include "geometry/cell.hpp"
 #include "quality/dbdc.hpp"
 #include "sweep/sweep.hpp"
 
@@ -51,6 +54,21 @@ mc::MrScanConfig make_config(double eps, std::size_t min_pts,
   config.partition_nodes = 2;
   config.host_threads = host_threads_from_env();
   return config;
+}
+
+/// Read a streamed labeled binary output back as the resident
+/// result.output record vector.
+std::vector<mrscan::sweep::LabeledPoint> read_labeled(
+    const std::filesystem::path& path) {
+  mrscan::io::LabeledFileReader reader(path);
+  std::vector<mrscan::sweep::LabeledPoint> records;
+  records.reserve(reader.records());
+  mg::Point point;
+  std::int64_t cluster = 0;
+  while (reader.next(point, cluster)) {
+    records.push_back(mrscan::sweep::LabeledPoint{point, cluster});
+  }
+  return records;
 }
 
 void expect_matches_oracle(const mg::PointSet& points,
@@ -208,6 +226,31 @@ TEST(Differential, FaultMatrixUnderHostThreadsStaysBitIdentical) {
   EXPECT_TRUE(faulty.output == baseline.output)
       << "faulty threaded run diverged from the sequential fault-free run";
   EXPECT_EQ(faulty.cluster_count, baseline.cluster_count);
+
+  // The same plan out of core: recovery re-maps each dead leaf's segment
+  // file and re-spills its labels, and the run must still stream the
+  // fault-free records and charge exactly what the resident faulty run
+  // charged.
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("mrscan_fault_ooc_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  for (const std::size_t threads : {1UL, 4UL}) {
+    auto ooc_cfg = cfg;
+    ooc_cfg.host_threads = threads;
+    ooc_cfg.ooc.enabled = true;
+    ooc_cfg.ooc.dir = root / ("ht" + std::to_string(threads));
+    ooc_cfg.ooc.working_set = 2;
+    const auto streamed = mc::MrScan(ooc_cfg).run(points);
+    const std::string context = "ooc host_threads " + std::to_string(threads);
+    EXPECT_EQ(streamed.fault.leaves_recovered, 2u) << context;
+    EXPECT_TRUE(read_labeled(streamed.output_path) == baseline.output)
+        << context << ": streamed records differ from the fault-free run";
+    EXPECT_EQ(streamed.sim.total(), faulty.sim.total()) << context;
+    EXPECT_TRUE(streamed.leaf_stats == faulty.leaf_stats) << context;
+  }
+  fs::remove_all(root);
 }
 
 TEST(Differential, ClusterAlgoSweepAcrossDatasetsStaysBitIdentical) {
@@ -412,25 +455,6 @@ TEST(Differential, FaultMatrixCoversTheCellGraphPath) {
                                             baseline.labels_for(points)));
 }
 
-namespace {
-
-/// Read a streamed labeled binary output back as the resident
-/// result.output record vector.
-std::vector<mrscan::sweep::LabeledPoint> read_labeled(
-    const std::filesystem::path& path) {
-  mrscan::io::LabeledFileReader reader(path);
-  std::vector<mrscan::sweep::LabeledPoint> records;
-  records.reserve(reader.records());
-  mg::Point point;
-  std::int64_t cluster = 0;
-  while (reader.next(point, cluster)) {
-    records.push_back(mrscan::sweep::LabeledPoint{point, cluster});
-  }
-  return records;
-}
-
-}  // namespace
-
 TEST(Differential, OutOfCoreRunIsByteIdenticalToResident) {
   // DESIGN §15's headline contract: streaming leaves through a bounded
   // working set changes peak memory only — the streamed output records,
@@ -528,6 +552,79 @@ TEST(Differential, OutOfCoreRunIsByteIdenticalToResident) {
   }
 
   fs::remove_all(root);
+}
+
+TEST(Differential, ResumeRefusesACheckpointOfAnotherInputOrKernel) {
+  // A checkpoint holds leaf results, so it is valid only for the input
+  // and settings that wrote it. Moving one noise point onto a clustered
+  // point of its own Eps cell keeps the input size, the plan and every
+  // leaf's counts, yet changes the answer; flipping dense_box changes
+  // what a restored leaf's stats and ready time hold. Resuming over
+  // either must refuse the manifest instead of restoring stale leaves.
+  namespace fs = std::filesystem;
+  mrscan::data::TwitterConfig tw;
+  tw.num_points = 8000;
+  tw.seed = 19;
+  const auto points = mrscan::data::generate_twitter(tw);
+  auto base_cfg = make_config(0.1, 20, 24, 4);
+  base_cfg.host_threads = 1;
+  const auto baseline = mc::MrScan(base_cfg).run(points);
+
+  // The first noise point strictly inside the bounding box (so the grid
+  // origin stays put) that shares its cell with a clustered point.
+  const auto labels = baseline.labels_for(points);
+  const mg::BBox box = mg::bbox_of(points);
+  const mg::GridGeometry grid{box.min_x, box.min_y, base_cfg.params.eps};
+  auto moved = points;
+  bool found = false;
+  for (std::size_t i = 0; i < points.size() && !found; ++i) {
+    const mg::Point& p = points[i];
+    if (labels[i] != md::kNoise || p.x <= box.min_x || p.x >= box.max_x ||
+        p.y <= box.min_y || p.y >= box.max_y) {
+      continue;
+    }
+    for (std::size_t j = 0; j < points.size() && !found; ++j) {
+      if (labels[j] == md::kNoise ||
+          !(grid.cell_of(points[j]) == grid.cell_of(p))) {
+        continue;
+      }
+      moved[i].x = points[j].x;
+      moved[i].y = points[j].y;
+      found = true;
+    }
+  }
+  ASSERT_TRUE(found);
+  const auto fresh = mc::MrScan(base_cfg).run(moved);
+  ASSERT_FALSE(fresh.output == baseline.output);
+  ASSERT_EQ(fresh.leaves_used, baseline.leaves_used);
+  for (std::size_t leaf = 0; leaf < fresh.leaves_used; ++leaf) {
+    const auto& a = fresh.partition_phase.segment_counts[leaf];
+    const auto& b = baseline.partition_phase.segment_counts[leaf];
+    ASSERT_EQ(a.owned, b.owned) << "leaf " << leaf;
+    ASSERT_EQ(a.shadow, b.shadow) << "leaf " << leaf;
+  }
+
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mrscan_ooc_refuse_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  auto ooc_cfg = base_cfg;
+  ooc_cfg.ooc.enabled = true;
+  ooc_cfg.ooc.dir = dir;
+  ooc_cfg.ooc.working_set = 3;
+  mc::MrScan(ooc_cfg).run(points);
+
+  auto resume_cfg = ooc_cfg;
+  resume_cfg.ooc.resume = true;
+  EXPECT_THROW(mc::MrScan(resume_cfg).run(moved), std::runtime_error);
+  auto dense_cfg = resume_cfg;
+  dense_cfg.gpu.dense_box = !dense_cfg.gpu.dense_box;
+  EXPECT_THROW(mc::MrScan(dense_cfg).run(points), std::runtime_error);
+
+  // The run that wrote the checkpoint still resumes from all of it.
+  const auto resumed = mc::MrScan(resume_cfg).run(points);
+  EXPECT_EQ(resumed.ooc_leaves_restored, resumed.leaves_used);
+  EXPECT_TRUE(read_labeled(resumed.output_path) == baseline.output);
+  fs::remove_all(dir);
 }
 
 TEST(Differential, UniformNoiseOnlyYieldsNoClustersAnywhere) {

@@ -23,6 +23,7 @@
 #include "core/mrscan.hpp"
 #include "data/twitter.hpp"
 #include "fault/plan.hpp"
+#include "io/checked_file.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
@@ -268,12 +269,19 @@ TEST(ObsPipeline, TracingLeavesFaultInjectedOutputByteIdentical) {
   }
   EXPECT_TRUE(has_span(spans, "reread leaf 1 partition"));
   EXPECT_TRUE(has_span(spans, "recluster leaf 1"));
-  // The partition phase's layers; a resident run spills nothing.
-  for (const char* layer : {"partition.histogram", "partition.plan",
-                            "partition.materialize"}) {
+  // The partition phase's layers and the run's own: leaves, the merge
+  // filter and the sweep. A resident run maps, spills, appends and
+  // checkpoints nothing.
+  for (const char* layer :
+       {"partition.histogram", "partition.plan", "partition.materialize",
+        "cluster leaf 0", "gpu.dbscan", "merge.summary", "merge.merge",
+        "sweep.assign", "sweep.label"}) {
     EXPECT_TRUE(has_span(spans, layer)) << layer;
   }
-  EXPECT_FALSE(has_span(spans, "partition.spill"));
+  for (const char* layer : {"partition.spill", "io.map", "io.spill_labels",
+                            "io.append", "fault.checkpoint"}) {
+    EXPECT_FALSE(has_span(spans, layer)) << layer;
+  }
 
   // The disabled run recorded no spans at all.
   ASSERT_NE(off.obs, nullptr);
@@ -309,18 +317,27 @@ TEST(ObsPipeline, OutOfCoreTraceShowsThePartitionSpill) {
   const auto points = obs_points();
   auto cfg = obs_config();
   cfg.fault_plan = {};
-  cfg.observability.enabled = true;
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("mrscan_obs_ooc_" + std::to_string(::getpid()));
   cfg.ooc.enabled = true;
-  cfg.ooc.dir = dir;
+  cfg.ooc.dir = dir / "off";
+  const auto off = mc::MrScan(cfg).run(points);
+  cfg.observability.enabled = true;
+  cfg.ooc.dir = dir / "on";
   const auto result = mc::MrScan(cfg).run(points);
+  // Tracing changes neither the streamed bytes nor a simulated second.
+  EXPECT_EQ(mrscan::io::read_file_bytes(result.output_path),
+            mrscan::io::read_file_bytes(off.output_path));
+  EXPECT_EQ(result.sim.total(), off.sim.total());
   std::filesystem::remove_all(dir);
   ASSERT_NE(result.obs, nullptr);
   const auto spans = result.obs->tracer().spans();
-  for (const char* layer : {"partition.histogram", "partition.plan",
-                            "partition.materialize", "partition.spill"}) {
+  for (const char* layer :
+       {"partition.histogram", "partition.plan", "partition.materialize",
+        "partition.spill", "cluster leaf 0", "io.map", "gpu.dbscan",
+        "merge.summary", "io.spill_labels", "fault.checkpoint",
+        "merge.merge", "sweep.assign", "sweep.label", "io.append"}) {
     EXPECT_TRUE(has_span(spans, layer)) << layer;
   }
 }
