@@ -24,11 +24,12 @@
 #                         tools/obs/check_obs_json.py --bench and
 #                         compared with the committed snapshot by
 #                         tools/bench/compare.py
-#   7. e2e smoke          1-second e2ebench runs of twitter-16L and
-#                         sdss-256L-ooc (seed 1); each must report
-#                         "correct": true, which pins the labeled text
-#                         output's raw bytes and sim_s to
-#                         e2ebench/reference.json
+#   7. e2e smoke          1-second e2ebench runs of twitter-16L,
+#                         sdss-256L-ooc and serve-twitter-100k (seed 1);
+#                         each must report "correct": true, which pins
+#                         the batch runs' labeled text output bytes, the
+#                         serve run's epoch-128 snapshot, and every
+#                         run's sim_s to e2ebench/reference.json
 #   8. asan-ubsan preset  full suite under ASan+UBSan with
 #                         MRSCAN_CHECK_INVARIANTS=ON and MRSCAN_WERROR=ON
 #   9. tsan preset        full suite (incl. the `stress`-labeled tests)
@@ -217,10 +218,10 @@ fi
 
 # End-to-end smoke: short benchmark runs at the seed whose reference is
 # recorded; a "correct": false result means the output bytes, the
-# clustering or sim_s moved (e2ebench/README.md).
+# clustering, the serve snapshot or sim_s moved (e2ebench/README.md).
 e2e_smoke() {
   local workload result
-  for workload in twitter-16L sdss-256L-ooc; do
+  for workload in twitter-16L sdss-256L-ooc serve-twitter-100k; do
     result=$(python3 e2ebench/run.py --workload "$workload" --seed 1 \
                --seconds 1 | tail -n 1) || return 1
     python3 -c 'import json, sys

@@ -17,6 +17,19 @@
 
 namespace mrscan::cluster {
 
+/// Cell side for the cell-graph formulation: Eps / (2 * sqrt(2)), i.e. a
+/// cell diagonal of Eps/2, so every pair of points sharing a cell is
+/// mutually within Eps. Both cell-graph grids put their origin at (0,0),
+/// so a point's cell never depends on which other points share its leaf.
+inline double cell_graph_side(double eps) {
+  return eps * 0.3535533905932738;  // 1 / (2 * sqrt(2))
+}
+
+/// Cells at Chebyshev distance d have boxes at least (d-1) * side apart;
+/// with side Eps/(2*sqrt(2)) the largest d whose corner gap
+/// sqrt(2)*(d-1)*side can still be <= Eps is 3.
+inline constexpr std::int32_t kCellGraphRings = 3;
+
 /// Squared gap between two boxes (0 for touching/overlapping): the
 /// Eps-reachability prefilter for a cell-pair connection — when the gap
 /// between the cells' core-point bounding boxes exceeds Eps, no core

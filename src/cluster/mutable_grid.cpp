@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <limits>
 
 #include "util/assert.hpp"
 
@@ -27,22 +25,6 @@ const RingTable& ring_table() {
   return table;
 }
 
-// Cell indices a point may occupy: the ring-3 neighbourhood of every
-// admitted cell must still be representable in int32.
-constexpr double kMinIndex =
-    static_cast<double>(std::numeric_limits<std::int32_t>::min()) +
-    kCellGraphRings;
-constexpr double kMaxIndex =
-    static_cast<double>(std::numeric_limits<std::int32_t>::max()) -
-    kCellGraphRings;
-
-std::optional<std::int32_t> checked_index(double coord, double side) {
-  const double index = std::floor(coord / side);
-  // NaN fails both comparisons; +-inf fails one of them.
-  if (!(index >= kMinIndex && index <= kMaxIndex)) return std::nullopt;
-  return static_cast<std::int32_t>(index);
-}
-
 }  // namespace
 
 geom::CellKey ring_offset(int k) {
@@ -51,10 +33,10 @@ geom::CellKey ring_offset(int k) {
 
 std::optional<std::uint64_t> MutableCellGrid::code_of(
     const geom::Point& p) const {
-  const auto ix = checked_index(p.x, side_);
-  const auto iy = checked_index(p.y, side_);
-  if (!ix || !iy) return std::nullopt;
-  return geom::cell_code(geom::CellKey{*ix, *iy});
+  const auto key =
+      geom::GridGeometry{0.0, 0.0, side_}.checked_cell_of(p, kCellGraphRings);
+  if (!key) return std::nullopt;
+  return geom::cell_code(*key);
 }
 
 std::uint32_t MutableCellGrid::neighbor(std::uint32_t cell, int k) const {

@@ -1,15 +1,15 @@
 // The mutable Eps/(2*sqrt(2)) cell grid backing the serving path
 // (DESIGN §14).
 //
-// Where cluster::CellGrid is a batch-built immutable snapshot, this grid
-// lives for the whole service lifetime and absorbs per-epoch inserts and
-// removals. It keeps the CellGrid invariants that make the cell-graph
-// phase deterministic and exact:
+// The batch cell-graph path buckets a leaf's points once, into an
+// immutable index::Grid. This grid instead lives for the whole service
+// lifetime and absorbs per-epoch inserts and removals. It keeps the
+// invariants that make the cell-graph phase deterministic and exact:
 //   * cell side is cluster::cell_graph_side(eps) with the origin fixed at
 //     (0,0), so cell membership never shifts as points come and go;
 //   * cells live in a dense table addressed by a stable cell index; the
-//     code -> index hash index is only looked up, never iterated (like
-//     CellGrid::lookup_), so no result depends on hash order;
+//     code -> index hash index is only looked up, never iterated, so no
+//     result depends on hash order;
 //   * members are kept in ascending point-id order — stable across epochs
 //     because ids are global, not slot-dependent.
 // A cell keeps its index while it is occupied. A cell that empties stays
@@ -27,7 +27,7 @@
 #include <span>
 #include <vector>
 
-#include "cluster/cell_grid.hpp"
+#include "cluster/cell_graph_ops.hpp"
 #include "geometry/cell.hpp"
 #include "geometry/point.hpp"
 

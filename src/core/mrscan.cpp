@@ -14,8 +14,10 @@
 #include <unordered_map>
 #include <utility>
 
+#include "cluster/cell_graph_ops.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/injector.hpp"
+#include "geometry/bbox.hpp"
 #include "io/checked_file.hpp"
 #include "io/labeled_file.hpp"
 #include "io/mapped_segment.hpp"
@@ -323,6 +325,53 @@ std::uint64_t ooc_fingerprint(const MrScanConfig& config,
   return hash;
 }
 
+/// The input-domain contract every batch run checks before its partition
+/// phase: finite coordinates, and cell indices, ring margin included, that
+/// fit in int32 on every grid the run builds. The grids cast coordinates
+/// to cell indices unchecked (geom::GridGeometry::cell_of), and an index
+/// outside int32 would silently change the answer. Each cast is monotone
+/// in the coordinate, so the corners of the input's bounding box bound
+/// every point's cell.
+void require_cell_domain(std::span<const geom::Point> points,
+                         const MrScanConfig& config) {
+  geom::BBox box;
+  for (const geom::Point& p : points) {
+    MRSCAN_REQUIRE_MSG(std::isfinite(p.x) && std::isfinite(p.y),
+                       "point " + std::to_string(p.id) +
+                           " has a non-finite coordinate");
+    box.expand(p);
+  }
+  if (box.empty()) return;
+  const double eps = config.params.eps;
+  const struct {
+    const char* name;
+    bool built;
+    geom::GridGeometry geometry;
+    std::int32_t rings;
+  } grids[] = {
+      {"partition", true,
+       {box.min_x, box.min_y, eps / static_cast<double>(config.cell_refine)},
+       static_cast<std::int32_t>(2 * config.cell_refine)},
+      {"cell-graph", config.cluster_algo == cluster::ClusterAlgo::kCellGraph,
+       {0.0, 0.0, cluster::cell_graph_side(eps)},
+       cluster::kCellGraphRings},
+      {"dense-box",
+       config.cluster_algo == cluster::ClusterAlgo::kTwoPass &&
+           config.gpu.dense_box,
+       {0.0, 0.0, 2.0 * eps},
+       1},
+  };
+  const geom::Point lo{0, box.min_x, box.min_y};
+  const geom::Point hi{0, box.max_x, box.max_y};
+  for (const auto& grid : grids) {
+    if (!grid.built) continue;
+    MRSCAN_REQUIRE_MSG(grid.geometry.checked_cell_of(lo, grid.rings) &&
+                           grid.geometry.checked_cell_of(hi, grid.rings),
+                       std::string("the input's extent overflows the ") +
+                           grid.name + " grid's int32 cell indices");
+  }
+}
+
 }  // namespace
 
 MrScan::MrScan(MrScanConfig config) : config_(std::move(config)) {
@@ -334,6 +383,7 @@ MrScan::MrScan(MrScanConfig config) : config_(std::move(config)) {
 }
 
 MrScanResult MrScan::run(std::span<const geom::Point> points) const {
+  require_cell_domain(points, config_);
   MrScanResult result;
 
   // One recorder per run. Its registry is the single source of truth the

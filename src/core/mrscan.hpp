@@ -219,7 +219,9 @@ class MrScan {
 
   const MrScanConfig& config() const { return config_; }
 
-  /// Cluster `points` end to end.
+  /// Cluster `points` end to end. Throws std::invalid_argument when a
+  /// coordinate is not finite or the points' cell indices, ring margin
+  /// included, do not fit in int32 on a grid the run builds.
   MrScanResult run(std::span<const geom::Point> points) const;
 
  private:

@@ -7,8 +7,10 @@
 // address of one such cell relative to a grid origin.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
-#include <functional>
+#include <limits>
+#include <optional>
 
 #include "geometry/point.hpp"
 
@@ -55,33 +57,37 @@ struct GridGeometry {
   double origin_y = 0.0;
   double cell_size = 1.0;  // == Eps
 
+  /// The cell holding `p`. Unchecked: the cast is undefined unless `p`
+  /// lies in the domain checked_cell_of admits, which MrScan::run requires
+  /// of its input on every grid it builds.
   CellKey cell_of(const Point& p) const {
     return CellKey{
         static_cast<std::int32_t>(std::floor((p.x - origin_x) / cell_size)),
         static_cast<std::int32_t>(std::floor((p.y - origin_y) / cell_size))};
   }
 
+  /// cell_of for unchecked input: nullopt when `p` lies outside the
+  /// grid's domain, i.e. has a non-finite coordinate or a cell whose
+  /// `rings`-ring neighbourhood does not fit in int32 cell indices.
+  std::optional<CellKey> checked_cell_of(const Point& p,
+                                         std::int32_t rings) const {
+    const double lo =
+        static_cast<double>(std::numeric_limits<std::int32_t>::min()) + rings;
+    const double hi =
+        static_cast<double>(std::numeric_limits<std::int32_t>::max()) - rings;
+    const double ix = std::floor((p.x - origin_x) / cell_size);
+    const double iy = std::floor((p.y - origin_y) / cell_size);
+    // NaN fails both comparisons; +-inf fails one of them.
+    if (!(ix >= lo && ix <= hi && iy >= lo && iy <= hi)) return std::nullopt;
+    return CellKey{static_cast<std::int32_t>(ix),
+                   static_cast<std::int32_t>(iy)};
+  }
+
   double cell_min_x(CellKey k) const { return origin_x + k.ix * cell_size; }
   double cell_min_y(CellKey k) const { return origin_y + k.iy * cell_size; }
   double cell_max_x(CellKey k) const { return cell_min_x(k) + cell_size; }
   double cell_max_y(CellKey k) const { return cell_min_y(k) + cell_size; }
-  double cell_center_x(CellKey k) const {
-    return cell_min_x(k) + 0.5 * cell_size;
-  }
-  double cell_center_y(CellKey k) const {
-    return cell_min_y(k) + 0.5 * cell_size;
-  }
 };
-
-/// The 8 neighbours of a cell, in deterministic order.
-inline void for_each_neighbor(CellKey k, auto&& fn) {
-  for (std::int32_t dy = -1; dy <= 1; ++dy) {
-    for (std::int32_t dx = -1; dx <= 1; ++dx) {
-      if (dx == 0 && dy == 0) continue;
-      fn(CellKey{k.ix + dx, k.iy + dy});
-    }
-  }
-}
 
 /// All cells within `rings` Chebyshev distance of k (excluding k itself).
 /// With cells of side Eps/rings, these are exactly the cells that can hold

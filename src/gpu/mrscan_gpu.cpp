@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cell_graph_ops.hpp"
-#include "cluster/cell_grid.hpp"
 #include "cluster/union_find.hpp"
 #include "geometry/bbox.hpp"
 #include "gpu/dense_box.hpp"
 #include "gpu/device_layout.hpp"
 #include "index/backend.hpp"
 #include "index/bvh.hpp"
+#include "index/grid.hpp"
 #include "index/kdtree.hpp"
 #include "index/query_scratch.hpp"
 #include "util/assert.hpp"
@@ -101,13 +100,13 @@ struct BvhEngine {
 /// Connect dense boxes that are mutually Eps-reachable. Two dense boxes
 /// whose point sets contain an Eps-close pair belong to one cluster; since
 /// dense points are never expanded, this link must be established
-/// explicitly. Candidate pairs are found through a coarse hash grid over
-/// box centres (boxes are at most (sqrt(2)/2) Eps wide, so Eps-reachable
-/// boxes have centres within 2 Eps). Like the expansion passes, the kernel
-/// spreads its distance computations across `block_count` blocks (one box
-/// per block, round-robin) — charging everything to a single block made
-/// dense-box-heavy runs misreport the simulated kernel time, which is the
-/// max over blocks, not the sum.
+/// explicitly. Candidate pairs are found through a grid of 2 Eps cells
+/// over box centres (boxes are at most (sqrt(2)/2) Eps wide, so
+/// Eps-reachable boxes have centres within 2 Eps). Like the expansion
+/// passes, the kernel spreads its distance computations across
+/// `block_count` blocks (one box per block, round-robin) — charging
+/// everything to a single block made dense-box-heavy runs misreport the
+/// simulated kernel time, which is the max over blocks, not the sum.
 template <typename Tree>
 void connect_dense_boxes(const Tree& tree, const DenseBoxes& dense,
                          double eps, std::uint32_t block_count,
@@ -115,24 +114,14 @@ void connect_dense_boxes(const Tree& tree, const DenseBoxes& dense,
                          cluster::UnionFind& chains, std::uint64_t& collisions,
                          VirtualDevice& device) {
   if (dense.count() < 2) return;
-  const double cell = 2.0 * eps;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
-  auto bucket_of = [&](double x, double y) {
-    const auto ix = static_cast<std::int32_t>(std::floor(x / cell));
-    const auto iy = static_cast<std::int32_t>(std::floor(y / cell));
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ix))
-            << 32) |
-           static_cast<std::uint32_t>(iy);
-  };
-
   const auto leaves = tree.leaves();
-  std::vector<std::pair<double, double>> centers(dense.count());
+  geom::PointSet centers(dense.count());
   for (std::uint32_t b = 0; b < dense.count(); ++b) {
     const auto& box = leaves[dense.leaf_ids[b]].box;
-    centers[b] = {0.5 * (box.min_x + box.max_x),
-                  0.5 * (box.min_y + box.max_y)};
-    buckets[bucket_of(centers[b].first, centers[b].second)].push_back(b);
+    centers[b].x = 0.5 * (box.min_x + box.max_x);
+    centers[b].y = 0.5 * (box.min_y + box.max_y);
   }
+  const index::Grid grid(geom::GridGeometry{0.0, 0.0, 2.0 * eps}, centers);
 
   const double eps2 = eps * eps;
   std::vector<std::uint64_t> block_ops(block_count, 0);
@@ -147,20 +136,11 @@ void connect_dense_boxes(const Tree& tree, const DenseBoxes& dense,
     inflated.min_y -= eps;
     inflated.max_x += eps;
     inflated.max_y += eps;
-    const auto base_ix =
-        static_cast<std::int32_t>(std::floor(centers[a].first / cell));
-    const auto base_iy =
-        static_cast<std::int32_t>(std::floor(centers[a].second / cell));
+    const geom::CellKey base = grid.geometry().cell_of(centers[a]);
     for (std::int32_t dy = -1; dy <= 1; ++dy) {
       for (std::int32_t dx = -1; dx <= 1; ++dx) {
-        const std::uint64_t code =
-            (static_cast<std::uint64_t>(
-                 static_cast<std::uint32_t>(base_ix + dx))
-             << 32) |
-            static_cast<std::uint32_t>(base_iy + dy);
-        const auto it = buckets.find(code);
-        if (it == buckets.end()) continue;
-        for (const std::uint32_t b : it->second) {
+        for (const std::uint32_t b :
+             grid.points_in(geom::CellKey{base.ix + dx, base.iy + dy})) {
           if (b <= a) continue;
           if (chains.same(box_chain[a], box_chain[b])) continue;
           const auto& leaf_b = leaves[dense.leaf_ids[b]];
@@ -276,8 +256,10 @@ void cell_graph_dbscan(std::span<const geom::Point> points,
 
   // Cell binning: one O(n) kernel (one op per point, round-robin over
   // blocks) plus the O(cells) wholesale-core mark.
-  const cluster::CellGrid grid(points, cluster::cell_graph_side(eps));
-  const auto cells = grid.cells();
+  const index::Grid grid(
+      geom::GridGeometry{0.0, 0.0, cluster::cell_graph_side(eps)}, points);
+  const auto codes = grid.codes();
+  const std::size_t cell_count = grid.cell_count();
   {
     std::vector<std::uint64_t> block_ops(config.block_count, 0);
     for (std::uint32_t b = 0; b < config.block_count; ++b) {
@@ -285,29 +267,26 @@ void cell_graph_dbscan(std::span<const geom::Point> points,
                      (b < n % config.block_count ? 1 : 0);
     }
     device.account_launch(block_ops);
-    device.account_launch({cells.size()});
+    device.account_launch({cell_count});
   }
-  result.stats.cellgraph_cells = cells.size();
+  result.stats.cellgraph_cells = cell_count;
 
   // ---- Core classification. Cells with >= MinPts points are core
   // wholesale; everyone else gets the exact early-exiting count, issued
   // in the same block_count x points_per_block waves as pass 1 of the
-  // two-pass path.
+  // two-pass path. The sparse work list stays in ascending point order:
+  // it fixes which block each query is charged to.
+  for (std::size_t c = 0; c < cell_count; ++c) {
+    const auto members = grid.members(c);
+    if (members.size() < min_pts) continue;
+    ++result.stats.cellgraph_core_cells;
+    result.stats.cellgraph_wholesale_points += members.size();
+    for (const std::uint32_t p : members) result.labels.core[p] = 1;
+  }
   std::vector<std::uint32_t> work;
   work.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    const auto& cell = cells[grid.cell_of_point(i)];
-    if (cell.size() >= min_pts) {
-      result.labels.core[i] = 1;
-    } else {
-      work.push_back(i);
-    }
-  }
-  for (const auto& cell : cells) {
-    if (cell.size() >= min_pts) {
-      ++result.stats.cellgraph_core_cells;
-      result.stats.cellgraph_wholesale_points += cell.size();
-    }
+    if (!result.labels.core[i]) work.push_back(i);
   }
   {
     const std::size_t wave_size =
@@ -335,20 +314,18 @@ void cell_graph_dbscan(std::span<const geom::Point> points,
   // core point of the cell joins it for free (mutually within Eps).
   cluster::UnionFind chains;
   std::vector<std::uint32_t> chain(n, kNoChain);
-  std::vector<std::uint32_t> cell_chain(cells.size(), kNoChain);
+  std::vector<std::uint32_t> cell_chain(cell_count, kNoChain);
   // Core members per cell (flattened, cell-code order) and the tight
   // bounding box of each cell's core points — the Eps prefilter for the
   // connection kernel below.
   std::vector<std::uint32_t> core_members;
   core_members.reserve(n);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> core_range(
-      cells.size());
-  std::vector<geom::BBox> core_bbox(cells.size());
-  const auto members = grid.members();
-  for (std::uint32_t c = 0; c < cells.size(); ++c) {
+      cell_count);
+  std::vector<geom::BBox> core_bbox(cell_count);
+  for (std::size_t c = 0; c < cell_count; ++c) {
     const auto begin = static_cast<std::uint32_t>(core_members.size());
-    for (std::uint32_t i = cells[c].begin; i < cells[c].end; ++i) {
-      const std::uint32_t p = members[i];
+    for (const std::uint32_t p : grid.members(c)) {
       if (!result.labels.core[p]) continue;
       core_members.push_back(p);
       core_bbox[c].expand(points[p]);
@@ -370,11 +347,11 @@ void cell_graph_dbscan(std::span<const geom::Point> points,
     const double eps2 = eps * eps;
     std::vector<std::uint64_t> block_ops(config.block_count, 0);
     std::uint32_t active = 0;  // round-robin ordinal over core cells
-    for (std::uint32_t ca = 0; ca < cells.size(); ++ca) {
+    for (std::size_t ca = 0; ca < cell_count; ++ca) {
       if (cell_chain[ca] == kNoChain) continue;
       std::uint64_t& ops = block_ops[active % config.block_count];
       ++active;
-      const geom::CellKey key = geom::cell_from_code(cells[ca].code);
+      const geom::CellKey key = geom::cell_from_code(codes[ca]);
       for (std::int32_t dy = -cluster::kCellGraphRings;
            dy <= cluster::kCellGraphRings; ++dy) {
         for (std::int32_t dx = -cluster::kCellGraphRings;
@@ -382,10 +359,9 @@ void cell_graph_dbscan(std::span<const geom::Point> points,
           if (dx == 0 && dy == 0) continue;
           const std::uint64_t ncode =
               geom::cell_code(geom::CellKey{key.ix + dx, key.iy + dy});
-          if (ncode <= cells[ca].code) continue;  // each pair tested once
-          const std::uint32_t cb = grid.find(ncode);
-          if (cb == cluster::CellGrid::kNoCell ||
-              cell_chain[cb] == kNoChain) {
+          if (ncode <= codes[ca]) continue;  // each pair tested once
+          const std::size_t cb = grid.find(ncode);
+          if (cb == index::Grid::npos || cell_chain[cb] == kNoChain) {
             continue;
           }
           if (chains.same(cell_chain[ca], cell_chain[cb])) continue;

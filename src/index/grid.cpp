@@ -30,22 +30,16 @@ Grid::Grid(geom::GridGeometry geometry, std::span<const geom::Point> points)
   offsets_.push_back(static_cast<std::uint32_t>(keyed.size()));
 }
 
-std::size_t Grid::cell_slot(geom::CellKey key) const {
-  const std::uint64_t code = geom::cell_code(key);
+std::size_t Grid::find(std::uint64_t code) const {
   const auto it = std::lower_bound(codes_.begin(), codes_.end(), code);
   if (it == codes_.end() || *it != code) return npos;
   return static_cast<std::size_t>(it - codes_.begin());
 }
 
-bool Grid::has_cell(geom::CellKey key) const {
-  return cell_slot(key) != npos;
-}
-
 std::span<const std::uint32_t> Grid::points_in(geom::CellKey key) const {
-  const std::size_t slot = cell_slot(key);
-  if (slot == npos) return {};
-  return std::span<const std::uint32_t>(order_).subspan(
-      offsets_[slot], offsets_[slot + 1] - offsets_[slot]);
+  const std::size_t ordinal = find(geom::cell_code(key));
+  if (ordinal == npos) return {};
+  return members(ordinal);
 }
 
 }  // namespace mrscan::index

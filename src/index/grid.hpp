@@ -1,12 +1,17 @@
-// Uniform grid bucketing of a point set: the partitioner's cell index.
+// Uniform grid bucketing of a point set: the one immutable point-by-cell
+// index.
 //
-// Cells are Eps (or Eps/k under grid refinement) on a side, so the
-// Eps-neighbourhood of any point lies within its cell's shadow rings — the
-// property the partitioner's shadow regions (§3.1.1) rely on when
-// materialize_partitions copies whole cells into each leaf's segment.
+// Every batch grouping of points by cell goes through it: the
+// partitioner's Eps (or Eps/k under grid refinement) cells, whose shadow
+// rings materialize_partitions copies whole into each leaf's segment
+// (§3.1.1); the cell-graph leaf kernel's Eps/(2*sqrt(2)) cells (DESIGN
+// §12); the dense-box link kernel's buckets of box centres; and the leaf
+// summary's per-cell walk (§3.3).
 //
 // Storage is CSR-style: points are bucketed by cell code, cells are kept
-// sorted by code, and per-cell point index lists are contiguous.
+// sorted by code, and each cell's point indices are contiguous and in
+// ascending index order. Iterating cells by ordinal, and a cell's
+// members(), is therefore deterministic by construction (DESIGN §8).
 #pragma once
 
 #include <cstdint>
@@ -20,27 +25,35 @@ namespace mrscan::index {
 
 class Grid {
  public:
-  /// Bucket `points`; points_in() returns indices into this span.
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  /// Bucket `points`; members() and points_in() return indices into this
+  /// span.
   Grid(geom::GridGeometry geometry, std::span<const geom::Point> points);
 
   const geom::GridGeometry& geometry() const { return geometry_; }
   std::size_t point_count() const { return order_.size(); }
   std::size_t cell_count() const { return codes_.size(); }
 
-  /// Sorted, de-duplicated cell codes of all non-empty cells.
+  /// Sorted, de-duplicated cell codes of all non-empty cells; a cell's
+  /// ordinal is its position here.
   std::span<const std::uint64_t> codes() const { return codes_; }
 
-  bool has_cell(geom::CellKey key) const;
+  /// Ordinal of the cell with this code, or npos when it has no points.
+  std::size_t find(std::uint64_t code) const;
+
+  /// Indices (into the original span) of the points in the cell with this
+  /// ordinal, ascending.
+  std::span<const std::uint32_t> members(std::size_t ordinal) const {
+    return std::span<const std::uint32_t>(order_).subspan(
+        offsets_[ordinal], offsets_[ordinal + 1] - offsets_[ordinal]);
+  }
 
   /// Indices (into the original span) of points in `key`'s cell; empty span
   /// when the cell has no points.
   std::span<const std::uint32_t> points_in(geom::CellKey key) const;
 
  private:
-  std::size_t cell_slot(geom::CellKey key) const;  // npos when absent
-
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
   geom::GridGeometry geometry_;
   std::vector<std::uint64_t> codes_;    // sorted cell codes
   std::vector<std::uint32_t> offsets_;  // size cells+1

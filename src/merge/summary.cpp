@@ -1,9 +1,9 @@
 #include "merge/summary.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "geometry/rep_points.hpp"
+#include "index/grid.hpp"
 #include "util/assert.hpp"
 
 namespace mrscan::merge {
@@ -57,11 +57,9 @@ MergeSummary build_leaf_summary(const LeafSummaryInput& input) {
     return std::binary_search(input.shadow_cells.begin(),
                               input.shadow_cells.end(), code);
   };
-
-  // Boundary cells: shadow cells, plus owned cells adjacent to a shadow
-  // cell — the only cells another leaf can also see.
-  auto is_boundary_cell = [&](std::uint64_t code) {
-    if (is_shadow_cell(code)) return true;
+  // Owned cells adjacent to a shadow cell are boundary cells too: the only
+  // owned cells another leaf can also see.
+  auto is_owned_boundary_cell = [&](std::uint64_t code) {
     if (!is_owned_cell(code)) return false;
     bool boundary = false;
     geom::for_each_neighbor_within(
@@ -72,68 +70,63 @@ MergeSummary build_leaf_summary(const LeafSummaryInput& input) {
     return boundary;
   };
 
-  // Group member point indices by (cluster, cell), boundary cells only.
-  struct CellBucket {
-    std::vector<std::uint32_t> core;
-    std::vector<std::uint32_t> noncore;
-  };
-  // cluster id -> cell code -> bucket
-  std::vector<std::unordered_map<std::uint64_t, CellBucket>> buckets;
-  std::vector<std::uint64_t> owned_points_of;
-
+  MergeSummary summary;
   for (std::uint32_t i = 0; i < input.points.size(); ++i) {
     const dbscan::ClusterId c = labels.cluster[i];
     if (c < 0) continue;
     const auto ci = static_cast<std::size_t>(c);
-    if (ci >= buckets.size()) {
-      buckets.resize(ci + 1);
-      owned_points_of.resize(ci + 1, 0);
-    }
-    if (i < input.owned_count) ++owned_points_of[ci];
-
-    const std::uint64_t code =
-        geom::cell_code(input.geometry.cell_of(input.points[i]));
-    if (!is_boundary_cell(code)) continue;
-    CellBucket& bucket = buckets[ci][code];
-    if (labels.core[i]) {
-      bucket.core.push_back(i);
-    } else {
-      bucket.noncore.push_back(i);
-    }
+    if (ci >= summary.clusters.size()) summary.clusters.resize(ci + 1);
+    if (i < input.owned_count) ++summary.clusters[ci].owned_points;
   }
 
-  MergeSummary summary;
-  summary.clusters.resize(buckets.size());
-  for (std::size_t ci = 0; ci < buckets.size(); ++ci) {
-    ClusterSummary& cluster = summary.clusters[ci];
-    cluster.owned_points = owned_points_of[ci];
-
-    // Deterministic cell order.
-    std::vector<std::uint64_t> codes;
-    codes.reserve(buckets[ci].size());
-    // det-unordered-iter-ok: keys are sorted immediately below
-    for (const auto& [code, bucket] : buckets[ci]) codes.push_back(code);
-    std::sort(codes.begin(), codes.end());
-
-    for (const std::uint64_t code : codes) {
-      const CellBucket& bucket = buckets[ci].at(code);
+  // One walk over the leaf's cells in ascending code, with the boundary
+  // test run once per cell. Each cell's clustered points are grouped by
+  // cluster in ascending point order, and appending to each cluster as
+  // the walk goes keeps its cells in ascending code.
+  const auto point_of = [&](std::uint32_t idx) {
+    const geom::Point& p = input.points[idx];
+    return SummaryPoint{p.id, p.x, p.y};
+  };
+  const index::Grid grid(input.geometry, input.points);
+  std::vector<std::uint32_t> clustered;
+  std::vector<std::uint32_t> core;
+  for (std::size_t ordinal = 0; ordinal < grid.cell_count(); ++ordinal) {
+    const std::uint64_t code = grid.codes()[ordinal];
+    const bool from_shadow = is_shadow_cell(code);
+    if (!from_shadow && !is_owned_boundary_cell(code)) continue;
+    clustered.clear();
+    for (const std::uint32_t idx : grid.members(ordinal)) {
+      if (labels.cluster[idx] >= 0) clustered.push_back(idx);
+    }
+    std::sort(clustered.begin(), clustered.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                if (labels.cluster[a] != labels.cluster[b]) {
+                  return labels.cluster[a] < labels.cluster[b];
+                }
+                return a < b;
+              });
+    for (std::size_t run = 0; run < clustered.size();) {
+      const dbscan::ClusterId c = labels.cluster[clustered[run]];
       CellSummary cell;
       cell.cell_code = code;
-      cell.from_shadow = is_shadow_cell(code);
-      const auto reps = geom::select_cell_representatives(
-          input.geometry, geom::cell_from_code(code), input.points,
-          bucket.core);
-      for (const std::uint32_t idx : reps) {
-        cell.reps.push_back(SummaryPoint{input.points[idx].id,
-                                         input.points[idx].x,
-                                         input.points[idx].y});
+      cell.from_shadow = from_shadow;
+      core.clear();
+      for (; run < clustered.size() && labels.cluster[clustered[run]] == c;
+           ++run) {
+        const std::uint32_t idx = clustered[run];
+        if (labels.core[idx]) {
+          core.push_back(idx);
+        } else {
+          cell.noncore.push_back(point_of(idx));
+        }
       }
-      for (const std::uint32_t idx : bucket.noncore) {
-        cell.noncore.push_back(SummaryPoint{input.points[idx].id,
-                                            input.points[idx].x,
-                                            input.points[idx].y});
+      for (const std::uint32_t idx : geom::select_cell_representatives(
+               input.geometry, geom::cell_from_code(code), input.points,
+               core)) {
+        cell.reps.push_back(point_of(idx));
       }
-      cluster.cells.push_back(std::move(cell));
+      summary.clusters[static_cast<std::size_t>(c)].cells.push_back(
+          std::move(cell));
     }
   }
   return summary;

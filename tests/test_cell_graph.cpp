@@ -1,5 +1,5 @@
-// Cell-graph cluster path: UnionFind (promoted into src/cluster/),
-// CellGrid geometry, and adversarial property tests for the bichromatic
+// Cell-graph cluster path: UnionFind (promoted into src/cluster/), the
+// cell-graph grid's side, and adversarial property tests for the bichromatic
 // closest-pair (BCP) cell connection — the places the formulation could
 // silently diverge from DBSCAN (boundary inclusivity, duplicate mass,
 // degenerate grids, the cell-core rule's exact threshold).
@@ -10,7 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "cluster/cell_grid.hpp"
+#include "cluster/cell_graph_ops.hpp"
 #include "cluster/mutable_grid.hpp"
 #include "cluster/union_find.hpp"
 #include "cluster_equiv.hpp"
@@ -120,64 +120,12 @@ TEST(UnionFind, ValidateAcceptsHeavilyUsedStructure) {
   SUCCEED();
 }
 
-// ---- CellGrid -------------------------------------------------------
+// ---- The cell-graph grid -------------------------------------------
 
-TEST(CellGrid, SideIsEpsOverTwoRootTwo) {
+TEST(CellGraph, SideIsEpsOverTwoRootTwo) {
   const double side = mcl::cell_graph_side(1.0);
   // Cell diagonal = Eps/2: intra-cell pairs are always within Eps.
   EXPECT_NEAR(side * std::sqrt(2.0), 0.5, 1e-12);
-}
-
-TEST(CellGrid, CellsSortedByCodeMembersByIndex) {
-  // Deliberately scrambled input across three cells of side 1.
-  const mg::PointSet pts{{0, 2.5, 0.5}, {1, 0.5, 0.5}, {2, 2.5, 0.5},
-                         {3, 0.5, 2.5}, {4, 0.5, 0.5}};
-  const mcl::CellGrid grid(pts, 1.0);
-  const auto cells = grid.cells();
-  ASSERT_EQ(cells.size(), 3u);
-  for (std::size_t c = 1; c < cells.size(); ++c) {
-    EXPECT_LT(cells[c - 1].code, cells[c].code);
-  }
-  const auto members = grid.members();
-  for (const auto& cell : cells) {
-    for (std::uint32_t i = cell.begin + 1; i < cell.end; ++i) {
-      EXPECT_LT(members[i - 1], members[i]);
-    }
-    for (std::uint32_t i = cell.begin; i < cell.end; ++i) {
-      EXPECT_EQ(grid.cell_of_point(members[i]),
-                static_cast<std::uint32_t>(&cell - cells.data()));
-    }
-  }
-  EXPECT_EQ(grid.find(cells[0].code), 0u);
-  EXPECT_EQ(grid.find(0xdeadbeefULL << 32), mcl::CellGrid::kNoCell);
-}
-
-TEST(CellGrid, GridOriginIsAbsoluteNotPerPointSet) {
-  // The same point must land in the same cell key regardless of what
-  // other points exist — partition boundaries must not shift cells.
-  const mg::Point p{0, 3.7, -1.2};
-  const mcl::CellGrid a(mg::PointSet{p}, 0.5);
-  const mcl::CellGrid b(mg::PointSet{{1, -100.0, 50.0}, p}, 0.5);
-  EXPECT_EQ(a.key_of(p).ix, b.key_of(p).ix);
-  EXPECT_EQ(a.key_of(p).iy, b.key_of(p).iy);
-  EXPECT_EQ(a.cells()[0].code, b.cells()[b.cell_of_point(1)].code);
-}
-
-TEST(CellGrid, BoxDist2OfNeighborAndGapCells) {
-  // Cells (0,0), (1,0), (2,0), (2,2) at side 1.
-  const mg::PointSet pts{
-      {0, 0.5, 0.5}, {1, 1.5, 0.5}, {2, 2.5, 0.5}, {3, 2.5, 2.5}};
-  const mcl::CellGrid grid(pts, 1.0);
-  const auto cells = grid.cells();
-  ASSERT_EQ(cells.size(), 4u);
-  const auto cell_at = [&](std::uint32_t point) {
-    return cells[grid.cell_of_point(point)];
-  };
-  EXPECT_DOUBLE_EQ(grid.box_dist2(cell_at(0), cell_at(0)), 0.0);
-  EXPECT_DOUBLE_EQ(grid.box_dist2(cell_at(0), cell_at(1)), 0.0);  // touch
-  EXPECT_DOUBLE_EQ(grid.box_dist2(cell_at(0), cell_at(2)), 1.0);
-  EXPECT_DOUBLE_EQ(grid.box_dist2(cell_at(0), cell_at(3)), 2.0);  // diag
-  EXPECT_DOUBLE_EQ(grid.box_dist2(cell_at(3), cell_at(0)), 2.0);
 }
 
 // ---- MutableCellGrid (the serving path's grid) ----------------------
@@ -277,9 +225,8 @@ TEST(CellGraph, AxisAlignedCellsThreeApartStillConnect) {
     pts.push_back({i, 0.6 * side, 0.5 * side});
     pts.push_back({100 + i, 3.2 * side, 0.5 * side});
   }
-  const mcl::CellGrid grid(pts, side);
-  ASSERT_EQ(grid.cells().size(), 2u);  // the fixture really spans 2 cells
   const auto result = expect_paths_identical(pts, eps, 5);
+  ASSERT_EQ(result.stats.cellgraph_cells, 2u);  // the fixture spans 2 cells
   expect_matches_sequential(pts, eps, 5, result);
   EXPECT_EQ(result.labels.cluster_count(), 1u);
   EXPECT_EQ(result.stats.cellgraph_core_cells, 2u);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "core/mrscan.hpp"
@@ -191,4 +193,71 @@ TEST(MrScanPipeline, MergesDetectedWhenClustersSpanLeaves) {
   EXPECT_EQ(result.cluster_count, 1u);
   EXPECT_GT(result.merges_detected, 0u);
   EXPECT_GT(result.leaves_used, 1u);
+}
+
+// ---- the input-domain contract ------------------------------------------
+
+namespace {
+
+/// Two 50-point clumps centred at x = `a` and x = `b` (y ~ 0.5), each
+/// tight enough to be one cluster at Eps 0.1 and MinPts 10.
+mg::PointSet two_clumps(double a, double b) {
+  mg::PointSet points;
+  for (const double centre : {a, b}) {
+    for (int i = 0; i < 50; ++i) {
+      points.push_back({points.size(), centre + 0.002 * (i % 7),
+                        0.5 + 0.002 * (i / 7)});
+    }
+  }
+  return points;
+}
+
+}  // namespace
+
+TEST(MrScanDomain, CellIndicesBeyondInt32Throw) {
+  // At Eps 0.1 the clumps' cell indices leave int32 on every grid a run
+  // builds; cast unchecked, they land in one cell.
+  const auto points = two_clumps(3e8, 6e8);
+  for (const auto algo :
+       {mrscan::cluster::ClusterAlgo::kTwoPass,
+        mrscan::cluster::ClusterAlgo::kCellGraph}) {
+    for (const std::size_t leaves : {1UL, 4UL}) {
+      auto config = base_config(0.1, 10, leaves);
+      config.cluster_algo = algo;
+      EXPECT_THROW(mc::MrScan(config).run(points), std::invalid_argument)
+          << mrscan::cluster::to_string(algo) << ", " << leaves << " leaves";
+    }
+  }
+}
+
+TEST(MrScanDomain, NonFiniteCoordinatesThrow) {
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (const bool in_x : {true, false}) {
+      auto points = two_clumps(0.0, 1.0);
+      (in_x ? points[17].x : points[17].y) = bad;
+      for (const auto algo :
+           {mrscan::cluster::ClusterAlgo::kTwoPass,
+            mrscan::cluster::ClusterAlgo::kCellGraph}) {
+        auto config = base_config(0.1, 10, 1);
+        config.cluster_algo = algo;
+        EXPECT_THROW(mc::MrScan(config).run(points), std::invalid_argument)
+            << bad << (in_x ? " in x" : " in y");
+      }
+    }
+  }
+}
+
+TEST(MrScanDomain, WideInputThatFitsClustersOnBothPaths) {
+  // A hundred million Eps-cells apart: well inside int32 on every grid, so
+  // the domain check must let it through, and both paths find both clumps.
+  const auto points = two_clumps(-5e6, 5e6);
+  for (const std::size_t leaves : {1UL, 4UL}) {
+    auto config = base_config(0.1, 10, leaves);
+    const auto two_pass = mc::MrScan(config).run(points);
+    config.cluster_algo = mrscan::cluster::ClusterAlgo::kCellGraph;
+    const auto cell_graph = mc::MrScan(config).run(points);
+    EXPECT_EQ(two_pass.cluster_count, 2u) << leaves << " leaves";
+    EXPECT_EQ(two_pass.output.size(), points.size());
+    EXPECT_EQ(cell_graph.output, two_pass.output) << leaves << " leaves";
+  }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "geometry/bbox.hpp"
 #include "geometry/cell.hpp"
@@ -108,8 +109,8 @@ TEST(Cell, OrderingIsXMajorThenY) {
 
 TEST(Cell, NeighborsAreEightDistinct) {
   std::vector<mg::CellKey> nbrs;
-  mg::for_each_neighbor(mg::CellKey{3, -2},
-                        [&](mg::CellKey k) { nbrs.push_back(k); });
+  mg::for_each_neighbor_within(mg::CellKey{3, -2}, 1,
+                               [&](mg::CellKey k) { nbrs.push_back(k); });
   EXPECT_EQ(nbrs.size(), 8u);
   for (const auto& k : nbrs) {
     EXPECT_NE(k, (mg::CellKey{3, -2}));
@@ -124,5 +125,27 @@ TEST(Cell, GeometryEdgesAndCenter) {
   EXPECT_NEAR(g.cell_min_x(k), 1.3, 1e-12);
   EXPECT_NEAR(g.cell_max_x(k), 1.4, 1e-12);
   EXPECT_NEAR(g.cell_min_y(k), 2.4, 1e-12);
-  EXPECT_NEAR(g.cell_center_y(k), 2.45, 1e-12);
+  EXPECT_NEAR(g.cell_max_y(k), 2.5, 1e-12);
+  EXPECT_EQ(g.cell_of(mg::Point{0, 1.35, 2.45}), k);  // the centre
+}
+
+TEST(Cell, CheckedCellOfRejectsPointsOutsideTheDomain) {
+  const mg::GridGeometry g{-1.0, 2.0, 0.5};
+  const mg::Point inside{0, 0.2, 1.7};
+  EXPECT_EQ(g.checked_cell_of(inside, 2), g.cell_of(inside));
+  EXPECT_EQ(g.checked_cell_of(inside, 2), (mg::CellKey{2, -1}));
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(g.checked_cell_of(mg::Point{0, std::nan(""), 0.0}, 0));
+  EXPECT_FALSE(g.checked_cell_of(mg::Point{0, 0.0, -inf}, 0));
+  EXPECT_FALSE(g.checked_cell_of(mg::Point{0, 1e300, 0.0}, 0));
+  // The last admitted index leaves room for the ring neighbourhood, on
+  // both sides of the origin.
+  const double top = std::numeric_limits<std::int32_t>::max() - 2;
+  const double bottom = std::numeric_limits<std::int32_t>::min() + 2;
+  EXPECT_TRUE(g.checked_cell_of(mg::Point{0, -1.0 + top * 0.5, 2.0}, 2));
+  EXPECT_FALSE(
+      g.checked_cell_of(mg::Point{0, -1.0 + (top + 1) * 0.5, 2.0}, 2));
+  EXPECT_TRUE(g.checked_cell_of(mg::Point{0, -1.0, 2.0 + bottom * 0.5}, 2));
+  EXPECT_FALSE(
+      g.checked_cell_of(mg::Point{0, -1.0, 2.0 + (bottom - 1) * 0.5}, 2));
 }

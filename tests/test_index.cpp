@@ -57,10 +57,34 @@ TEST(Grid, PointsInReturnsCorrectCellMembers) {
   mi::Grid grid(mg::GridGeometry{0.0, 0.0, 1.0}, pts);
   auto cell00 = grid.points_in(mg::CellKey{0, 0});
   ASSERT_EQ(cell00.size(), 2u);
-  EXPECT_TRUE(grid.has_cell(mg::CellKey{-1, -1}));
+  EXPECT_NE(grid.find(mg::cell_code(mg::CellKey{-1, -1})), mi::Grid::npos);
   EXPECT_EQ(grid.points_in(mg::CellKey{-1, -1}).size(), 1u);
-  EXPECT_FALSE(grid.has_cell(mg::CellKey{5, 5}));
+  EXPECT_EQ(grid.find(mg::cell_code(mg::CellKey{5, 5})), mi::Grid::npos);
   EXPECT_TRUE(grid.points_in(mg::CellKey{5, 5}).empty());
+}
+
+TEST(Grid, CellsSortedByCodeMembersByIndex) {
+  // Deliberately scrambled input across three cells of side 1.
+  const mg::PointSet pts{{0, 2.5, 0.5}, {1, 0.5, 0.5}, {2, 2.5, 0.5},
+                         {3, 0.5, 2.5}, {4, 0.5, 0.5}};
+  const mi::Grid grid(mg::GridGeometry{0.0, 0.0, 1.0}, pts);
+  const auto codes = grid.codes();
+  ASSERT_EQ(grid.cell_count(), 3u);
+  std::size_t members = 0;
+  for (std::size_t c = 0; c < grid.cell_count(); ++c) {
+    if (c > 0) {
+      EXPECT_LT(codes[c - 1], codes[c]);
+    }
+    EXPECT_EQ(grid.find(codes[c]), c);
+    const auto cell = grid.members(c);
+    EXPECT_TRUE(std::is_sorted(cell.begin(), cell.end()));
+    for (const std::uint32_t i : cell) {
+      EXPECT_EQ(mg::cell_code(grid.geometry().cell_of(pts[i])), codes[c]);
+    }
+    members += cell.size();
+  }
+  EXPECT_EQ(members, pts.size());
+  EXPECT_EQ(grid.find(0xdeadbeefULL << 32), mi::Grid::npos);
 }
 
 TEST(Index, EveryBackendReportsNonZeroOps) {

@@ -20,6 +20,7 @@
 #include "partition/distributed.hpp"
 #include "partition/materialize.hpp"
 #include "partition/partitioner.hpp"
+#include "pin_digest.hpp"
 
 namespace mg = mrscan::geom;
 namespace mi = mrscan::index;
@@ -387,25 +388,7 @@ TEST(DistributedPartitioner, ModelModeMatchesPlanOfRealMode) {
 
 namespace {
 
-/// FNV-1a over the little-endian bytes of 64-bit words.
-class Digest {
- public:
-  void add(std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (word >> (8 * byte)) & 0xffu;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
-  void add(std::span<const std::uint64_t> words) {
-    add(std::uint64_t{words.size()});
-    for (const std::uint64_t w : words) add(w);
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
+using mrscan::test::Digest;
 
 std::uint64_t plan_digest(const mp::PartitionPlan& plan) {
   Digest d;

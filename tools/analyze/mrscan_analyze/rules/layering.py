@@ -33,7 +33,9 @@ ALLOWED_DEPS: dict[str, tuple[str, ...]] = {
     # atomic-write helpers (fault/checkpoint.cpp, DESIGN §15).
     "fault": ("io", "sim", "util"),
     "mrnet": ("fault", "obs", "sim", "util"),
-    "merge": ("cluster", "dbscan", "geometry", "mrnet", "util"),
+    # merge -> index: the leaf summary walks the leaf's points by cell
+    # through index::Grid, the one immutable point-by-cell index.
+    "merge": ("cluster", "dbscan", "geometry", "index", "mrnet", "util"),
     # sweep -> io: the labeled text writer fails through io::fail, which
     # adds strerror(errno) context to every file failure (DESIGN §15).
     "sweep": ("dbscan", "geometry", "io", "merge", "util"),
