@@ -205,7 +205,7 @@ void BM_GridBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_GridBuild)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_GridBuild)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_HistogramMerge(benchmark::State& state) {
   const geom::GridGeometry geometry{-125.0, 24.0, 0.1};

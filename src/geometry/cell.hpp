@@ -57,6 +57,8 @@ struct GridGeometry {
   double origin_y = 0.0;
   double cell_size = 1.0;  // == Eps
 
+  friend bool operator==(const GridGeometry&, const GridGeometry&) = default;
+
   /// The cell holding `p`. Unchecked: the cast is undefined unless `p`
   /// lies in the domain checked_cell_of admits, which MrScan::run requires
   /// of its input on every grid it builds.

@@ -2,15 +2,19 @@
 
 #include <algorithm>
 
+#include "index/grid.hpp"
+
 namespace mrscan::index {
 
 CellHistogram::CellHistogram(const geom::GridGeometry& geometry,
                              std::span<const geom::Point> points) {
-  entries_.reserve(points.size() / 4 + 1);
-  for (const geom::Point& p : points) {
-    entries_.push_back(Entry{geom::cell_code(geometry.cell_of(p)), 1});
+  // The grid's sort groups the points by cell in ascending code order;
+  // only each cell's count is kept.
+  const Grid grid(geometry, points);
+  entries_.reserve(grid.cell_count());
+  for (std::size_t c = 0; c < grid.cell_count(); ++c) {
+    entries_.push_back(Entry{grid.codes()[c], grid.members(c).size()});
   }
-  normalize();
 }
 
 CellHistogram::CellHistogram(std::vector<Entry> entries)
@@ -66,12 +70,6 @@ std::uint64_t CellHistogram::count_of(geom::CellKey key) const {
       [](const Entry& e, std::uint64_t c) { return e.code < c; });
   if (it == entries_.end() || it->code != code) return 0;
   return it->count;
-}
-
-std::uint64_t CellHistogram::max_cell_count() const {
-  std::uint64_t best = 0;
-  for (const Entry& e : entries_) best = std::max(best, e.count);
-  return best;
 }
 
 }  // namespace mrscan::index

@@ -24,7 +24,7 @@ class CellHistogram {
 
   CellHistogram() = default;
 
-  /// Count `points` into cells of `geometry`.
+  /// Count `points` into cells of `geometry`, through index::Grid's sort.
   CellHistogram(const geom::GridGeometry& geometry,
                 std::span<const geom::Point> points);
 
@@ -39,10 +39,6 @@ class CellHistogram {
 
   std::uint64_t total_points() const;
   std::uint64_t count_of(geom::CellKey key) const;
-
-  /// Largest single-cell count (the paper's "single dense grid cell" that
-  /// bounds strong scaling shows up here).
-  std::uint64_t max_cell_count() const;
 
  private:
   void normalize();  // sort by code and coalesce duplicates

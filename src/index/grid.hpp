@@ -8,10 +8,20 @@
 // §12); the dense-box link kernel's buckets of box centres; and the leaf
 // summary's per-cell walk (§3.3).
 //
-// Storage is CSR-style: points are bucketed by cell code, cells are kept
-// sorted by code, and each cell's point indices are contiguous and in
-// ascending index order. Iterating cells by ordinal, and a cell's
-// members(), is therefore deterministic by construction (DESIGN §8).
+// Storage is CSR-style: cells are kept sorted by code, and each cell's
+// point indices are contiguous and in ascending index order. Iterating
+// cells by ordinal, and a cell's members(), is therefore deterministic by
+// construction (DESIGN §8).
+//
+// The build groups points by cell in linear work, with a stable
+// least-significant-digit radix sort. Each point's code is computed once
+// and ranked in the codes' bounding box, (ux - min_ux) * span_y +
+// (uy - min_uy) over the code's two uint32 halves. The rank orders as
+// the uint64 code does, so codes() comes out ascending, and only the
+// digits of the largest rank are sorted. Point indices enter in
+// ascending order and every pass is stable, so each cell's members leave
+// in ascending order with no tiebreak: the layout is exactly the one a
+// comparison sort of (code, index) pairs gives.
 #pragma once
 
 #include <cstdint>

@@ -11,7 +11,7 @@ io::Segment materialize_partition(const PartitionPlan& plan,
                                   const index::Grid& grid,
                                   std::span<const geom::Point> points,
                                   const MaterializeConfig& config) {
-  MRSCAN_REQUIRE_MSG(grid.geometry().cell_size == plan.geometry.cell_size,
+  MRSCAN_REQUIRE_MSG(grid.geometry() == plan.geometry,
                      "grid geometry does not match the plan");
   MRSCAN_REQUIRE(part_index < plan.parts.size());
 

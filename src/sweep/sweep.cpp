@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 
 #include "io/checked_file.hpp"
@@ -71,9 +72,19 @@ void write_labeled_text(const std::filesystem::path& path,
     cursor = block.data();
   };
   const auto put_double = [&](double value) {
-    cursor = std::to_chars(cursor, block_end, value,
-                           std::chars_format::general, 17)
-                 .ptr;
+    // %.17g prints an integral value below 1e17 (1e17 itself takes an
+    // exponent) as its integer's digits, so the integer formatter writes
+    // the same bytes faster. -0 keeps its sign through to_chars.
+    if (std::abs(value) < 1e17 && value == std::trunc(value) &&
+        !(value == 0.0 && std::signbit(value))) {
+      cursor = std::to_chars(cursor, block_end,
+                             static_cast<std::int64_t>(value))
+                   .ptr;
+    } else {
+      cursor = std::to_chars(cursor, block_end, value,
+                             std::chars_format::general, 17)
+                   .ptr;
+    }
   };
   for (const LabeledPoint& r : records) {
     if (block_end - cursor < kMaxTextRecordBytes) write_block();

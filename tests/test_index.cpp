@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic.hpp"
+#include "data/twitter.hpp"
+#include "geometry/bbox.hpp"
 #include "geometry/point.hpp"
 #include "index/bvh.hpp"
 #include "index/cell_histogram.hpp"
@@ -136,6 +140,175 @@ TEST(Grid, EmptyPointSet) {
   mg::PointSet pts;
   mi::Grid grid(mg::GridGeometry{0.0, 0.0, 1.0}, pts);
   EXPECT_EQ(grid.cell_count(), 0u);
+}
+
+namespace {
+
+/// `n` seeded points at cell centres of the unit grid at the origin, with
+/// cell indices in [lo_x, lo_x + span_x) x [lo_y, lo_y + span_y). Every
+/// fourth point repeats an earlier point's coordinates.
+mg::PointSet points_in_cells(std::size_t n, std::int64_t lo_x,
+                             std::uint64_t span_x, std::int64_t lo_y,
+                             std::uint64_t span_y, std::uint64_t seed) {
+  mrscan::util::Rng rng(seed);
+  mg::PointSet pts;
+  for (std::size_t i = 0; i < n; ++i) {
+    mg::Point p{i, 0.0, 0.0, 1.0f};
+    if (i % 4 == 3) {
+      const mg::Point& twin = pts[rng.next_below(i)];
+      p.x = twin.x;
+      p.y = twin.y;
+    } else {
+      p.x = static_cast<double>(
+                lo_x + static_cast<std::int64_t>(rng.next_below(span_x))) +
+            0.5;
+      p.y = static_cast<double>(
+                lo_y + static_cast<std::int64_t>(rng.next_below(span_y))) +
+            0.5;
+    }
+    pts.push_back(p);
+  }
+  return pts;
+}
+
+/// Grid and CellHistogram against a comparison sort of (code, index)
+/// pairs: the same cells in the same order, each with the same members in
+/// the same order, and the same counts.
+void expect_matches_sorted_pairs(const mg::GridGeometry& g,
+                                 const mg::PointSet& pts) {
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed;
+  for (std::uint32_t i = 0; i < pts.size(); ++i) {
+    keyed.emplace_back(mg::cell_code(g.cell_of(pts[i])), i);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<std::uint64_t> codes;
+  std::vector<std::vector<std::uint32_t>> members;
+  for (std::size_t i = 0; i < keyed.size(); ++i) {
+    if (i == 0 || keyed[i].first != keyed[i - 1].first) {
+      codes.push_back(keyed[i].first);
+      members.emplace_back();
+    }
+    members.back().push_back(keyed[i].second);
+  }
+
+  const mi::Grid grid(g, pts);
+  ASSERT_EQ(grid.cell_count(), codes.size());
+  EXPECT_EQ(grid.point_count(), pts.size());
+  EXPECT_TRUE(std::ranges::equal(grid.codes(), codes));
+  for (std::size_t c = 0; c < codes.size(); ++c) {
+    ASSERT_TRUE(std::ranges::equal(grid.members(c), members[c]))
+        << "cell " << c << " of " << codes.size();
+  }
+
+  const mi::CellHistogram hist(g, pts);
+  ASSERT_EQ(hist.cell_count(), codes.size());
+  for (std::size_t c = 0; c < codes.size(); ++c) {
+    EXPECT_EQ(hist.entries()[c].code, codes[c]);
+    EXPECT_EQ(hist.entries()[c].count, members[c].size());
+  }
+}
+
+}  // namespace
+
+TEST(Grid, MatchesSortedPairsOnTwitterWindows) {
+  // At the origin every Twitter cell has a negative ix; at the data's
+  // lower-left corner every key is non-negative.
+  mrscan::data::TwitterConfig config;
+  config.num_points = 20000;
+  config.seed = 5;
+  const auto pts = mrscan::data::generate_twitter(config);
+  const mg::BBox box = mg::bbox_of(pts);
+  for (const double cell : {0.1, 0.1 / (2.0 * std::sqrt(2.0)), 0.003}) {
+    SCOPED_TRACE(cell);
+    expect_matches_sorted_pairs(mg::GridGeometry{0.0, 0.0, cell}, pts);
+    expect_matches_sorted_pairs(mg::GridGeometry{box.min_x, box.min_y, cell},
+                                pts);
+  }
+}
+
+TEST(Grid, MatchesSortedPairsWhereCodeHalvesWrap) {
+  // Cells on both sides of ix = 0 and iy = 0: the uint32 halves of the
+  // codes span the whole range, so the sort key needs all 64 bits.
+  expect_matches_sorted_pairs(mg::GridGeometry{0.0, 0.0, 1.0},
+                              points_in_cells(5000, -40, 80, -40, 80, 1));
+  expect_matches_sorted_pairs(mg::GridGeometry{0.0, 0.0, 1.0},
+                              points_in_cells(5000, -3, 6, 10, 50, 2));
+  expect_matches_sorted_pairs(mg::GridGeometry{0.0, 0.0, 1.0},
+                              points_in_cells(5000, 10, 50, -3, 6, 3));
+}
+
+TEST(Grid, MatchesSortedPairsAtTheInt32Limits) {
+  // The extreme cells checked_cell_of admits with MrScan's three rings.
+  constexpr std::int32_t kRings = 3;
+  constexpr std::int64_t lo = std::numeric_limits<std::int32_t>::min() + kRings;
+  constexpr std::int64_t hi = std::numeric_limits<std::int32_t>::max() - kRings;
+  const mg::GridGeometry g{0.0, 0.0, 1.0};
+  constexpr auto kSpan = static_cast<std::uint64_t>(hi - lo + 1);
+  mg::PointSet pts = points_in_cells(3000, lo, 4, hi - 3, 4, 4);
+  for (const mg::PointSet& more : {points_in_cells(3000, hi - 3, 4, lo, 4, 5),
+                                   points_in_cells(3000, lo, kSpan, lo, kSpan,
+                                                   6)}) {
+    pts.insert(pts.end(), more.begin(), more.end());
+  }
+  for (const mg::Point& p : pts) {
+    ASSERT_TRUE(g.checked_cell_of(p, kRings).has_value());
+  }
+  expect_matches_sorted_pairs(g, pts);
+}
+
+TEST(Grid, MatchesSortedPairsForOneCellDuplicatesAndNoPoints) {
+  const mg::GridGeometry g{0.0, 0.0, 1.0};
+  expect_matches_sorted_pairs(g, points_in_cells(3000, 7, 1, -7, 1, 7));
+  expect_matches_sorted_pairs(
+      g, mg::PointSet(3000, mg::Point{0, -2.5, 9.25, 1.0f}));
+  expect_matches_sorted_pairs(g, mg::PointSet{});
+}
+
+TEST(Grid, MatchesSortedPairsForEveryKeyWidth) {
+  // Boxes of 2^bits cells on one side of each axis, so the largest key
+  // has exactly `bits` bits: one radix pass up to 11 bits, two up to 22,
+  // three up to 33, six at 62.
+  for (const int bits : {1, 5, 11, 12, 17, 22, 23, 30, 33, 45, 62}) {
+    SCOPED_TRACE(bits);
+    const std::uint64_t span_y = std::uint64_t{1} << std::min(bits / 2, 31);
+    const std::uint64_t span_x = (std::uint64_t{1} << bits) / span_y;
+    const auto lo_y = -static_cast<std::int64_t>(span_y);
+    mg::PointSet pts =
+        points_in_cells(4100, 0, span_x, lo_y, span_y, 100 + bits);
+    // The two corner cells pin the box.
+    pts.push_back({0, 0.5, static_cast<double>(lo_y) + 0.5, 1.0f});
+    pts.push_back({0, static_cast<double>(span_x) - 0.5, -0.5, 1.0f});
+    expect_matches_sorted_pairs(mg::GridGeometry{0.0, 0.0, 1.0}, pts);
+  }
+}
+
+TEST(Grid, MatchesSortedPairsOnSeededBoxes) {
+  // Random boxes anywhere in the int32 cell range, at random origins and
+  // cell sizes, with random point counts.
+  mrscan::util::Rng rng(2024);
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE(seed);
+    const auto span_x = std::uint64_t{1} << rng.next_below(32);
+    const auto span_y = std::uint64_t{1} << rng.next_below(32);
+    const auto lo_x = std::numeric_limits<std::int32_t>::min() + 3 +
+                      static_cast<std::int64_t>(rng.next_below(
+                          (std::uint64_t{1} << 32) - 6 - span_x));
+    const auto lo_y = std::numeric_limits<std::int32_t>::min() + 3 +
+                      static_cast<std::int64_t>(rng.next_below(
+                          (std::uint64_t{1} << 32) - 6 - span_y));
+    const mg::PointSet unit = points_in_cells(rng.next_below(3000), lo_x,
+                                              span_x, lo_y, span_y, seed);
+    // The same cells at another origin and cell size.
+    const mg::GridGeometry g{rng.uniform(-100.0, 100.0),
+                             rng.uniform(-100.0, 100.0),
+                             rng.uniform(0.25, 4.0)};
+    mg::PointSet pts = unit;
+    for (mg::Point& p : pts) {
+      p.x = g.origin_x + p.x * g.cell_size;
+      p.y = g.origin_y + p.y * g.cell_size;
+    }
+    expect_matches_sorted_pairs(g, pts);
+  }
 }
 
 TEST(KDTree, LeavesPartitionThePoints) {
@@ -381,7 +554,7 @@ TEST(CellHistogram, MergeIsAdditive) {
   }
 }
 
-TEST(CellHistogram, AddAndMaxCellCount) {
+TEST(CellHistogram, EntriesForOneCellAdd) {
   // Entries for the same cell add up.
   const mi::CellHistogram hist({{mg::cell_code(mg::CellKey{0, 0}), 5},
                                 {mg::cell_code(mg::CellKey{1, 0}), 3},
@@ -389,7 +562,6 @@ TEST(CellHistogram, AddAndMaxCellCount) {
   EXPECT_EQ(hist.total_points(), 10u);
   EXPECT_EQ(hist.count_of(mg::CellKey{0, 0}), 7u);
   EXPECT_EQ(hist.count_of(mg::CellKey{2, 2}), 0u);
-  EXPECT_EQ(hist.max_cell_count(), 7u);
   EXPECT_EQ(hist.cell_count(), 2u);
 }
 

@@ -238,6 +238,27 @@ TEST(Materialize, SegmentsContainOwnedAndShadowPoints) {
   EXPECT_EQ(total_owned, s.points.size());
 }
 
+TEST(Materialize, GridAtAnotherGeometryThrows) {
+  // A grid at the plan's cell size but another origin buckets the points
+  // into other cells, so its segments would be silently wrong.
+  TestData s(twitter_points(2000), 0.1);
+  const auto plan = mp::plan_partitions(
+      s.hist, s.geometry, mp::PartitionerConfig{4, 4, true, 1.075});
+  mg::GridGeometry shifted_x = s.geometry;
+  shifted_x.origin_x += 0.05;
+  mg::GridGeometry shifted_y = s.geometry;
+  shifted_y.origin_y -= 0.05;
+  mg::GridGeometry other_size = s.geometry;
+  other_size.cell_size *= 2.0;
+  for (const mg::GridGeometry& geometry : {shifted_x, shifted_y, other_size}) {
+    const mi::Grid grid(geometry, s.points);
+    EXPECT_THROW(mp::materialize_partition(plan, 0, grid, s.points),
+                 std::invalid_argument);
+  }
+  const mi::Grid grid(s.geometry, s.points);
+  EXPECT_NO_THROW(mp::materialize_partition(plan, 0, grid, s.points));
+}
+
 TEST(Materialize, ShadowPointsCompleteTheEpsNeighborhood) {
   // Correctness property from §3.1.1: for every owned point, its full
   // Eps-neighbourhood is present in the partition (owned + shadow).

@@ -99,10 +99,16 @@ std::string file_contents(const fs::path& path) {
 
 TEST(Sweep, LabeledTextMatchesStreamFormatting) {
   using dlim = std::numeric_limits<double>;
+  // The integral values bound the integer fast path: 2^53 + 2 is past
+  // the doubles that hold every integer, 99999999999999984 is the largest
+  // double below 1e17, and the next double above 1e17 takes an exponent.
   const std::vector<double> specials{
       0.0,   -0.0,   dlim::denorm_min(),  dlim::max(),
       1e16,  1e17,   dlim::infinity(),    -dlim::infinity(),
-      dlim::quiet_NaN(), std::copysign(dlim::quiet_NaN(), -1.0)};
+      dlim::quiet_NaN(), std::copysign(dlim::quiet_NaN(), -1.0),
+      -1.0,  -42.0,  0x1p53,  0x1p53 + 2.0,
+      99999999999999984.0, -99999999999999984.0,
+      std::nextafter(1e17, dlim::infinity())};
   const std::vector<std::int64_t> clusters{
       std::numeric_limits<std::int64_t>::min(), -1, 0,
       std::numeric_limits<std::int64_t>::max()};
