@@ -22,9 +22,7 @@
 //                     clustering
 //   --index-backend B spatial index the per-leaf kernels traverse:
 //                     "kdtree" (default) or "bvh" (fused traversal,
-//                     DESIGN §13); both yield the same clustering. The
-//                     MRSCAN_INDEX_BACKEND environment override is
-//                     honoured as well.
+//                     DESIGN §13); both yield the same clustering
 //   --keep-noise      include noise points (cluster id -1) in the output
 //   --demo N          instead of --input, generate N synthetic tweets
 //   --trace-out PATH  write a Chrome trace-event JSON of the run
@@ -69,6 +67,8 @@
 //
 // Flag errors are one line on stderr + exit 2 (scripts can pattern-match
 // them); runtime failures are one line + exit 1.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -112,6 +112,28 @@ namespace {
   std::fprintf(stderr, "mrscan_cli: invalid value '%s' for %s (expected %s)\n",
                value, flag, expected);
   std::exit(2);
+}
+
+/// The whole of `value` as a number of type T; anything else (garbage,
+/// a sign on a count, trailing characters, a value out of T's range) is
+/// a bad value.
+template <typename T>
+T parse_number(const char* flag, const char* value, const char* expected) {
+  T parsed{};
+  const char* const end = value + std::strlen(value);
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (ec != std::errc{} || ptr != end) bad_value(flag, value, expected);
+  return parsed;
+}
+
+std::uint64_t parse_count(const char* flag, const char* value) {
+  return parse_number<std::uint64_t>(flag, value, "a count");
+}
+
+std::uint64_t parse_positive_count(const char* flag, const char* value) {
+  const auto n = parse_number<std::uint64_t>(flag, value, "a positive count");
+  if (n == 0) bad_value(flag, value, "a positive count");
+  return n;
 }
 
 [[noreturn]] void bad_flag(const char* flag) {
@@ -271,15 +293,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--output") {
       output = next();
     } else if (arg == "--eps") {
-      eps = std::strtod(next(), nullptr);
+      const char* value = next();
+      eps = parse_number<double>("--eps", value, "a positive distance");
+      if (!std::isfinite(eps) || eps <= 0.0) {
+        bad_value("--eps", value, "a positive distance");
+      }
     } else if (arg == "--minpts") {
-      min_pts = std::strtoull(next(), nullptr, 10);
+      min_pts = parse_positive_count("--minpts", next());
     } else if (arg == "--leaves") {
-      leaves = std::strtoull(next(), nullptr, 10);
+      leaves = parse_positive_count("--leaves", next());
     } else if (arg == "--partition-nodes") {
-      partition_nodes = std::strtoull(next(), nullptr, 10);
+      partition_nodes = parse_positive_count("--partition-nodes", next());
     } else if (arg == "--host-threads") {
-      host_threads = std::strtoull(next(), nullptr, 10);
+      host_threads = parse_count("--host-threads", next());
     } else if (arg == "--cluster-algo") {
       const char* value = next();
       const auto parsed = cluster::parse_cluster_algo(value);
@@ -293,21 +319,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--keep-noise") {
       keep_noise = true;
     } else if (arg == "--demo") {
-      demo_points = std::strtoull(next(), nullptr, 10);
+      demo_points = parse_count("--demo", next());
     } else if (arg == "--ooc-dir") {
       ooc.enabled = true;
       ooc.dir = next();
     } else if (arg == "--working-set") {
-      const char* value = next();
-      ooc.working_set = std::strtoull(value, nullptr, 10);
+      ooc.working_set = parse_positive_count("--working-set", next());
       working_set_given = true;
-      if (ooc.working_set == 0) {
-        bad_value("--working-set", value, "a positive leaf count");
-      }
     } else if (arg == "--resume") {
       ooc.resume = true;
     } else if (arg == "--ooc-abort-after") {
-      ooc.abort_after_leaves = std::strtoull(next(), nullptr, 10);
+      ooc.abort_after_leaves = parse_count("--ooc-abort-after", next());
     } else if (arg == "--trace-out") {
       trace_out = next();
     } else if (arg == "--metrics-out") {
@@ -317,14 +339,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--serve-script") {
       serve.script = next();
     } else if (arg == "--serve-demo") {
-      serve.demo_mutations = std::strtoull(next(), nullptr, 10);
+      serve.demo_mutations = parse_count("--serve-demo", next());
     } else if (arg == "--serve-initial") {
-      serve.demo_initial = std::strtoull(next(), nullptr, 10);
+      serve.demo_initial = parse_count("--serve-initial", next());
     } else if (arg == "--serve-epoch-every") {
-      serve.epoch_every = std::strtoull(next(), nullptr, 10);
-      if (serve.epoch_every == 0) {
-        bad_value("--serve-epoch-every", "0", "a positive batch size");
-      }
+      serve.epoch_every = parse_positive_count("--serve-epoch-every", next());
     } else if (arg == "--serve-dist") {
       const std::string value = next();
       if (value == "twitter") {
@@ -397,9 +416,9 @@ int main(int argc, char** argv) {
     config.observability.metrics_out = metrics_out;
   }
 
-  const core::MrScan pipeline(config);
   core::MrScanResult result;
   try {
+    const core::MrScan pipeline(config);
     result = pipeline.run(points);
   } catch (const core::OocAborted& e) {
     // The checkpoint written just before the abort makes the run

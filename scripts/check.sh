@@ -43,9 +43,7 @@
 #   --no-stress  skip the `stress`-labeled tests in every preset (the
 #                push/PR CI path; a scheduled job runs them)
 #   --coverage   also build + test the `coverage` preset and gate line
-#                coverage of src/gpu/ + src/cluster/ + src/index/ +
-#                src/serve/ + src/dbscan/ + src/partition/ + src/io/ at
-#                80% with
+#                coverage of every src/<module>/ directory at 80% with
 #                tools/coverage/check_coverage.py; the summary JSON lands
 #                in build-coverage/coverage_summary.json (CI uploads it)
 #   --jobs N     parallelism for builds and ctest (default: nproc)
@@ -206,8 +204,7 @@ bench_smoke() {
 run_step "bench-smoke" bench_smoke
 
 # Coverage gate: instrumented build + full suite, then the line-coverage
-# check over the GPGPU cluster phase, the cell-graph module, the spatial
-# index backends and the serving layer. Composes with --quick (the CI
+# check over every module under src/. Composes with --quick (the CI
 # coverage job runs `--quick --coverage`).
 if [[ "$COVERAGE" -eq 1 ]]; then
   run_preset coverage

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -193,8 +191,8 @@ class LeafStore {
     const std::vector<std::uint8_t> bytes = io::read_file_bytes(path);
     std::vector<dbscan::ClusterId> ids(owned_count);
     if (bytes.size() != ids.size() * sizeof(dbscan::ClusterId)) {
-      errno = 0;
-      io::fail(path, "label spill size does not match the leaf's owned count");
+      io::format_fail(path,
+                      "label spill size does not match the leaf's owned count");
     }
     if (!ids.empty()) std::memcpy(ids.data(), bytes.data(), bytes.size());
     return ids;
@@ -488,13 +486,6 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   gpu_config.params = config_.params;
   gpu_config.cluster_algo = config_.cluster_algo;
   gpu_config.index_backend = config_.index_backend;
-  // Environment overlay, the same treatment the obs options get: lets the
-  // differential battery and CI sweep the backend without config plumbing.
-  if (const char* env = std::getenv("MRSCAN_INDEX_BACKEND")) {
-    if (const auto parsed = index::parse_backend(env)) {
-      gpu_config.index_backend = *parsed;
-    }
-  }
 
   std::optional<fault::FaultInjector> injector;
   if (!config_.fault_plan.empty()) {

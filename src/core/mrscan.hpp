@@ -85,8 +85,7 @@ struct MrScanConfig {
   /// DESIGN §12). Both yield identical output.
   cluster::ClusterAlgo cluster_algo = cluster::ClusterAlgo::kTwoPass;
   /// Spatial index the per-leaf kernels traverse (KD-tree oracle or the
-  /// fused-traversal BVH, DESIGN §13). Both yield identical output; run()
-  /// overlays the MRSCAN_INDEX_BACKEND environment override on top.
+  /// fused-traversal BVH, DESIGN §13). Both yield identical output.
   index::Backend index_backend = index::Backend::kKdTree;
   /// Shadow representative-point optimisation threshold (0 = off).
   std::size_t shadow_rep_threshold = 0;

@@ -1,86 +1,62 @@
 #include "fault/checkpoint.hpp"
 
-#include <cerrno>
-#include <cstring>
+#include <span>
 
 #include "io/checked_file.hpp"
+#include "util/bytes.hpp"
 
 namespace mrscan::fault {
 
 namespace {
 
-constexpr char kMagic[4] = {'M', 'R', 'C', 'K'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 8;
+constexpr io::FileFormat kCheckpointFormat{{'M', 'R', 'C', 'K'}, 1,
+                                           "checkpoint manifest"};
 
-void put_bytes(std::vector<std::uint8_t>& buf, const void* src,
-               std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(src);
-  buf.insert(buf.end(), p, p + n);
+/// A blob: its u32 length, then its bytes.
+void append_blob(std::vector<std::uint8_t>& buf,
+                 const std::vector<std::uint8_t>& blob) {
+  util::append(buf, static_cast<std::uint32_t>(blob.size()));
+  util::append_raw(buf, blob.data(), blob.size());
 }
 
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
+bool read_blob(util::ByteReader& in, std::vector<std::uint8_t>& blob) {
+  std::uint32_t len = 0;
+  if (!in.read(len)) return false;
+  const auto bytes = in.take(len);
+  if (!bytes) return false;
+  blob.assign(bytes->begin(), bytes->end());
+  return true;
 }
 
 void append_entry(std::vector<std::uint8_t>& buf,
                   const CheckpointEntry& entry) {
   const std::size_t begin = buf.size();
-  put_bytes(buf, &entry.rank, 4);
-  put_bytes(buf, &entry.ready_seconds, 8);
-  put_bytes(buf, &entry.labels_bytes, 8);
-  const std::uint32_t stats_len =
-      static_cast<std::uint32_t>(entry.stats.size());
-  put_bytes(buf, &stats_len, 4);
-  put_bytes(buf, entry.stats.data(), entry.stats.size());
-  const std::uint32_t summary_len =
-      static_cast<std::uint32_t>(entry.summary.size());
-  put_bytes(buf, &summary_len, 4);
-  put_bytes(buf, entry.summary.data(), entry.summary.size());
-  const std::uint64_t checksum = fnv1a(buf.data() + begin, buf.size() - begin);
-  put_bytes(buf, &checksum, 8);
+  util::append(buf, entry.rank);
+  util::append(buf, entry.ready_seconds);
+  util::append(buf, entry.labels_bytes);
+  append_blob(buf, entry.stats);
+  append_blob(buf, entry.summary);
+  const std::uint64_t checksum =
+      util::fnv1a(std::span<const std::uint8_t>(buf).subspan(begin));
+  util::append(buf, checksum);
 }
 
-/// Reads the entry at `cursor`; returns false (leaving the manifest
-/// untouched) when the remaining bytes are short, damaged, or name an
-/// impossible rank — the torn-tail cases load_checkpoint truncates at.
-bool parse_entry(const std::vector<std::uint8_t>& bytes, std::size_t& cursor,
+/// Reads the entry at `in`'s cursor; returns false when the remaining
+/// bytes are short, damaged, or name an impossible rank — the torn-tail
+/// cases load_checkpoint truncates at.
+bool parse_entry(std::span<const std::uint8_t> bytes, util::ByteReader& in,
                  const CheckpointManifest& manifest, CheckpointEntry& out) {
-  const std::size_t begin = cursor;
-  const auto remaining = [&] { return bytes.size() - cursor; };
-  const auto get = [&](void* dst, std::size_t n) {
-    if (remaining() < n) return false;
-    std::memcpy(dst, bytes.data() + cursor, n);
-    cursor += n;
-    return true;
-  };
-  std::uint32_t stats_len = 0;
-  std::uint32_t summary_len = 0;
-  std::uint64_t checksum = 0;
-  if (!get(&out.rank, 4) || !get(&out.ready_seconds, 8) ||
-      !get(&out.labels_bytes, 8) || !get(&stats_len, 4)) {
+  const std::size_t begin = in.offset();
+  if (!in.read(out.rank) || !in.read(out.ready_seconds) ||
+      !in.read(out.labels_bytes) || !read_blob(in, out.stats) ||
+      !read_blob(in, out.summary)) {
     return false;
   }
-  if (remaining() < stats_len) return false;
-  out.stats.assign(bytes.begin() + static_cast<std::ptrdiff_t>(cursor),
-                   bytes.begin() + static_cast<std::ptrdiff_t>(cursor) +
-                       stats_len);
-  cursor += stats_len;
-  if (!get(&summary_len, 4) || remaining() < summary_len) return false;
-  out.summary.assign(bytes.begin() + static_cast<std::ptrdiff_t>(cursor),
-                     bytes.begin() + static_cast<std::ptrdiff_t>(cursor) +
-                         summary_len);
-  cursor += summary_len;
-  const std::size_t checksummed = cursor - begin;
-  if (!get(&checksum, 8)) return false;
-  if (checksum != fnv1a(bytes.data() + begin, checksummed)) return false;
-  if (out.rank >= manifest.total_leaves) return false;
-  return true;
+  const std::uint64_t expected =
+      util::fnv1a(bytes.subspan(begin, in.offset() - begin));
+  std::uint64_t checksum = 0;
+  return in.read(checksum) && checksum == expected &&
+         out.rank < manifest.total_leaves;
 }
 
 }  // namespace
@@ -88,10 +64,9 @@ bool parse_entry(const std::vector<std::uint8_t>& bytes, std::size_t& cursor,
 std::size_t save_checkpoint(const std::filesystem::path& path,
                             const CheckpointManifest& manifest) {
   std::vector<std::uint8_t> buf;
-  put_bytes(buf, kMagic, 4);
-  put_bytes(buf, &kVersion, 4);
-  put_bytes(buf, &manifest.fingerprint, 8);
-  put_bytes(buf, &manifest.total_leaves, 8);
+  io::append_format_header(buf, kCheckpointFormat);
+  util::append(buf, manifest.fingerprint);
+  util::append(buf, manifest.total_leaves);
   for (const CheckpointEntry& entry : manifest.entries) {
     append_entry(buf, entry);
   }
@@ -102,35 +77,21 @@ std::size_t save_checkpoint(const std::filesystem::path& path,
 CheckpointManifest load_checkpoint(const std::filesystem::path& path,
                                    std::uint64_t expected_fingerprint) {
   const std::vector<std::uint8_t> bytes = io::read_file_bytes(path);
-  errno = 0;
-  if (bytes.size() < kHeaderSize) {
-    io::fail(path, "truncated checkpoint manifest header");
-  }
-  if (std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    io::fail(path, "not a mrscan checkpoint manifest");
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 4, 4);
-  if (version != kVersion) {
-    io::fail(path, "unsupported checkpoint manifest version");
-  }
+  util::ByteReader in(bytes);
+  io::check_format_header(path, in, kCheckpointFormat);
   CheckpointManifest manifest;
-  std::memcpy(&manifest.fingerprint, bytes.data() + 8, 8);
-  std::memcpy(&manifest.total_leaves, bytes.data() + 16, 8);
-  if (manifest.fingerprint != expected_fingerprint) {
-    io::fail(path,
-             "checkpoint manifest does not match this run's configuration");
+  if (!in.read(manifest.fingerprint) || !in.read(manifest.total_leaves)) {
+    io::format_fail(path, "truncated checkpoint manifest header");
   }
-  std::size_t cursor = kHeaderSize;
-  while (cursor < bytes.size()) {
+  if (manifest.fingerprint != expected_fingerprint) {
+    io::format_fail(
+        path, "checkpoint manifest does not match this run's configuration");
+  }
+  while (!in.at_end()) {
     CheckpointEntry entry;
-    const std::size_t entry_start = cursor;
-    if (!parse_entry(bytes, cursor, manifest, entry)) {
-      // Torn tail: everything before `entry_start` checksummed clean, so
-      // restore that prefix and let resume re-cluster the rest.
-      cursor = entry_start;
-      break;
-    }
+    // Torn tail: every entry before it checksummed clean, so restore
+    // that prefix and let resume re-cluster the rest.
+    if (!parse_entry(bytes, in, manifest, entry)) break;
     manifest.entries.push_back(std::move(entry));
   }
   return manifest;

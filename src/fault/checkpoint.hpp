@@ -7,12 +7,13 @@
 // re-runs only the missing leaves, and replays merge + sweep
 // deterministically.
 //
-// Manifest file format (little-endian):
+// Manifest file format, written through util/bytes.hpp (native byte
+// order, which that header static_asserts is little-endian):
 //
 //   magic "MRCK" (4) | version u32 | fingerprint u64 | total_leaves u64
 //   entry*:  rank u32 | ready_seconds f64 | labels_bytes u64
 //            | stats_len u32 | stats bytes | summary_len u32
-//            | summary bytes | fnv1a-of-entry u64
+//            | summary bytes | util::fnv1a of the entry's bytes u64
 //
 // Writes go through io::write_file_atomic (temp + fsync + rename), so a
 // reader sees either the previous complete manifest or the new one.

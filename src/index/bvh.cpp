@@ -31,7 +31,6 @@ BVH::BVH(std::span<const geom::Point> points, BVHConfig config)
   MRSCAN_REQUIRE(config.max_leaf_points >= 1);
   order_.resize(points.size());
   std::iota(order_.begin(), order_.end(), std::uint32_t{0});
-  point_leaf_.resize(points.size());
   if (!points.empty()) {
     // Quantize onto a 2^16 grid over the global box and sort by Morton
     // code; the original index is the tiebreaker so duplicate (and
@@ -86,8 +85,6 @@ std::uint32_t BVH::build(std::uint32_t begin, std::uint32_t end, int depth) {
     node.box = box;
     node.leaf_id = static_cast<std::uint32_t>(leaves_.size());
     leaves_.push_back(Leaf{box, begin, end});
-    for (std::uint32_t i = begin; i < end; ++i)
-      point_leaf_[order_[i]] = node.leaf_id;
     return node_id;
   }
 

@@ -88,9 +88,6 @@ class BVH {
   /// leaf.end) are the members of that leaf.
   std::span<const std::uint32_t> order() const { return order_; }
 
-  /// Leaf id containing the point at original index `idx`.
-  std::uint32_t leaf_of(std::uint32_t idx) const { return point_leaf_[idx]; }
-
   /// Count the Eps-neighbourhood of p, stopping once `at_least` neighbours
   /// have been found (0 = exact count). `ops` accumulates point distance
   /// tests (the KD-tree-parity work unit); `steps` accumulates visited
@@ -210,7 +207,6 @@ class BVH {
   std::vector<Node> nodes_;
   std::vector<Leaf> leaves_;
   std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> point_leaf_;  // per original index
   // SoA coordinate mirror in leaf (Morton) order: leaf_x_[i] / leaf_y_[i]
   // are the coordinates of points_[order_[i]].
   std::vector<double> leaf_x_;

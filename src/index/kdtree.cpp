@@ -12,7 +12,6 @@ KDTree::KDTree(std::span<const geom::Point> points, KDTreeConfig config)
   MRSCAN_REQUIRE(config.max_leaf_points >= 1);
   order_.resize(points.size());
   std::iota(order_.begin(), order_.end(), std::uint32_t{0});
-  point_leaf_.resize(points.size());
   if (!points.empty()) {
     nodes_.reserve(points.size() / config.max_leaf_points * 2 + 2);
     build(0, static_cast<std::uint32_t>(points.size()), 0);
@@ -49,8 +48,6 @@ std::uint32_t KDTree::build(std::uint32_t begin, std::uint32_t end,
     node.axis = -1;
     node.leaf_id = static_cast<std::uint32_t>(leaves_.size());
     leaves_.push_back(Leaf{box, begin, end});
-    for (std::uint32_t i = begin; i < end; ++i)
-      point_leaf_[order_[i]] = node.leaf_id;
     return node_id;
   }
 

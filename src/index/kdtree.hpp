@@ -78,9 +78,6 @@ class KDTree {
   /// members of that leaf.
   std::span<const std::uint32_t> order() const { return order_; }
 
-  /// Leaf id containing the point at original index `idx`.
-  std::uint32_t leaf_of(std::uint32_t idx) const { return point_leaf_[idx]; }
-
   /// Count the Eps-neighbourhood of p, stopping once `at_least` neighbours
   /// have been found (0 = exact count). If `ops` is non-null it is
   /// incremented by the number of point distance computations performed —
@@ -149,7 +146,6 @@ class KDTree {
   std::vector<Node> nodes_;
   std::vector<Leaf> leaves_;
   std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> point_leaf_;  // per original index
   // SoA coordinate mirror in leaf order: leaf_x_[i] / leaf_y_[i] are the
   // coordinates of points_[order_[i]], so leaf scans stream sequentially.
   std::vector<double> leaf_x_;

@@ -22,6 +22,33 @@ namespace mrscan::io {
   throw std::runtime_error(message);
 }
 
+[[noreturn]] void format_fail(const std::filesystem::path& path,
+                              const std::string& what) {
+  errno = 0;
+  fail(path, what);
+}
+
+void append_format_header(std::vector<std::uint8_t>& buf,
+                          const FileFormat& format) {
+  util::append(buf, format.magic);
+  util::append(buf, format.version);
+}
+
+void check_format_header(const std::filesystem::path& path,
+                         util::ByteReader& in, const FileFormat& format) {
+  char magic[4] = {};
+  if (!in.read(magic) || std::memcmp(magic, format.magic, 4) != 0) {
+    format_fail(path, std::string("not a mrscan ") + format.name);
+  }
+  std::uint32_t version = 0;
+  if (!in.read(version)) {
+    format_fail(path, std::string("truncated ") + format.name + " header");
+  }
+  if (version != format.version) {
+    format_fail(path, std::string("unsupported ") + format.name + " version");
+  }
+}
+
 std::vector<std::uint8_t> read_file_bytes(const std::filesystem::path& path) {
   errno = 0;
   std::FILE* f = std::fopen(path.c_str(), "rb");

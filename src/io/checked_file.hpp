@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "util/bytes.hpp"
+
 namespace mrscan::io {
 
 /// Throw std::runtime_error with the failing path, a description of the
@@ -20,6 +22,31 @@ namespace mrscan::io {
 /// errno is 0, e.g. for format-validation failures).
 [[noreturn]] void fail(const std::filesystem::path& path,
                        const std::string& what);
+
+/// fail() for a file whose bytes break its format: errno is cleared
+/// first, so the message carries no stale OS error.
+[[noreturn]] void format_fail(const std::filesystem::path& path,
+                              const std::string& what);
+
+/// A binary file format's identity. Every mrscan binary file (MRSC
+/// points, MRSG segments, MRLB labeled output, MRCK checkpoints) starts
+/// with its 4-byte magic and a u32 version; `name` is what errors call
+/// the format.
+struct FileFormat {
+  char magic[4];
+  std::uint32_t version;
+  const char* name;
+};
+
+/// Append `format`'s magic and version to `buf`.
+void append_format_header(std::vector<std::uint8_t>& buf,
+                          const FileFormat& format);
+
+/// Consume and check the magic and version at `in`'s cursor. Throws
+/// through format_fail(), naming the path and the format, when the bytes
+/// are short, the magic differs or the version is not `format.version`.
+void check_format_header(const std::filesystem::path& path,
+                         util::ByteReader& in, const FileFormat& format);
 
 /// Read an entire file into memory. Throws with errno context on any
 /// failure, including a short read against the stat'd size.

@@ -1,40 +1,35 @@
 #include "io/labeled_file.hpp"
 
 #include <cerrno>
-#include <cstring>
 
 #include "io/checked_file.hpp"
 #include "io/point_file.hpp"
+#include "util/bytes.hpp"
 
 namespace mrscan::io {
 
 namespace {
 
-constexpr char kLabeledMagic[4] = {'M', 'R', 'L', 'B'};
-constexpr std::uint32_t kLabeledVersion = 1;
+constexpr FileFormat kLabeledFormat{{'M', 'R', 'L', 'B'}, 1,
+                                    "labeled output file"};
 constexpr std::size_t kLabeledHeaderSize = 4 + 4;
+/// The writer hands the stream whole blocks: one stream write per record
+/// made appending ~20% slower than copying the record into a block.
+constexpr std::size_t kWriteBlockBytes = std::size_t{1} << 16;
 
 std::uint64_t validated_record_count(const std::filesystem::path& path,
                                      std::ifstream& in) {
   errno = 0;
   if (!in) fail(path, "cannot open");
-  char header[kLabeledHeaderSize];
-  in.read(header, kLabeledHeaderSize);
-  if (!in || std::memcmp(header, kLabeledMagic, 4) != 0) {
-    errno = 0;
-    fail(path, "not a mrscan labeled output file");
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, header + 4, 4);
-  if (version != kLabeledVersion) {
-    errno = 0;
-    fail(path, "unsupported labeled file version");
-  }
-  const std::uintmax_t size = std::filesystem::file_size(path);
-  const std::uintmax_t body = size - kLabeledHeaderSize;
+  std::uint8_t header[kLabeledHeaderSize] = {};
+  in.read(reinterpret_cast<char*>(header), kLabeledHeaderSize);
+  util::ByteReader header_in(
+      {header, static_cast<std::size_t>(in.gcount())});
+  check_format_header(path, header_in, kLabeledFormat);
+  const std::uintmax_t body =
+      std::filesystem::file_size(path) - kLabeledHeaderSize;
   if (body % kLabeledRecordSize != 0) {
-    errno = 0;
-    fail(path, "torn labeled output file (size is not a whole record)");
+    format_fail(path, "torn labeled output file (size is not a whole record)");
   }
   return body / kLabeledRecordSize;
 }
@@ -46,32 +41,39 @@ LabeledFileWriter::LabeledFileWriter(const std::filesystem::path& path)
   errno = 0;
   if (!out_) fail(path_, "cannot open for writing");
   open_ = true;
-  out_.write(kLabeledMagic, 4);
-  out_.write(reinterpret_cast<const char*>(&kLabeledVersion), 4);
-  if (!out_) fail(path_, "write failed");
+  buf_.reserve(kWriteBlockBytes + kLabeledRecordSize);
+  append_format_header(buf_, kLabeledFormat);
 }
 
 LabeledFileWriter::~LabeledFileWriter() {
-  if (open_) out_.close();  // best-effort; close() is the checked path
+  if (!open_) return;
+  // Best-effort, like the stream's own destructor; close() is the
+  // checked path.
+  out_.write(reinterpret_cast<const char*>(buf_.data()),
+             static_cast<std::streamsize>(buf_.size()));
+  out_.close();
 }
 
 void LabeledFileWriter::append(const geom::Point& point,
                                std::int64_t cluster) {
-  char record[kLabeledRecordSize];
-  std::memcpy(record, &point.id, 8);
-  std::memcpy(record + 8, &point.x, 8);
-  std::memcpy(record + 16, &point.y, 8);
-  std::memcpy(record + 24, &point.weight, 4);
-  std::memcpy(record + 28, &cluster, 8);
-  errno = 0;
-  out_.write(record, kLabeledRecordSize);
-  if (!out_) fail(path_, "write failed");
+  encode_binary_record(buf_, point);
+  util::append(buf_, cluster);
   ++records_;
+  if (buf_.size() >= kWriteBlockBytes) write_buf();
+}
+
+void LabeledFileWriter::write_buf() {
+  errno = 0;
+  out_.write(reinterpret_cast<const char*>(buf_.data()),
+             static_cast<std::streamsize>(buf_.size()));
+  buf_.clear();
+  if (!out_) fail(path_, "write failed");
 }
 
 void LabeledFileWriter::close() {
   if (!open_) return;
   open_ = false;
+  write_buf();
   errno = 0;
   out_.flush();
   out_.close();
@@ -85,12 +87,12 @@ LabeledFileReader::LabeledFileReader(const std::filesystem::path& path)
 
 bool LabeledFileReader::next(geom::Point& point, std::int64_t& cluster) {
   if (cursor_ >= records_) return false;
-  char record[kLabeledRecordSize];
+  std::uint8_t record[kLabeledRecordSize] = {};
   errno = 0;
-  in_.read(record, kLabeledRecordSize);
+  in_.read(reinterpret_cast<char*>(record), kLabeledRecordSize);
   if (!in_) fail(path_, "short read");
-  point = decode_binary_record(reinterpret_cast<const std::uint8_t*>(record));
-  std::memcpy(&cluster, record + 28, 8);
+  point = decode_binary_record(record);
+  cluster = util::load<std::int64_t>(record + kBinaryRecordSize);
   ++cursor_;
   return true;
 }

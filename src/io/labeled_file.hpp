@@ -3,7 +3,8 @@
 // Out-of-core runs cannot hold the labeled output resident, so the sweep
 // phase streams records to disk as each leaf's scatter callback fires.
 // Records are io::kLabeledRecordSize bytes — the 28-byte point record
-// followed by the global cluster id (i64) — under a small header:
+// (io::encode_binary_record) followed by the global cluster id (i64) —
+// under a small header, all little-endian through util/bytes.hpp:
 //
 //   magic "MRLB" (4) | version u32                             -- 8 bytes
 //
@@ -23,9 +24,11 @@
 
 namespace mrscan::io {
 
-/// Append-only writer for the labeled binary format. close() (or the
-/// destructor) flushes; close() throws with errno context on failure,
-/// the destructor swallows (use close() on the success path).
+/// Append-only writer for the labeled binary format. Records are
+/// encoded into a block that is written when it fills; close() (or the
+/// destructor) writes the rest and flushes. close() throws with errno
+/// context on failure, the destructor swallows (use close() on the
+/// success path).
 class LabeledFileWriter {
  public:
   explicit LabeledFileWriter(const std::filesystem::path& path);
@@ -39,8 +42,12 @@ class LabeledFileWriter {
   void close();
 
  private:
+  /// Write and clear `buf_`.
+  void write_buf();
+
   std::filesystem::path path_;
   std::ofstream out_;
+  std::vector<std::uint8_t> buf_;  // encoded bytes not yet written
   std::uint64_t records_ = 0;
   bool open_ = false;
 };

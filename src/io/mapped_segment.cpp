@@ -6,57 +6,44 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "io/checked_file.hpp"
 #include "io/point_file.hpp"
+#include "util/bytes.hpp"
 
 namespace mrscan::io {
 
 namespace {
 
-constexpr char kSegMagic[4] = {'M', 'R', 'S', 'G'};
-constexpr std::uint32_t kSegVersion = 1;
+constexpr FileFormat kSegmentFormat{{'M', 'R', 'S', 'G'}, 1, "segment file"};
 constexpr std::size_t kSegHeaderSize = 4 + 4 + 8 + 8;
 
-void put_bytes(std::vector<std::uint8_t>& buf, const void* src,
-               std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(src);
-  buf.insert(buf.end(), p, p + n);
-}
-
-/// Validate magic/version/size against the header and return the counts.
-/// `errno` is cleared first so format failures don't pick up stale codes.
+/// Check the header and that the file holds exactly the records it
+/// declares, and return their counts.
 SegmentCounts parse_header(const std::filesystem::path& path,
-                           const std::uint8_t* data, std::size_t size) {
-  errno = 0;
-  if (size < kSegHeaderSize) fail(path, "truncated segment header");
-  if (std::memcmp(data, kSegMagic, 4) != 0) {
-    fail(path, "not a mrscan segment file");
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, data + 4, 4);
-  if (version != kSegVersion) fail(path, "unsupported segment file version");
+                           std::span<const std::uint8_t> bytes) {
+  util::ByteReader in(bytes);
+  check_format_header(path, in, kSegmentFormat);
   SegmentCounts counts;
-  std::memcpy(&counts.owned, data + 8, 8);
-  std::memcpy(&counts.shadow, data + 16, 8);
-  if (counts.owned > (size - kSegHeaderSize) / kBinaryRecordSize ||
-      counts.shadow > (size - kSegHeaderSize) / kBinaryRecordSize ||
-      kSegHeaderSize + counts.total() * kBinaryRecordSize != size) {
-    fail(path, "segment file size does not match header counts");
+  if (!in.read(counts.owned) || !in.read(counts.shadow)) {
+    format_fail(path, "truncated segment file header");
+  }
+  const std::size_t records = in.remaining() / kBinaryRecordSize;
+  if (counts.owned > records || counts.shadow > records ||
+      counts.total() * kBinaryRecordSize != in.remaining()) {
+    format_fail(path, "segment file size does not match header counts");
   }
   return counts;
 }
 
-geom::PointSet decode_range(const std::uint8_t* records, std::uint64_t first,
-                            std::uint64_t count) {
+geom::PointSet decode_records(const std::uint8_t* records,
+                              std::uint64_t count) {
   geom::PointSet points;
   points.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    points.push_back(
-        decode_binary_record(records + (first + i) * kBinaryRecordSize));
+    points.push_back(decode_binary_record(records + i * kBinaryRecordSize));
   }
   return points;
 }
@@ -69,12 +56,9 @@ void write_segment_file(const std::filesystem::path& path,
   buf.reserve(kSegHeaderSize +
               (segment.owned.size() + segment.shadow.size()) *
                   kBinaryRecordSize);
-  put_bytes(buf, kSegMagic, 4);
-  put_bytes(buf, &kSegVersion, 4);
-  const std::uint64_t owned = segment.owned.size();
-  const std::uint64_t shadow = segment.shadow.size();
-  put_bytes(buf, &owned, 8);
-  put_bytes(buf, &shadow, 8);
+  append_format_header(buf, kSegmentFormat);
+  util::append(buf, std::uint64_t{segment.owned.size()});
+  util::append(buf, std::uint64_t{segment.shadow.size()});
   for (const geom::Point& p : segment.owned) encode_binary_record(buf, p);
   for (const geom::Point& p : segment.shadow) encode_binary_record(buf, p);
   write_file_atomic(path, buf);
@@ -102,8 +86,8 @@ MappedSegment::MappedSegment(const std::filesystem::path& path) {
   // past this point.
   ::close(fd);
   try {
-    counts_ = parse_header(path, static_cast<const std::uint8_t*>(data_),
-                           size_);
+    counts_ = parse_header(
+        path, {static_cast<const std::uint8_t*>(data_), size_});
   } catch (...) {
     release();
     throw;
@@ -138,13 +122,13 @@ void MappedSegment::release() noexcept {
 geom::PointSet MappedSegment::decode_all() const {
   const auto* records =
       static_cast<const std::uint8_t*>(data_) + kSegHeaderSize;
-  return decode_range(records, 0, counts_.total());
+  return decode_records(records, counts_.total());
 }
 
 geom::PointSet MappedSegment::decode_owned() const {
   const auto* records =
       static_cast<const std::uint8_t*>(data_) + kSegHeaderSize;
-  return decode_range(records, 0, counts_.owned);
+  return decode_records(records, counts_.owned);
 }
 
 std::filesystem::path segment_file_path(const std::filesystem::path& dir,

@@ -3,7 +3,8 @@
 // Out-of-core execution (DESIGN §15) materializes the partition phase's
 // output as one binary file per leaf instead of resident io::Segment
 // vectors. The format reuses the 28-byte point record
-// (io::kBinaryRecordSize) under a small header:
+// (io::encode_binary_record) under a small header, all little-endian
+// through util/bytes.hpp:
 //
 //   magic "MRSG" (4) | version u32 | owned u64 | shadow u64   -- 24 bytes
 //   owned records .. shadow records, kBinaryRecordSize each

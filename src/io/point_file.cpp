@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <string_view>
@@ -12,29 +11,15 @@
 #include <vector>
 
 #include "io/checked_file.hpp"
-#include "util/assert.hpp"
+#include "util/bytes.hpp"
 
 namespace mrscan::io {
 
 namespace {
 
-constexpr char kMagic[4] = {'M', 'R', 'S', 'C'};
-constexpr std::uint32_t kVersion = 1;
+constexpr FileFormat kPointFormat{{'M', 'R', 'S', 'C'}, 1,
+                                  "binary point file"};
 constexpr std::size_t kHeaderSize = 4 + 4 + 8;  // magic, version, count
-
-void put_bytes(std::vector<char>& buf, const void* src, std::size_t n) {
-  const char* p = static_cast<const char*>(src);
-  buf.insert(buf.end(), p, p + n);
-}
-
-/// Failure with errno context (io::fail); format-validation failures
-/// clear errno first so they don't pick up a stale code.
-[[noreturn]] void io_fail(const std::filesystem::path& path,
-                          const std::string& what,
-                          bool format_error = false) {
-  if (format_error) errno = 0;
-  fail(path, what);
-}
 
 static_assert(kBinaryRecordSize == sizeof(geom::Point::id) +
                                        sizeof(geom::Point::x) +
@@ -42,106 +27,71 @@ static_assert(kBinaryRecordSize == sizeof(geom::Point::id) +
                                        sizeof(geom::Point::weight),
               "kBinaryRecordSize must match the encoded point layout");
 
-void encode_record(std::vector<char>& buf, const geom::Point& p) {
-  put_bytes(buf, &p.id, 8);
-  put_bytes(buf, &p.x, 8);
-  put_bytes(buf, &p.y, 8);
-  put_bytes(buf, &p.weight, 4);
-}
-
-geom::Point decode_record(const char* data) {
-  geom::Point p;
-  std::memcpy(&p.id, data, 8);
-  std::memcpy(&p.x, data + 8, 8);
-  std::memcpy(&p.y, data + 16, 8);
-  std::memcpy(&p.weight, data + 24, 4);
-  return p;
-}
-
 }  // namespace
 
 void encode_binary_record(std::vector<std::uint8_t>& buf,
                           const geom::Point& p) {
-  const auto put = [&buf](const void* src, std::size_t n) {
-    const auto* bytes = static_cast<const std::uint8_t*>(src);
-    buf.insert(buf.end(), bytes, bytes + n);
-  };
-  put(&p.id, 8);
-  put(&p.x, 8);
-  put(&p.y, 8);
-  put(&p.weight, 4);
+  util::append(buf, p.id);
+  util::append(buf, p.x);
+  util::append(buf, p.y);
+  util::append(buf, p.weight);
 }
 
 geom::Point decode_binary_record(const std::uint8_t* data) {
-  return decode_record(reinterpret_cast<const char*>(data));
+  geom::Point p;
+  p.id = util::load<geom::PointId>(data);
+  p.x = util::load<double>(data + 8);
+  p.y = util::load<double>(data + 16);
+  p.weight = util::load<float>(data + 24);
+  return p;
 }
 
 void write_points_binary(const std::filesystem::path& path,
                          std::span<const geom::Point> points) {
   errno = 0;
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) io_fail(path, "cannot open for writing");
+  if (!out) fail(path, "cannot open for writing");
 
-  std::vector<char> buf;
+  std::vector<std::uint8_t> buf;
   buf.reserve(kHeaderSize + points.size() * kBinaryRecordSize);
-  put_bytes(buf, kMagic, 4);
-  put_bytes(buf, &kVersion, 4);
-  const std::uint64_t count = points.size();
-  put_bytes(buf, &count, 8);
-  for (const geom::Point& p : points) encode_record(buf, p);
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  append_format_header(buf, kPointFormat);
+  util::append(buf, std::uint64_t{points.size()});
+  for (const geom::Point& p : points) encode_binary_record(buf, p);
+  out.write(reinterpret_cast<const char*>(buf.data()),
+            static_cast<std::streamsize>(buf.size()));
   // close() flushes what the stream still buffers; the destructor would
   // swallow a failure there (a full disk).
   out.close();
-  if (!out) io_fail(path, "write failed");
+  if (!out) fail(path, "write failed");
 }
-
-namespace {
-
-std::uint64_t read_header(std::ifstream& in,
-                          const std::filesystem::path& path) {
-  char magic[4];
-  std::uint32_t version = 0;
-  std::uint64_t count = 0;
-  in.read(magic, 4);
-  in.read(reinterpret_cast<char*>(&version), 4);
-  in.read(reinterpret_cast<char*>(&count), 8);
-  if (!in || std::memcmp(magic, kMagic, 4) != 0) {
-    io_fail(path, "not a mrscan binary point file", /*format_error=*/true);
-  }
-  if (version != kVersion) {
-    io_fail(path, "unsupported file version", /*format_error=*/true);
-  }
-  // Validate the declared count against the actual file size before any
-  // allocation: a corrupt header must fail with context, not attempt a
-  // multi-terabyte reserve or silently yield a truncated point set.
-  const std::uintmax_t size = std::filesystem::file_size(path);
-  if (size < kHeaderSize ||
-      count > (size - kHeaderSize) / kBinaryRecordSize) {
-    io_fail(path, "header record count exceeds file size",
-            /*format_error=*/true);
-  }
-  return count;
-}
-
-}  // namespace
 
 geom::PointSet read_points_binary(const std::filesystem::path& path) {
-  errno = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) io_fail(path, "cannot open");
-  const std::uint64_t count = read_header(in, path);
-  return [&] {
-    geom::PointSet points;
-    points.reserve(count);
-    std::vector<char> buf(count * kBinaryRecordSize);
-    in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
-    if (!in) io_fail(path, "truncated point file", /*format_error=*/true);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      points.push_back(decode_record(buf.data() + i * kBinaryRecordSize));
+  const std::vector<std::uint8_t> bytes = read_file_bytes(path);
+  util::ByteReader in(bytes);
+  check_format_header(path, in, kPointFormat);
+  std::uint64_t count = 0;
+  if (!in.read(count)) format_fail(path, "truncated binary point file header");
+  // Checked against the bytes actually present before any allocation: a
+  // corrupt header must fail with context, not attempt a multi-terabyte
+  // reserve or silently yield a truncated point set.
+  if (count > in.remaining() / kBinaryRecordSize) {
+    format_fail(path, "header record count exceeds file size");
+  }
+  const std::uint8_t* records = in.take(count * kBinaryRecordSize)->data();
+  geom::PointSet points;
+  points.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    // Checked where it is stored: checking the decoded copy first makes
+    // it round-trip through the stack, a ~25% slower read.
+    const geom::Point& p = points.emplace_back(
+        decode_binary_record(records + i * kBinaryRecordSize));
+    if (!std::isfinite(p.x) || !std::isfinite(p.y) ||
+        !std::isfinite(p.weight)) {
+      format_fail(path, "non-finite coordinate or weight at record " +
+                            std::to_string(i));
     }
-    return points;
-  }();
+  }
+  return points;
 }
 
 namespace {
@@ -178,7 +128,7 @@ bool parse_field(std::string_view field, T& value) {
 geom::PointSet read_points_text(const std::filesystem::path& path) {
   errno = 0;
   std::ifstream in(path);
-  if (!in) io_fail(path, "cannot open");
+  if (!in) fail(path, "cannot open");
   geom::PointSet points;
   std::string line;
   std::size_t line_no = 0;
@@ -193,13 +143,12 @@ geom::PointSet read_points_text(const std::filesystem::path& path) {
     const std::string_view weight = next_field(line, pos);
     if (!ok || (!weight.empty() && !parse_field(weight, p.weight)) ||
         !next_field(line, pos).empty()) {
-      io_fail(path,
-              "malformed text record at line " + std::to_string(line_no),
-              /*format_error=*/true);
+      format_fail(path,
+                  "malformed text record at line " + std::to_string(line_no));
     }
     points.push_back(p);
   }
-  if (in.bad()) io_fail(path, "read failed");
+  if (in.bad()) fail(path, "read failed");
   return points;
 }
 

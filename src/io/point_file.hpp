@@ -4,7 +4,8 @@
 // where "input points are contained in a single binary or text file" and
 // "each input point has a unique ID number, coordinates, and an optional
 // weight" (§3). Both formats are implemented:
-//   * binary — fixed 28-byte little-endian records under a small header;
+//   * binary — "MRSC" | version u32 | count u64, then fixed 28-byte
+//     records, little-endian through util/bytes.hpp;
 //   * text   — one "id x y [weight]" line per point.
 #pragma once
 
@@ -35,15 +36,19 @@ inline constexpr std::size_t kLabeledRecordSize =
 void write_points_binary(const std::filesystem::path& path,
                          std::span<const geom::Point> points);
 
-/// Read an entire binary point file. Throws on missing/corrupt file.
+/// Read an entire binary point file. Throws std::runtime_error naming
+/// the path on a missing or corrupt file, and on a non-finite x, y or
+/// weight, naming its 0-based record as well.
 geom::PointSet read_points_binary(const std::filesystem::path& path);
 
 /// Append one point's binary record encoding (kBinaryRecordSize bytes,
-/// little-endian) to `buf`. Shared with the per-leaf segment files.
+/// little-endian) to `buf`: the one point-record encoder, shared by the
+/// point, segment and labeled output files.
 void encode_binary_record(std::vector<std::uint8_t>& buf,
                           const geom::Point& p);
 
-/// Decode one binary point record from `data` (kBinaryRecordSize bytes).
+/// Decode one binary point record from `data`, which must hold
+/// kBinaryRecordSize bytes (the callers bounds-check whole record runs).
 geom::Point decode_binary_record(const std::uint8_t* data);
 
 /// Read a text point file, one "id x y [weight]" line per point; the

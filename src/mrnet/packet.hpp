@@ -3,16 +3,17 @@
 // Everything that travels the tree (cell histograms, partition boundaries,
 // cluster summaries, global-id maps) is serialised into Packets, so message
 // sizes — which drive the network cost model — are the real encoded sizes,
-// not estimates.
+// not estimates. Fields go through util/bytes.hpp, the one byte codec
+// the file formats share.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <span>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/bytes.hpp"
 
 namespace mrscan::mrnet {
 
@@ -29,112 +30,57 @@ class Packet {
   /// verifies it at delivery when fault handling is armed, so a bug in the
   /// retransmission path (delivering a moved-from or truncated copy) is
   /// caught at the wire rather than as a wrong clustering.
-  std::uint64_t checksum() const {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const std::uint8_t b : bytes_) {
-      h ^= b;
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
+  std::uint64_t checksum() const { return util::fnv1a(bytes_); }
 
   // -- Writing (appends) --
   void put_u8(std::uint8_t v) { bytes_.push_back(v); }
-  void put_u32(std::uint32_t v) { put_raw(&v, 4); }
-  void put_u64(std::uint64_t v) { put_raw(&v, 8); }
-  void put_i64(std::int64_t v) { put_raw(&v, 8); }
-  void put_f64(double v) { put_raw(&v, 8); }
-  void put_f32(float v) { put_raw(&v, 4); }
-
-  void put_string(const std::string& s) {
-    put_u64(s.size());
-    put_raw(s.data(), s.size());
-  }
+  void put_u64(std::uint64_t v) { util::append(bytes_, v); }
+  void put_f64(double v) { util::append(bytes_, v); }
 
   template <typename T>
   void put_pod_vector(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     put_u64(v.size());
-    put_raw(v.data(), v.size() * sizeof(T));
+    util::append_raw(bytes_, v.data(), v.size() * sizeof(T));
   }
 
-  // -- Reading (cursor-based) --
+  // -- Reading (cursor-based); an underrun throws --
   class Reader {
    public:
-    explicit Reader(const Packet& packet) : packet_(packet) {}
+    explicit Reader(const Packet& packet) : in_(packet.bytes_) {}
 
-    std::uint8_t get_u8() {
-      std::uint8_t v;
-      get_raw(&v, 1);
-      return v;
-    }
-    std::uint32_t get_u32() {
-      std::uint32_t v;
-      get_raw(&v, 4);
-      return v;
-    }
-    std::uint64_t get_u64() {
-      std::uint64_t v;
-      get_raw(&v, 8);
-      return v;
-    }
-    std::int64_t get_i64() {
-      std::int64_t v;
-      get_raw(&v, 8);
-      return v;
-    }
-    double get_f64() {
-      double v;
-      get_raw(&v, 8);
-      return v;
-    }
-    float get_f32() {
-      float v;
-      get_raw(&v, 4);
-      return v;
-    }
-
-    std::string get_string() {
-      const std::uint64_t n = get_u64();
-      std::string s(n, '\0');
-      get_raw(s.data(), n);
-      return s;
-    }
+    std::uint8_t get_u8() { return get<std::uint8_t>(); }
+    std::uint64_t get_u64() { return get<std::uint64_t>(); }
+    double get_f64() { return get<double>(); }
 
     template <typename T>
     std::vector<T> get_pod_vector() {
       static_assert(std::is_trivially_copyable_v<T>);
       const std::uint64_t n = get_u64();
-      std::vector<T> v;
-      if (n == 0) return v;
-      v.resize(n);
-      get_raw(v.data(), n * sizeof(T));
+      // Checked before allocating, so a corrupt count cannot ask for
+      // more elements than the packet holds; the read then cannot fail.
+      MRSCAN_REQUIRE_MSG(n <= in_.remaining() / sizeof(T), "packet underrun");
+      std::vector<T> v(n);
+      (void)in_.read_raw(v.data(), n * sizeof(T));
       return v;
     }
 
-    bool at_end() const { return cursor_ == packet_.bytes_.size(); }
-    std::size_t remaining() const { return packet_.bytes_.size() - cursor_; }
+    bool at_end() const { return in_.at_end(); }
 
    private:
-    void get_raw(void* dst, std::size_t n) {
-      MRSCAN_REQUIRE_MSG(cursor_ + n <= packet_.bytes_.size(),
-                         "packet underrun");
-      std::memcpy(dst, packet_.bytes_.data() + cursor_, n);
-      cursor_ += n;
+    template <typename T>
+    T get() {
+      T v{};
+      MRSCAN_REQUIRE_MSG(in_.read(v), "packet underrun");
+      return v;
     }
 
-    const Packet& packet_;
-    std::size_t cursor_ = 0;
+    util::ByteReader in_;
   };
 
   Reader reader() const { return Reader(*this); }
 
  private:
-  void put_raw(const void* src, std::size_t n) {
-    const auto* p = static_cast<const std::uint8_t*>(src);
-    bytes_.insert(bytes_.end(), p, p + n);
-  }
-
   std::vector<std::uint8_t> bytes_;
 };
 

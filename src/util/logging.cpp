@@ -1,46 +1,14 @@
 #include "util/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace mrscan::util {
 
-namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::Warn)};
-std::mutex g_mutex;
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::Debug: return "DEBUG";
-    case LogLevel::Info: return "INFO";
-    case LogLevel::Warn: return "WARN";
-    case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF";
-  }
-  return "?";
+void log_error(const std::string& msg) {
+  static std::mutex mutex;
+  const std::lock_guard<std::mutex> lock(mutex);
+  std::fprintf(stderr, "[mrscan ERROR] %s\n", msg.c_str());
 }
-}  // namespace
-
-void set_log_level(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel log_level() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
-void log(LogLevel level, const std::string& msg) {
-  if (static_cast<int>(level) <
-      g_level.load(std::memory_order_relaxed))
-    return;
-  std::lock_guard<std::mutex> lock(g_mutex);
-  std::fprintf(stderr, "[mrscan %s] %s\n", level_name(level), msg.c_str());
-}
-
-void log_debug(const std::string& msg) { log(LogLevel::Debug, msg); }
-void log_info(const std::string& msg) { log(LogLevel::Info, msg); }
-void log_warn(const std::string& msg) { log(LogLevel::Warn, msg); }
-void log_error(const std::string& msg) { log(LogLevel::Error, msg); }
 
 }  // namespace mrscan::util

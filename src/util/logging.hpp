@@ -1,26 +1,16 @@
-// Minimal leveled logging to stderr.
+// Diagnostics to stderr.
 //
-// Kept deliberately simple: experiments are driven by bench binaries that
-// print their own tables; the logger is for diagnostics only and defaults
-// to Warn so test output stays clean.
+// Kept deliberately small: experiments are driven by bench binaries that
+// print their own tables, and the library reports through exceptions.
+// The one diagnostic it prints itself is an error it cannot throw (a
+// failed observability export after the run's result is final).
 #pragma once
 
 #include <string>
 
 namespace mrscan::util {
 
-enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
-
-/// Set the global threshold; messages below it are dropped.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/// Emit a message at `level` (thread-safe, single write per line).
-void log(LogLevel level, const std::string& msg);
-
-void log_debug(const std::string& msg);
-void log_info(const std::string& msg);
-void log_warn(const std::string& msg);
+/// Write "[mrscan ERROR] <msg>" to stderr as one line (thread-safe).
 void log_error(const std::string& msg);
 
 }  // namespace mrscan::util

@@ -1,5 +1,6 @@
-// The digest the pin tests (PartitionPin.*, LeafPin.*) compare against
-// recorded values: any change to a digested word changes the digest.
+// The digest the pin tests (PartitionPin.*, LeafPin.*, FormatPin.*)
+// compare against recorded values: any change to a digested word changes
+// the digest.
 #pragma once
 
 #include <bit>
@@ -21,6 +22,11 @@ class Digest {
   void add(std::span<const std::uint64_t> words) {
     add(std::uint64_t{words.size()});
     for (const std::uint64_t w : words) add(w);
+  }
+  /// The byte count, then each byte as one word.
+  void add_bytes(std::span<const std::uint8_t> bytes) {
+    add(std::uint64_t{bytes.size()});
+    for (const std::uint8_t b : bytes) add(std::uint64_t{b});
   }
   std::uint64_t value() const { return hash_; }
 

@@ -57,17 +57,6 @@ TEST(BVH, LeavesPartitionThePoints) {
   EXPECT_EQ(total, pts.size());
 }
 
-TEST(BVH, LeafOfIsConsistentWithLeafRanges) {
-  const auto pts = random_points(500, 51);
-  mi::BVH tree(pts, mi::BVHConfig{16, 0.0});
-  for (std::uint32_t leaf_id = 0; leaf_id < tree.leaves().size(); ++leaf_id) {
-    const auto& leaf = tree.leaves()[leaf_id];
-    for (std::uint32_t i = leaf.begin; i < leaf.end; ++i) {
-      EXPECT_EQ(tree.leaf_of(tree.order()[i]), leaf_id);
-    }
-  }
-}
-
 TEST(BVH, RadiusQueryMatchesBruteForce) {
   const auto pts = random_points(1500, 52);
   mi::BVH tree(pts, mi::BVHConfig{24, 0.0});

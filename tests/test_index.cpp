@@ -327,17 +327,6 @@ TEST(KDTree, LeavesPartitionThePoints) {
   EXPECT_EQ(total, pts.size());
 }
 
-TEST(KDTree, LeafOfIsConsistentWithLeafRanges) {
-  const auto pts = random_points(500, 7);
-  mi::KDTree tree(pts, mi::KDTreeConfig{16, 0.0});
-  for (std::uint32_t leaf_id = 0; leaf_id < tree.leaves().size(); ++leaf_id) {
-    const auto& leaf = tree.leaves()[leaf_id];
-    for (std::uint32_t i = leaf.begin; i < leaf.end; ++i) {
-      EXPECT_EQ(tree.leaf_of(tree.order()[i]), leaf_id);
-    }
-  }
-}
-
 TEST(KDTree, RadiusQueryMatchesBruteForce) {
   const auto pts = random_points(1500, 8);
   mi::KDTree tree(pts, mi::KDTreeConfig{24, 0.0});

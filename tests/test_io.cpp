@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -69,6 +70,35 @@ TEST_F(PointFileTest, BinaryWriteToFullDeviceThrows) {
     EXPECT_NE(what.find("/dev/full"), std::string::npos) << what;
     EXPECT_NE(what.find("No space left on device"), std::string::npos)
         << what;
+  }
+}
+
+TEST_F(PointFileTest, BinaryRejectsNonFiniteValuesNamingTheRecord) {
+  struct Case {
+    std::size_t record;
+    void (*corrupt)(mg::Point&);
+  };
+  const Case cases[] = {
+      {1, [](mg::Point& p) { p.x = std::nan(""); }},
+      {2, [](mg::Point& p) { p.y = HUGE_VAL; }},
+      {0, [](mg::Point& p) { p.weight = std::nanf(""); }},
+  };
+  const auto path = dir_ / "nonfinite.bin";
+  for (const Case& c : cases) {
+    auto pts = sample_points(3);
+    c.corrupt(pts[c.record]);
+    mio::write_points_binary(path, pts);
+    try {
+      mio::read_points_binary(path);
+      ADD_FAILURE() << "expected a throw for record " << c.record;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("non-finite coordinate or weight at record " +
+                          std::to_string(c.record)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("nonfinite.bin"), std::string::npos) << what;
+    }
   }
 }
 

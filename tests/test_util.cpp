@@ -2,13 +2,18 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/audit.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -148,6 +153,62 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_NE(v, orig);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
+}
+
+// ---- The byte codec: native (little-endian) appends, a bounded reader
+// that never moves past its bytes, and the one byte-wise FNV-1a. ----
+
+TEST(Bytes, AppendsLittleEndianAndReadsBack) {
+  std::vector<std::uint8_t> buf;
+  mu::append(buf, std::uint32_t{0x04030201});
+  mu::append(buf, -2.0);
+  const char tag[2] = {'o', 'k'};
+  mu::append(buf, tag);
+  ASSERT_EQ(buf.size(), 14u);
+  EXPECT_EQ(buf[0], 0x01);
+  EXPECT_EQ(buf[3], 0x04);
+  EXPECT_EQ(mu::load<double>(buf.data() + 4), -2.0);
+
+  mu::ByteReader in(buf);
+  std::uint32_t u = 0;
+  double d = 0.0;
+  char got[2] = {};
+  ASSERT_TRUE(in.read(u) && in.read(d) && in.read(got));
+  EXPECT_EQ(u, 0x04030201u);
+  EXPECT_EQ(d, -2.0);
+  EXPECT_EQ(std::string(got, 2), "ok");
+  EXPECT_TRUE(in.at_end());
+}
+
+TEST(Bytes, UnderrunLeavesTheCursorInPlace) {
+  const std::vector<std::uint8_t> buf = {1, 2, 3, 4, 5};
+  mu::ByteReader in(buf);
+  std::uint32_t u = 0;
+  ASSERT_TRUE(in.read(u));
+  std::uint64_t big = 7;
+  EXPECT_FALSE(in.read(big));
+  EXPECT_EQ(big, 7u);
+  EXPECT_EQ(in.offset(), 4u);
+  EXPECT_FALSE(in.take(2).has_value());
+  EXPECT_FALSE(in.take(SIZE_MAX).has_value());
+  const auto last = in.take(1);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ((*last)[0], 5);
+  EXPECT_TRUE(in.at_end());
+  EXPECT_TRUE(in.take(0).has_value());
+
+  mu::ByteReader empty(std::span<const std::uint8_t>{});
+  EXPECT_TRUE(empty.read_raw(nullptr, 0));
+  EXPECT_FALSE(empty.read(u));
+}
+
+TEST(Bytes, Fnv1aMatchesTheStandardVectors) {
+  // The 64-bit FNV-1a test vectors: the offset basis for no input.
+  EXPECT_EQ(mu::fnv1a({}), 0xcbf29ce484222325ull);
+  const std::uint8_t a[] = {'a'};
+  EXPECT_EQ(mu::fnv1a(a), 0xaf63dc4c8601ec8cull);
+  const std::uint8_t foobar[] = {'f', 'o', 'o', 'b', 'a', 'r'};
+  EXPECT_EQ(mu::fnv1a(foobar), 0x85944171f73967e8ull);
 }
 
 TEST(PhaseTimer, AccumulatesNamedPhases) {

@@ -87,7 +87,7 @@ RULES: dict[str, tuple[str, str, tuple[str, ...]]] = {
     "no-printf-library": (
         "hygiene",
         "printf family banned outside util/logging|assert; diagnostics "
-        "flow through the leveled logger",
+        "flow through util::log_error or exceptions",
         ("src",)),
     "no-manual-lock": (
         "hygiene",

@@ -5,6 +5,9 @@ Usage:
     check_coverage.py --build-dir build-coverage \
         [--threshold 80] [--summary out.json] [--path src/gpu ...]
 
+By default every module directory under src/ is gated, so a new module
+is gated from its first commit.
+
 Walks the build tree for .gcda files (produced by a test run of a
 --coverage build), batches them through `gcov --json-format --stdout`,
 merges per-source-line execution counts across all object files, and
@@ -24,8 +27,11 @@ import pathlib
 import subprocess
 import sys
 
-DEFAULT_PATHS = ("src/gpu", "src/cluster", "src/index", "src/serve",
-                 "src/dbscan", "src/partition", "src/io")
+
+def module_paths(repo_root: pathlib.Path) -> tuple[str, ...]:
+    """Every module directory under src/, repo-relative."""
+    return tuple(f"src/{d.name}" for d in sorted((repo_root / "src").iterdir())
+                 if d.is_dir())
 
 
 def run_gcov(gcda: list[pathlib.Path], build_dir: pathlib.Path) -> list[dict]:
@@ -60,10 +66,10 @@ def main() -> int:
                     help="write a JSON summary here")
     ap.add_argument("--path", action="append", dest="paths",
                     help="repo-relative prefix to gate (repeatable; "
-                         f"default: {', '.join(DEFAULT_PATHS)})")
+                         "default: every src/<module>/ directory)")
     args = ap.parse_args()
-    paths = tuple(args.paths) if args.paths else DEFAULT_PATHS
     repo_root = args.repo_root.resolve()
+    paths = tuple(args.paths) if args.paths else module_paths(repo_root)
     build_dir = args.build_dir.resolve()
 
     gcda = sorted(build_dir.rglob("*.gcda"))
