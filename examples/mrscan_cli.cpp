@@ -27,7 +27,8 @@
 //   --demo N          instead of --input, generate N synthetic tweets
 //   --trace-out PATH  write a Chrome trace-event JSON of the run
 //                     (load in chrome://tracing or ui.perfetto.dev)
-//   --metrics-out PATH  write the flat metrics snapshot JSON
+//   --metrics-out PATH  write the flat metrics snapshot JSON; either this
+//                     flag or --trace-out enables observability
 //
 // Out-of-core mode (DESIGN §15) — identical output, bounded memory:
 //
@@ -43,8 +44,6 @@
 //   --ooc-abort-after N  test hook: abort (exit 3) after N freshly
 //                     clustered leaves, right after a checkpoint — the
 //                     run is then resumable with --resume
-// Either flag enables observability; MRSCAN_TRACE_OUT / MRSCAN_METRICS_OUT
-// / MRSCAN_OBS environment overrides are honoured as well.
 //
 // Serving mode (DESIGN §14) — a long-lived serve::ClusterService driven
 // by a mutation script instead of a one-shot batch run:

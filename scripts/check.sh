@@ -30,16 +30,21 @@
 #                         the batch runs' labeled text output bytes, the
 #                         serve run's epoch-128 snapshot, and every
 #                         run's sim_s to e2ebench/reference.json
-#   8. asan-ubsan preset  full suite under ASan+UBSan with
+#   8. release preset     Release (-O3) build of every target with
+#                         MRSCAN_WERROR=ON and no tests: the warnings GCC
+#                         only issues at -O3, which the RelWithDebInfo
+#                         presets never see, fail the check
+#   9. asan-ubsan preset  full suite under ASan+UBSan with
 #                         MRSCAN_CHECK_INVARIANTS=ON and MRSCAN_WERROR=ON
-#   9. tsan preset        full suite (incl. the `stress`-labeled tests)
+#  10. tsan preset        full suite (incl. the `stress`-labeled tests)
 #                         under TSan, same options
-#  10. tidy preset        clang-tidy over every TU (skipped with a notice
+#  11. tidy preset        clang-tidy over every TU (skipped with a notice
 #                         when clang-tidy is not installed)
 #
 # Usage: scripts/check.sh [--quick] [--no-stress] [--coverage] [--jobs N]
 #   --quick      analyze + default preset + smokes 3-6 only (the fast
-#                pre-commit loop; no e2e smoke, sanitizers or tidy)
+#                pre-commit loop; no e2e smoke, release build, sanitizers
+#                or tidy)
 #   --no-stress  skip the `stress`-labeled tests in every preset (the
 #                push/PR CI path; a scheduled job runs them)
 #   --coverage   also build + test the `coverage` preset and gate line
@@ -229,6 +234,8 @@ sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
 
 if [[ "$QUICK" -eq 0 ]]; then
   run_step "e2e-smoke" e2e_smoke
+  run_step "configure:release" cmake --preset release
+  run_step "build:release" cmake --build --preset release -j "$JOBS"
   run_preset asan-ubsan
   run_preset tsan
 

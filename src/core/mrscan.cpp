@@ -388,8 +388,7 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   // JSON exporters, the phase summary, and MrScanResult's own bookkeeping
   // all read; the span tracer inside it only records when observability
   // is enabled (DESIGN §9's cost contract).
-  const obs::Options obs_opts =
-      obs::Options::from_env(config_.observability);
+  const obs::Options& obs_opts = config_.observability;
   auto recorder = std::make_shared<obs::Recorder>(obs_opts.enabled);
   result.obs = recorder;
   obs::Registry& reg = recorder->metrics();
@@ -695,7 +694,7 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
 
   // ---- Merge phase: summaries reduce up the tree (§3.3). ----
   mrnet::Network net(topology, config_.titan.net, config_.titan.cpu_op_rate);
-  net.set_observer(recorder.get(), cluster_base, "merge");
+  net.set_observer(recorder.get(), cluster_base);
   if (injector) {
     net.set_fault_injector(&*injector);
     net.set_recovery_handler(
@@ -801,7 +800,7 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   const double sweep_base = cluster_base + result.sim.cluster_merge;
   mrnet::Network sweep_net(topology, config_.titan.net,
                            config_.titan.cpu_op_rate);
-  sweep_net.set_observer(recorder.get(), sweep_base, "sweep");
+  sweep_net.set_observer(recorder.get(), sweep_base);
   double scatter_seconds = 0.0;
   {
     obs::PhaseScope scope(*recorder, "sweep");

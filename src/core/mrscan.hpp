@@ -125,11 +125,9 @@ struct MrScanConfig {
   fault::FaultPlan fault_plan;
   /// Out-of-core execution (DESIGN §15). Off by default.
   OocOptions ooc;
-  /// Observability (span tracing + JSON export). run() overlays the
-  /// MRSCAN_OBS / MRSCAN_TRACE_OUT / MRSCAN_METRICS_OUT environment
-  /// overrides on top of these options. Off by default; enabling it
-  /// never changes the clustering output or any simulated time
-  /// (DESIGN §9).
+  /// Observability (span tracing + JSON export). Off by default;
+  /// enabling it never changes the clustering output or any simulated
+  /// time (DESIGN §9).
   obs::Options observability;
 };
 

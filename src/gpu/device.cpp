@@ -28,19 +28,6 @@ void VirtualDevice::copy_to_host(std::uint64_t bytes) {
       static_cast<double>(bytes) / spec_.pcie_bandwidth_bps;
 }
 
-void VirtualDevice::launch(
-    std::uint32_t block_count,
-    const std::function<void(BlockContext&)>& kernel) {
-  std::vector<std::uint64_t> block_ops;
-  block_ops.reserve(block_count);
-  for (std::uint32_t b = 0; b < block_count; ++b) {
-    BlockContext ctx(b);
-    kernel(ctx);
-    block_ops.push_back(ctx.ops());
-  }
-  account_launch(block_ops);
-}
-
 void VirtualDevice::account_launch(
     const std::vector<std::uint64_t>& block_ops) {
   ++stats_.kernel_launches;

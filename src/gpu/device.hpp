@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,7 +62,6 @@ class VirtualDevice {
 
   const DeviceSpec& spec() const { return spec_; }
   const DeviceStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = DeviceStats{}; }
 
   /// Simulated seconds of device + transfer time accumulated so far.
   double device_seconds() const { return stats_.device_seconds(); }
@@ -74,29 +72,10 @@ class VirtualDevice {
   /// Account a device-to-host copy of `bytes`.
   void copy_to_host(std::uint64_t bytes);
 
-  /// Per-block execution context handed to kernels.
-  class BlockContext {
-   public:
-    explicit BlockContext(std::uint32_t block_id) : block_id_(block_id) {}
-    std::uint32_t block_id() const { return block_id_; }
-    /// Charge `n` distance-computation ops to this block.
-    void charge(std::uint64_t n) { ops_ += n; }
-    std::uint64_t ops() const { return ops_; }
-
-   private:
-    std::uint32_t block_id_;
-    std::uint64_t ops_ = 0;
-  };
-
-  /// Execute `kernel` once per block (host-side, in block order) and charge
-  /// the simulated kernel time: blocks are greedily scheduled onto sm_count
-  /// slots in launch order; the kernel completes when the slowest slot
-  /// drains, plus launch overhead.
-  void launch(std::uint32_t block_count,
-              const std::function<void(BlockContext&)>& kernel);
-
-  /// Account a launch whose per-block work is already known (used when the
-  /// caller executed the work out-of-line). `block_ops[i]` is block i's ops.
+  /// Account one kernel launch. The kernels run on the host and count
+  /// their own work; `block_ops[i]` is the ops of block i. Blocks are
+  /// greedily scheduled onto sm_count slots in launch order; the kernel
+  /// completes when the slowest slot drains, plus launch overhead.
   void account_launch(const std::vector<std::uint64_t>& block_ops);
 
  private:

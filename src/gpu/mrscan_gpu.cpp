@@ -146,18 +146,15 @@ void connect_dense_boxes(const Tree& tree, const DenseBoxes& dense,
           const auto& leaf_b = leaves[dense.leaf_ids[b]];
           if (!inflated.intersects(leaf_b.box)) continue;
           // Cross check with early exit on the first Eps-close pair.
-          bool linked = false;
-          for (std::uint32_t i = leaf_a.begin; i < leaf_a.end && !linked;
-               ++i) {
-            const geom::Point& pa = tree.point_at(tree.order()[i]);
-            for (std::uint32_t j = leaf_b.begin; j < leaf_b.end; ++j) {
-              ++ops;
-              if (geom::dist2(pa, tree.point_at(tree.order()[j])) <= eps2) {
-                linked = true;
-                break;
-              }
-            }
-          }
+          const bool linked = cluster::bcp_within_eps(
+              leaf_a.end - leaf_a.begin, leaf_b.end - leaf_b.begin,
+              [&](std::size_t i) -> const geom::Point& {
+                return tree.point_at(tree.order()[leaf_a.begin + i]);
+              },
+              [&](std::size_t j) -> const geom::Point& {
+                return tree.point_at(tree.order()[leaf_b.begin + j]);
+              },
+              eps2, ops);
           if (linked) {
             chains.unite(box_chain[a], box_chain[b]);
             ++collisions;
@@ -167,6 +164,36 @@ void connect_dense_boxes(const Tree& tree, const DenseBoxes& dense,
     }
   }
   device.account_launch(block_ops);
+}
+
+/// Exact core classification of the points in `work`, kernels issued in
+/// bulk, shared by both cluster paths. Each launch covers block_count x
+/// points_per_block queries: the first points_per_block belong to block
+/// 0, and so on, so the order of `work` fixes which block each query is
+/// charged to. The seed for each block is a function of the kernel call
+/// parameters, so no memory copies intervene, and each count stops as
+/// soon as MinPts is seen (§3.2.2).
+template <typename Engine>
+void classify_core_points(Engine& engine, std::span<const std::uint32_t> work,
+                          const MrScanGpuConfig& config,
+                          std::vector<std::uint8_t>& core,
+                          VirtualDevice& device) {
+  const std::size_t min_pts = config.params.min_pts;
+  const std::size_t wave_size =
+      static_cast<std::size_t>(config.block_count) * config.points_per_block;
+  std::vector<std::uint64_t> block_ops;
+  for (std::size_t cursor = 0; cursor < work.size(); cursor += wave_size) {
+    const auto wave =
+        work.subspan(cursor, std::min(wave_size, work.size() - cursor));
+    block_ops.assign(config.block_count, 0);
+    engine.count_many(
+        wave, config.params.eps, min_pts,
+        [&](std::size_t q, std::size_t found, std::uint64_t charge) {
+          block_ops[q / config.points_per_block] += charge;
+          if (found >= min_pts) core[wave[q]] = 1;
+        });
+    device.account_launch(block_ops);
+  }
 }
 
 /// Border pass, shared by both cluster paths and both backends: attach
@@ -273,9 +300,8 @@ void cell_graph_dbscan(std::span<const geom::Point> points,
 
   // ---- Core classification. Cells with >= MinPts points are core
   // wholesale; everyone else gets the exact early-exiting count, issued
-  // in the same block_count x points_per_block waves as pass 1 of the
-  // two-pass path. The sparse work list stays in ascending point order:
-  // it fixes which block each query is charged to.
+  // in the same waves as pass 1 of the two-pass path. The sparse work
+  // list stays in ascending point order.
   for (std::size_t c = 0; c < cell_count; ++c) {
     const auto members = grid.members(c);
     if (members.size() < min_pts) continue;
@@ -283,31 +309,13 @@ void cell_graph_dbscan(std::span<const geom::Point> points,
     result.stats.cellgraph_wholesale_points += members.size();
     for (const std::uint32_t p : members) result.labels.core[p] = 1;
   }
-  std::vector<std::uint32_t> work;
-  work.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!result.labels.core[i]) work.push_back(i);
-  }
   {
-    const std::size_t wave_size =
-        static_cast<std::size_t>(config.block_count) *
-        config.points_per_block;
-    std::vector<std::uint64_t> block_ops;
-    std::size_t cursor = 0;
-    while (cursor < work.size()) {
-      const std::size_t batch = std::min(wave_size, work.size() - cursor);
-      const auto wave =
-          std::span<const std::uint32_t>(work).subspan(cursor, batch);
-      block_ops.assign(config.block_count, 0);
-      engine.count_many(
-          wave, eps, min_pts,
-          [&](std::size_t q, std::size_t found, std::uint64_t charge) {
-            block_ops[q / config.points_per_block] += charge;
-            if (found >= min_pts) result.labels.core[wave[q]] = 1;
-          });
-      device.account_launch(block_ops);
-      cursor += batch;
+    std::vector<std::uint32_t> work;
+    work.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (!result.labels.core[i]) work.push_back(i);
     }
+    classify_core_points(engine, work, config, result.labels.core, device);
   }
 
   // ---- Intra-cell unions: one chain per cell with core points; every
@@ -438,44 +446,19 @@ void two_pass_dbscan(std::span<const geom::Point> points,
     }
   }
 
-  std::vector<std::uint64_t> block_ops;
-
-  // ---- Pass 1: core classification, kernels issued in bulk. ----
-  // Each launch covers block_count x points_per_block points; the seed for
-  // each block is a function of the kernel call parameters, so no memory
-  // copies intervene (§3.2.2). Expansion stops as soon as MinPts is seen.
+  // ---- Pass 1: core classification of every non-dense point. ----
   {
     std::vector<std::uint32_t> work;
     work.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       if (!dense.is_dense(i)) work.push_back(i);
     }
-    const std::size_t wave_size =
-        static_cast<std::size_t>(config.block_count) *
-        config.points_per_block;
-    std::size_t cursor = 0;
-    while (cursor < work.size()) {
-      const std::size_t batch = std::min(wave_size, work.size() - cursor);
-      const auto wave = std::span<const std::uint32_t>(work)
-                            .subspan(cursor, batch);
-      block_ops.assign(config.block_count, 0);
-      engine.count_many(
-          wave, config.params.eps, config.params.min_pts,
-          [&](std::size_t q, std::size_t found, std::uint64_t charge) {
-            // Same work distribution as the per-block loop this replaces:
-            // the first points_per_block queries belong to block 0, etc.
-            block_ops[q / config.points_per_block] += charge;
-            if (found >= config.params.min_pts) {
-              result.labels.core[wave[q]] = 1;
-            }
-          });
-      device.account_launch(block_ops);
-      cursor += batch;
-    }
+    classify_core_points(engine, work, config, result.labels.core, device);
   }
 
   // ---- Pass 2: expand core points with block chains + collisions. ----
   {
+    std::vector<std::uint64_t> block_ops;
     std::vector<std::deque<std::uint32_t>> queues(config.block_count);
     std::uint32_t next_seed = 0;
     std::vector<std::uint32_t> wave_points;  // one queue front per block

@@ -161,14 +161,11 @@ class Network {
   /// detaches). When tracing is enabled, collective ops emit sim-clock
   /// spans — per-node filter compute, retransmits, timeouts, recoveries —
   /// shifted by `sim_offset` so they land on the run's global virtual
-  /// timeline; `domain` names the tree ("partition", "merge", "sweep").
-  /// Pure accounting, never control flow: attaching a recorder cannot
-  /// change packets, ordering, or the clock.
-  void set_observer(obs::Recorder* recorder, double sim_offset = 0.0,
-                    std::string domain = "net") {
+  /// timeline. Pure accounting, never control flow: attaching a recorder
+  /// cannot change packets, ordering, or the clock.
+  void set_observer(obs::Recorder* recorder, double sim_offset = 0.0) {
     obs_ = recorder;
     obs_sim_offset_ = sim_offset;
-    obs_domain_ = std::move(domain);
   }
 
   /// Upstream reduction: leaf i contributes leaf_packets[i] at virtual
@@ -211,7 +208,6 @@ class Network {
   RecoveryHandler recovery_;
   obs::Recorder* obs_ = nullptr;
   double obs_sim_offset_ = 0.0;
-  std::string obs_domain_ = "net";
 };
 
 }  // namespace mrscan::mrnet

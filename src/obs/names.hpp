@@ -178,7 +178,6 @@ inline constexpr const char* kServeEpochSeconds = "serve.epoch.seconds";
 inline constexpr const char* kServeSimSeconds = "serve.sim_seconds";
 inline constexpr const char* kServeQuerySeconds = "serve.query.seconds";
 inline constexpr const char* kServeQueries = "serve.queries";
-inline constexpr const char* kServePinnedEpochs = "serve.pinned_epochs";
 inline constexpr const char* kServeRetries = "serve.retries";
 inline constexpr const char* kServeFaultAborts = "serve.fault.aborts";
 

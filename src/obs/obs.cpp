@@ -1,7 +1,6 @@
 #include "obs/obs.hpp"
 
 #include <charconv>
-#include <cstdlib>
 #include <exception>
 
 #include "util/logging.hpp"
@@ -9,11 +8,6 @@
 namespace mrscan::obs {
 
 namespace {
-
-const char* env_or_null(const char* name) {
-  const char* v = std::getenv(name);
-  return (v != nullptr && *v != '\0') ? v : nullptr;
-}
 
 std::string format_seconds(double s) {
   char buf[32];
@@ -23,21 +17,6 @@ std::string format_seconds(double s) {
 }
 
 }  // namespace
-
-Options Options::from_env(Options base) {
-  if (const char* v = env_or_null("MRSCAN_TRACE_OUT")) {
-    base.trace_out = v;
-    base.enabled = true;
-  }
-  if (const char* v = env_or_null("MRSCAN_METRICS_OUT")) {
-    base.metrics_out = v;
-    base.enabled = true;
-  }
-  if (env_or_null("MRSCAN_OBS") != nullptr) {
-    base.enabled = true;
-  }
-  return base;
-}
 
 std::string Recorder::phase_summary() const {
   std::string out;

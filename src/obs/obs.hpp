@@ -35,16 +35,6 @@ struct Options {
   std::string trace_out;
   /// Metrics snapshot JSON output path ("" = no file).
   std::string metrics_out;
-
-  /// Overlay environment overrides on `base`: MRSCAN_TRACE_OUT and
-  /// MRSCAN_METRICS_OUT set the output paths, MRSCAN_OBS=1 enables
-  /// tracing without files. Setting either path implies enabled.
-  static Options from_env(Options base);
-  static Options from_env() { return from_env(Options{}); }
-
-  bool wants_export() const {
-    return !trace_out.empty() || !metrics_out.empty();
-  }
 };
 
 /// The per-run recorder: one Registry + one Tracer.

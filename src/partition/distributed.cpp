@@ -130,7 +130,7 @@ PartitionPhaseResult run_phase(
                      titan.cpu_op_rate);
   // The partition phase opens the run's virtual timeline (offset 0);
   // core places startup and the clustering tree after it.
-  net.set_observer(config.recorder, 0.0, "partition");
+  net.set_observer(config.recorder);
   index::CellHistogram hist;
   {
     const obs::LayerSpan span(config.recorder, "partition.histogram");

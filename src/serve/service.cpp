@@ -67,7 +67,6 @@ ClusterService::ClusterService(ServeConfig config)
   registry_.set(names::kServePoints, 0.0);
   registry_.set(names::kServeCells, 0.0);
   registry_.set(names::kServeClusters, 0.0);
-  registry_.set(names::kServePinnedEpochs, 0.0);
   registry_.set(names::kServeSimSeconds, 0.0);
   // Epoch 0: the empty clustering, published so queries are well-defined
   // before any mutation arrives.
@@ -233,7 +232,6 @@ EpochResult ClusterService::advance_epoch() {
                 static_cast<double>(snapshot->clusters.size()));
   registry_.set(names::kServeSimSeconds, sim_seconds_total_);
 
-  snapshot->stats = stats;
   publish(std::move(snapshot));
   return result;
 }
@@ -658,59 +656,24 @@ std::shared_ptr<EpochSnapshot> ClusterService::materialize(
 
 void ClusterService::publish(
     std::shared_ptr<const EpochSnapshot> snapshot) {
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  published_.push_back(Entry{next_serial_++, std::move(snapshot), 0});
-  drain_retired_locked();
-  registry_.set(names::kServePinnedEpochs,
-                static_cast<double>(published_.size() - 1));
-}
-
-void ClusterService::drain_retired_locked() const {
-  // Epoch-based reclamation: a retired snapshot (anything but the back)
-  // is freed once its last reader drops. Pins only block their own entry
-  // and older ones from draining past them, so depth is bounded by the
-  // oldest live reader.
-  while (published_.size() > 1 && published_.front().pins == 0) {
-    published_.pop_front();
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    current_.swap(snapshot);
   }
+  // `snapshot` now holds the retired epoch. Dropping it here, outside the
+  // lock, frees it unless a reader still holds it.
 }
 
-void ClusterService::unpin(std::size_t serial) const {
+std::shared_ptr<const EpochSnapshot> ClusterService::snapshot() const {
   std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  for (Entry& entry : published_) {
-    if (entry.serial == serial) {
-      MRSCAN_ASSERT(entry.pins > 0);
-      --entry.pins;
-      break;
-    }
-  }
-  drain_retired_locked();
-}
-
-ClusterService::SnapshotGuard::SnapshotGuard(SnapshotGuard&& other) noexcept
-    : service_(other.service_),
-      entry_(other.entry_),
-      snapshot_(other.snapshot_) {
-  other.service_ = nullptr;
-  other.snapshot_ = nullptr;
-}
-
-ClusterService::SnapshotGuard::~SnapshotGuard() {
-  if (service_ != nullptr) service_->unpin(entry_);
-}
-
-ClusterService::SnapshotGuard ClusterService::snapshot() const {
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  Entry& current = published_.back();
-  ++current.pins;
-  return SnapshotGuard(this, current.serial, current.snapshot.get());
+  return current_;
 }
 
 std::optional<dbscan::ClusterId> ClusterService::label_of(
     geom::PointId id) const {
   util::Timer timer;
-  const SnapshotGuard guard = snapshot();
-  const auto label = guard->label_of(id);
+  const auto current = snapshot();
+  const auto label = current->label_of(id);
   registry_.add(names::kServeQueries);
   registry_.observe(names::kServeQuerySeconds, timer.seconds());
   return label;
@@ -719,11 +682,11 @@ std::optional<dbscan::ClusterId> ClusterService::label_of(
 std::optional<ClusterStats> ClusterService::cluster_stats(
     dbscan::ClusterId cluster) const {
   util::Timer timer;
-  const SnapshotGuard guard = snapshot();
+  const auto current = snapshot();
   std::optional<ClusterStats> stats;
   if (cluster >= 0 &&
-      static_cast<std::size_t>(cluster) < guard->clusters.size()) {
-    stats = guard->clusters[static_cast<std::size_t>(cluster)];
+      static_cast<std::size_t>(cluster) < current->clusters.size()) {
+    stats = current->clusters[static_cast<std::size_t>(cluster)];
   }
   registry_.add(names::kServeQueries);
   registry_.observe(names::kServeQuerySeconds, timer.seconds());

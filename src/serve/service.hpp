@@ -8,10 +8,10 @@
 // machinery of DESIGN §12 (wholesale core marking, BCP edge tests,
 // connected components over cells) rerun on the affected region only,
 // with per-cell link masks and component ids kept from earlier epochs
-// everywhere else. The epoch publishes an immutable snapshot; queries
-// (label_of, cluster_stats) pin the snapshot of their choice under an
-// epoch-based reclamation scheme, so readers never block mutations and
-// retired epochs are freed when their last reader drains.
+// everywhere else. The epoch publishes an immutable snapshot behind a
+// std::shared_ptr; queries (label_of, cluster_stats, snapshot) copy the
+// current pointer, so readers never block mutations and each retired
+// epoch is freed when its own last holder drops it.
 //
 // Correctness contract: after every epoch, the published labels are
 // `same_clustering`-equivalent to a cold batch core::MrScan run over the
@@ -31,7 +31,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -122,7 +121,6 @@ struct EpochSnapshot {
   std::vector<std::uint8_t> core;
   /// Per-cluster aggregates, indexed by canonical cluster id.
   std::vector<ClusterStats> clusters;
-  EpochStats stats;
 
   std::optional<dbscan::ClusterId> label_of(geom::PointId id) const;
 };
@@ -150,31 +148,10 @@ class ClusterService {
   /// stays current and the mutations stay pending for the next attempt.
   EpochResult advance_epoch();
 
-  /// Pin the current snapshot: the returned guard keeps every cell state
-  /// of that epoch alive until it drops (epoch-based reclamation; the
-  /// serve.pinned_epochs gauge tracks retired-but-pinned depth). Guards
-  /// must not outlive the service.
-  class SnapshotGuard {
-   public:
-    SnapshotGuard(SnapshotGuard&& other) noexcept;
-    SnapshotGuard& operator=(SnapshotGuard&&) = delete;
-    SnapshotGuard(const SnapshotGuard&) = delete;
-    SnapshotGuard& operator=(const SnapshotGuard&) = delete;
-    ~SnapshotGuard();
-
-    const EpochSnapshot& operator*() const { return *snapshot_; }
-    const EpochSnapshot* operator->() const { return snapshot_; }
-
-   private:
-    friend class ClusterService;
-    SnapshotGuard(const ClusterService* service, std::size_t entry,
-                  const EpochSnapshot* snapshot)
-        : service_(service), entry_(entry), snapshot_(snapshot) {}
-    const ClusterService* service_;
-    std::size_t entry_;  // Entry::serial
-    const EpochSnapshot* snapshot_;
-  };
-  SnapshotGuard snapshot() const;
+  /// The current snapshot. Holding it keeps that epoch's snapshot, and
+  /// only that one, alive, including after later epochs publish and after
+  /// the service itself is destroyed.
+  std::shared_ptr<const EpochSnapshot> snapshot() const;
 
   /// Point -> cluster lookup against the current snapshot (nullopt for
   /// unknown ids). Latency lands in the serve.query.seconds histogram.
@@ -250,14 +227,6 @@ class ClusterService {
     geom::Point point;  // remove uses point.id only
   };
 
-  /// One published epoch plus its reader pin count (guarded by
-  /// snapshot_mutex_).
-  struct Entry {
-    std::uint64_t serial = 0;
-    std::shared_ptr<const EpochSnapshot> snapshot;
-    std::uint32_t pins = 0;
-  };
-
   void apply_mutations(EpochStats& stats, std::vector<std::uint32_t>& dirty,
                        std::vector<std::uint32_t>& inserted,
                        std::vector<std::uint32_t>& removed);
@@ -276,8 +245,6 @@ class ClusterService {
   std::shared_ptr<EpochSnapshot> materialize(
       EpochStats& stats, std::vector<std::uint32_t>& inserted);
   void publish(std::shared_ptr<const EpochSnapshot> snapshot);
-  void drain_retired_locked() const;
-  void unpin(std::size_t serial) const;
 
   ServeConfig config_;
   double eps2_ = 0.0;
@@ -305,9 +272,9 @@ class ClusterService {
   double sim_seconds_total_ = 0.0;
 
   // ---- publication (readers vs the writer) ----
+  /// Guards current_; held only to copy or swap the pointer.
   mutable std::mutex snapshot_mutex_;
-  mutable std::deque<Entry> published_;
-  std::uint64_t next_serial_ = 0;
+  std::shared_ptr<const EpochSnapshot> current_;
 
   // Thread-safe by construction (sharded); mutable so const query paths
   // can record their own latency.

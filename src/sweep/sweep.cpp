@@ -25,16 +25,7 @@ constexpr std::ptrdiff_t kMaxTextRecordBytes = 20 + 3 * 24 + 20 + 5;
 }  // namespace
 
 GlobalAssignment assign_global_ids(const merge::MergeSummary& root_summary) {
-  GlobalAssignment assignment;
-  assignment.cluster_count = root_summary.clusters.size();
-  assignment.offsets.reserve(assignment.cluster_count + 1);
-  std::uint64_t cursor = 0;
-  for (const auto& cluster : root_summary.clusters) {
-    assignment.offsets.push_back(cursor);
-    cursor += cluster.owned_points;
-  }
-  assignment.offsets.push_back(cursor);
-  return assignment;
+  return GlobalAssignment{root_summary.clusters.size()};
 }
 
 std::vector<LabeledPoint> label_owned_points(

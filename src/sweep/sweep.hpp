@@ -1,10 +1,10 @@
 // The sweep step (§3.4): globally identify clusters and write the output.
 //
-// After the root's final merge, each cluster gets a globally unique id and
-// a file offset (computed from cluster sizes); the labelling information is
-// sent back down the tree, each level reversing its merge operation via the
-// child_cluster_map recorded during the merge; leaves write their owned
-// points with global cluster ids, in parallel, at their assigned offsets.
+// After the root's final merge, each cluster gets a globally unique id;
+// the labelling information is sent back down the tree, each level
+// reversing its merge operation via the child_cluster_map recorded during
+// the merge; leaves label their owned points with global cluster ids, and
+// the records are written in leaf delivery order.
 #pragma once
 
 #include <cstdint>
@@ -19,16 +19,13 @@
 
 namespace mrscan::sweep {
 
-/// Global ids and output file offsets assigned by the root.
+/// Global ids assigned by the root.
 struct GlobalAssignment {
   std::size_t cluster_count = 0;
-  /// Per global cluster id: first record index in the output file; the
-  /// final entry is the total clustered point count.
-  std::vector<std::uint64_t> offsets;
 };
 
 /// Assign global ids 0..k-1 to the root's merged clusters (in summary
-/// order) and compute cumulative file offsets from their sizes.
+/// order).
 GlobalAssignment assign_global_ids(const merge::MergeSummary& root_summary);
 
 /// A clustered output record.

@@ -25,11 +25,15 @@ static_assert(std::endian::native == std::endian::little,
               "the byte formats are little-endian and written in native "
               "byte order");
 
-/// Append `n` bytes from `src` to `out`.
+/// Append `n` bytes from `src` to `out`. Grows the vector and copies
+/// into the new tail instead of a range insert, which GCC 12 at -O3
+/// flags with false -Wstringop-overflow warnings once inlined.
 inline void append_raw(std::vector<std::uint8_t>& out, const void* src,
                        std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(src);
-  out.insert(out.end(), p, p + n);
+  if (n == 0) return;
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  std::memcpy(out.data() + at, src, n);
 }
 
 /// Append the bytes of a trivially copyable value.

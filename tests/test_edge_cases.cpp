@@ -37,16 +37,6 @@ TEST(DeviceEdge, EmptyLaunchChargesOnlyOverhead) {
   EXPECT_EQ(device.stats().blocks_executed, 0u);
 }
 
-TEST(DeviceEdge, ResetStatsClearsEverything) {
-  mrscan::gpu::VirtualDevice device;
-  device.copy_to_device(1000);
-  device.account_launch({42});
-  EXPECT_GT(device.device_seconds(), 0.0);
-  device.reset_stats();
-  EXPECT_DOUBLE_EQ(device.device_seconds(), 0.0);
-  EXPECT_EQ(device.stats().total_ops, 0u);
-}
-
 TEST(KDTreeEdge, OpsCounterTracksDistanceComputations) {
   const auto pts = mrscan::data::uniform_points(
       500, mg::BBox{0.0, 0.0, 5.0, 5.0}, 1);

@@ -62,9 +62,7 @@ TEST(VirtualDevice, LaunchSchedulesBlocksOntoSms) {
   spec.kernel_launch_overhead_s = 0.0;
   gpu::VirtualDevice device(spec);
   // 3 blocks of 1000 ops on 2 SMs -> two waves -> 2 seconds.
-  device.launch(3, [](gpu::VirtualDevice::BlockContext& ctx) {
-    ctx.charge(1000);
-  });
+  device.account_launch({1000, 1000, 1000});
   EXPECT_NEAR(device.stats().kernel_seconds, 2.0, 1e-9);
   EXPECT_EQ(device.stats().total_ops, 3000u);
   EXPECT_EQ(device.stats().blocks_executed, 3u);

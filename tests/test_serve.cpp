@@ -1,13 +1,14 @@
 // serve::ClusterService lifecycle: epoch edge cases (empty epoch,
 // delete-only epoch emptying a core cell, mutations whose effect lands in
 // a shadow ring of the dirty cell), fault-injected maintenance epochs,
-// epoch-based snapshot reclamation, and the seeded streaming workload
+// snapshot lifetimes, and the seeded streaming workload
 // generator the service tests and bench share.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -345,24 +346,53 @@ TEST(ServeSnapshots, PinnedEpochSurvivesLaterPublishes) {
   ASSERT_TRUE(service.bootstrap(std::vector<mg::Point>{pt(0, 0.0, 0.0),
                                                        pt(1, 0.3, 0.0)})
                   .ok);
-  {
-    const auto pinned = service.snapshot();
-    EXPECT_EQ(pinned->epoch, 1u);
+  const auto pinned = service.snapshot();
+  ASSERT_EQ(pinned->epoch, 1u);
 
-    service.insert(pt(2, 5.0, 5.0));
+  // Ten more epochs while epoch 1 stays held, watching each new snapshot.
+  std::vector<std::weak_ptr<const ms::EpochSnapshot>> published;
+  for (mg::PointId id = 2; id < 12; ++id) {
+    service.insert(pt(id, 5.0 * static_cast<double>(id), 5.0));
     ASSERT_TRUE(service.advance_epoch().ok);
-
-    // The pinned epoch still reads its own state; new queries see epoch 2.
-    EXPECT_EQ(pinned->points.size(), 2u);
-    EXPECT_FALSE(pinned->label_of(2).has_value());
-    EXPECT_TRUE(service.label_of(2).has_value());
-    EXPECT_DOUBLE_EQ(service.metrics().gauge_value(names::kServePinnedEpochs),
-                     1.0);
+    published.push_back(service.snapshot());
   }
-  // Reader drained: the next publish reports no retired-but-pinned epochs.
-  ASSERT_TRUE(service.advance_epoch().ok);
-  EXPECT_DOUBLE_EQ(service.metrics().gauge_value(names::kServePinnedEpochs),
-                   0.0);
+  // The held epoch keeps only itself alive: every later snapshot but the
+  // current one is already freed.
+  for (std::size_t i = 0; i + 1 < published.size(); ++i) {
+    EXPECT_TRUE(published[i].expired()) << "epoch " << i + 2;
+  }
+  ASSERT_FALSE(published.back().expired());
+  EXPECT_EQ(published.back().lock()->epoch, 11u);
+
+  // The pinned epoch still reads its own points and labels; new queries
+  // see the current epoch.
+  EXPECT_EQ(pinned->epoch, 1u);
+  ASSERT_EQ(pinned->points.size(), 2u);
+  EXPECT_EQ(pinned->labels, (std::vector<mrscan::dbscan::ClusterId>{0, 0}));
+  EXPECT_EQ(pinned->label_of(1), std::optional<mrscan::dbscan::ClusterId>(0));
+  EXPECT_FALSE(pinned->label_of(2).has_value());
+  EXPECT_TRUE(service.label_of(2).has_value());
+}
+
+TEST(ServeSnapshots, SnapshotOutlivesTheService) {
+  auto service = std::make_unique<ms::ClusterService>(make_config(1.0, 2));
+  ASSERT_TRUE(service->bootstrap(std::vector<mg::Point>{pt(0, 0.0, 0.0),
+                                                        pt(1, 0.3, 0.0),
+                                                        pt(2, 9.0, 9.0)})
+                  .ok);
+  const auto held = service->snapshot();
+  service.reset();
+
+  // The service is gone; the snapshot it published still reads.
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(held->epoch, 1u);
+  ASSERT_EQ(held->points.size(), 3u);
+  EXPECT_EQ(held->labels, (std::vector<mrscan::dbscan::ClusterId>{
+                              0, 0, mrscan::dbscan::kNoise}));
+  ASSERT_EQ(held->clusters.size(), 1u);
+  EXPECT_EQ(held->clusters[0].size, 2u);
+  EXPECT_EQ(held->label_of(2),
+            std::optional<mrscan::dbscan::ClusterId>(mrscan::dbscan::kNoise));
 }
 
 TEST(ServeSnapshots, QueriesRunConcurrentlyWithEpochs) {

@@ -3,15 +3,15 @@
 
 Validates the two JSON artifacts a traced pipeline run produces:
 
-  * the Chrome trace-event file (--trace-out / MRSCAN_TRACE_OUT): a
-    {"traceEvents": [...]} document loadable by chrome://tracing and
-    Perfetto, with "X" complete events for every span and "M" metadata
-    events naming the two clock domains; all four pipeline phases
-    (partition, cluster, merge, sweep) must appear as "phase:*" spans;
-  * the metrics snapshot (--metrics-out / MRSCAN_METRICS_OUT): schema
-    "mrscan-metrics-v1", name-sorted unique metrics of kind counter /
-    gauge / histogram, including the sim.* phase gauges, the wall.*
-    phase gauges, and the always-present fault.* counters.
+  * the Chrome trace-event file (--trace-out): a {"traceEvents": [...]}
+    document loadable by chrome://tracing and Perfetto, with "X" complete
+    events for every span and "M" metadata events naming the two clock
+    domains; all four pipeline phases (partition, cluster, merge, sweep)
+    must appear as "phase:*" spans;
+  * the metrics snapshot (--metrics-out): schema "mrscan-metrics-v1",
+    name-sorted unique metrics of kind counter / gauge / histogram,
+    including the sim.* phase gauges, the wall.* phase gauges, and the
+    always-present fault.* counters.
 
 A third mode validates bench metric exports (the BENCH_*.json files the
 benches write under MRSCAN_BENCH_METRICS_DIR): the same metrics schema,
