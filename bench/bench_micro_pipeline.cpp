@@ -1,10 +1,15 @@
 // Micro-benchmarks: pipeline building blocks (dense box detection,
-// partition planning, leaf summaries, merging, packet serialisation) and
-// the host-threaded cluster phase (wall-clock speedup vs host_threads=1).
+// partition planning, leaf summaries, merging, packet serialisation, the
+// text output writer) and the host-threaded cluster phase (wall-clock
+// speedup vs host_threads=1).
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/experiment.hpp"
 #include "core/mrscan.hpp"
@@ -17,6 +22,7 @@
 #include "merge/merger.hpp"
 #include "merge/summary.hpp"
 #include "partition/partitioner.hpp"
+#include "sweep/sweep.hpp"
 
 namespace {
 
@@ -150,6 +156,40 @@ void BM_SummaryPacketRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SummaryPacketRoundTrip);
 
+/// Seconds per BM_WriteLabeledText iteration, exported with the 1-thread
+/// cluster-phase snapshot that runs after it; negative when it did not
+/// run.
+double g_write_labeled_text_s = -1.0;
+
+// The sweep's text writer (the serial io.write_text layer of a batch run)
+// on 1M Twitter-like records into a temp file.
+void BM_WriteLabeledText(benchmark::State& state) {
+  const auto points = bench_points(1'000'000);
+  std::vector<sweep::LabeledPoint> records;
+  records.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    records.push_back({points[i], static_cast<std::int64_t>(i % 50'000)});
+  }
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("mrscan_bench_text_" + std::to_string(::getpid()) + ".txt");
+  double total_s = 0.0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    sweep::write_labeled_text(path, records);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(took.count());
+    total_s += took.count();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(
+                              std::filesystem::file_size(path)));
+  std::filesystem::remove(path);
+  g_write_labeled_text_s = total_s / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_WriteLabeledText)->UseManualTime()->Unit(benchmark::kMillisecond);
+
 // Cluster-phase wall clock at 8 leaves across host worker counts. The
 // reported time IS the cluster phase (manual timing from the pipeline's
 // PhaseTimer), so the Arg(1) / Arg(4) ratio is the host-parallel speedup
@@ -188,6 +228,9 @@ void BM_ClusterPhaseHostThreads(benchmark::State& state) {
     reg.add("bench.host_threads",
             static_cast<std::uint64_t>(state.range(0)));
     reg.add("bench.points", points.size());
+    if (state.range(0) == 1 && g_write_labeled_text_s >= 0.0) {
+      reg.set("bench.write_labeled_text_s", g_write_labeled_text_s);
+    }
     bench::write_bench_snapshot(
         "micro_pipeline_" + std::to_string(state.range(0)) + "t", reg);
   }

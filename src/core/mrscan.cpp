@@ -65,7 +65,15 @@ class LeafStore {
         spool_(std::move(spool)),
         keep_noise_(keep_noise),
         recorder_(recorder),
-        kept_(resident() ? counts_.size() : 0) {}
+        kept_(resident() ? counts_.size() : 0) {
+    if (!resident()) return;
+    // Every record is an owned point, so the owned counts bound the
+    // output: one reservation, no doubling copies, and the tail left by
+    // the noise points a run drops is never touched.
+    std::uint64_t owned = 0;
+    for (const io::SegmentCounts& c : counts_) owned += c.owned;
+    output_.reserve(owned);
+  }
   LeafStore(const LeafStore&) = delete;
   LeafStore& operator=(const LeafStore&) = delete;
 
@@ -205,7 +213,8 @@ class LeafStore {
   obs::Recorder& recorder_;
   /// Resident: each leaf's owned cluster ids (`core` stays empty).
   std::vector<dbscan::Labeling> kept_;
-  /// Resident: the records, in sweep delivery order.
+  /// Resident: the records, in sweep delivery order, in one allocation
+  /// reserved at construction.
   std::vector<sweep::LabeledPoint> output_;
   /// Out of core: the streamed MRLB output.
   std::optional<io::LabeledFileWriter> writer_;

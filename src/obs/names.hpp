@@ -130,6 +130,8 @@ inline constexpr const char* kNetSuffixRecoverySeconds =
 
 // ---- bench harness (bench/common, bench_micro_pipeline) -----------
 inline constexpr const char* kBenchClusterPhaseS = "bench.cluster_phase_s";
+inline constexpr const char* kBenchWriteLabeledTextS =
+    "bench.write_labeled_text_s";
 inline constexpr const char* kBenchHostThreads = "bench.host_threads";
 inline constexpr const char* kBenchPoints = "bench.points";
 inline constexpr const char* kBenchPaperPoints = "bench.paper_points";

@@ -2,11 +2,11 @@
 
 #include <cerrno>
 #include <charconv>
-#include <cmath>
 #include <fstream>
 
 #include "io/checked_file.hpp"
 #include "util/assert.hpp"
+#include "util/decimal.hpp"
 
 namespace mrscan::sweep {
 
@@ -16,11 +16,13 @@ namespace {
 /// hands the stream a full block at a time.
 constexpr std::size_t kTextBlockBytes = std::size_t{1} << 20;
 
-/// Longest text record: a 20-digit id, three %.17g numbers of at most 24
-/// characters ("-1.2345678901234567e-308"), a 20-character cluster id
-/// (INT64_MIN) and five separators. A block with this much room left
-/// always takes one more record.
-constexpr std::ptrdiff_t kMaxTextRecordBytes = 20 + 3 * 24 + 20 + 5;
+/// Most bytes one text record touches: a 20-digit id, three %.17g
+/// numbers (util::write_g17 stores at most kG17WriteBytes each, its
+/// digit-copy tail included), a 20-character cluster id (INT64_MIN) and
+/// five separators. A block with this much room left always takes one
+/// more record.
+constexpr std::ptrdiff_t kMaxTextRecordBytes =
+    20 + 3 * util::kG17WriteBytes + 20 + 5;
 
 }  // namespace
 
@@ -62,30 +64,15 @@ void write_labeled_text(const std::filesystem::path& path,
     if (!out) io::fail(path, "write failed");
     cursor = block.data();
   };
-  const auto put_double = [&](double value) {
-    // %.17g prints an integral value below 1e17 (1e17 itself takes an
-    // exponent) as its integer's digits, so the integer formatter writes
-    // the same bytes faster. -0 keeps its sign through to_chars.
-    if (std::abs(value) < 1e17 && value == std::trunc(value) &&
-        !(value == 0.0 && std::signbit(value))) {
-      cursor = std::to_chars(cursor, block_end,
-                             static_cast<std::int64_t>(value))
-                   .ptr;
-    } else {
-      cursor = std::to_chars(cursor, block_end, value,
-                             std::chars_format::general, 17)
-                   .ptr;
-    }
-  };
   for (const LabeledPoint& r : records) {
     if (block_end - cursor < kMaxTextRecordBytes) write_block();
     cursor = std::to_chars(cursor, block_end, r.point.id).ptr;
     *cursor++ = ' ';
-    put_double(r.point.x);
+    cursor = util::write_g17(cursor, r.point.x);
     *cursor++ = ' ';
-    put_double(r.point.y);
+    cursor = util::write_g17(cursor, r.point.y);
     *cursor++ = ' ';
-    put_double(r.point.weight);
+    cursor = util::write_g17(cursor, r.point.weight);
     *cursor++ = ' ';
     cursor = std::to_chars(cursor, block_end, r.cluster).ptr;
     *cursor++ = '\n';

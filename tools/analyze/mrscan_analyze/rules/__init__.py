@@ -58,9 +58,8 @@ RULES: dict[str, tuple[str, str, tuple[str, ...]]] = {
         ("src", "bench", "examples")),
     "sim-ops-charge": (
         "accounting",
-        "sim-cost model calls must pair with ops charging: virtual-GPU "
-        "kernels charge their BlockContext, and cost-model seconds are "
-        "never discarded",
+        "Lustre/ALPS cost-model seconds are never discarded: every "
+        "lustre_*_seconds / alps_startup_seconds return is accumulated",
         ("src", "bench", "examples", "tests")),
     # -- layering ---------------------------------------------------------
     "layer-dag": (

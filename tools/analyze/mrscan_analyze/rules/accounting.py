@@ -8,11 +8,10 @@ table, the analyzer catches it. Dynamic names are built from declared
 `…Prefix` entries (first literal in the argument must be a prefix),
 and arguments spelled via `names::` constants pass by construction.
 
-sim-ops-charge — the cost model only stays honest if work is charged:
-a kernel lambda handed to VirtualDevice::launch must charge its
-BlockContext, and the Lustre/ALPS second models' return values must
-never be discarded (a dropped return is simulated time that vanishes
-from every report).
+sim-ops-charge — the cost model only stays honest if every modelled
+second is kept: the Lustre/ALPS second models' return values must never
+be discarded (a dropped return is simulated time that vanishes from
+every report).
 """
 
 from __future__ import annotations
@@ -185,35 +184,7 @@ def check_metric_names(ctx: FileContext, table: MetricNameTable) -> None:
 def check_sim_ops_charge(ctx: FileContext) -> None:
     code = ctx.code
     n = len(code)
-    # (a) VirtualDevice::launch kernels must charge ops.
-    for i, t in enumerate(code):
-        if t.kind != IDENT or t.text != "launch":
-            continue
-        if i < 1 or code[i - 1].kind != PUNCT \
-                or code[i - 1].text not in (".", "->"):
-            continue
-        if i + 1 >= n or code[i + 1].kind != PUNCT \
-                or code[i + 1].text != "(":
-            continue
-        close = match_paren(code, i + 1)
-        arg_range = range(i + 2, close)
-        kernels = [lam for lam in ctx.lambdas
-                   if lam.intro_index in arg_range
-                   and lam.body_start < close]
-        for lam in kernels:
-            charges = any(
-                code[k].kind == IDENT and code[k].text == "charge"
-                and k + 1 < n and code[k + 1].kind == PUNCT
-                and code[k + 1].text == "("
-                for k in lam.body_range())
-            if not charges:
-                ctx.report(
-                    lam.line, "sim-ops-charge",
-                    "kernel lambda passed to VirtualDevice::launch never "
-                    "calls BlockContext::charge(); uncharged work makes "
-                    "the simulated device time a lie — charge the ops or "
-                    "annotate with // sim-ops-charge-ok: <reason>")
-    # (b) cost-model seconds must not be discarded.
+    # Cost-model seconds must not be discarded.
     for i, t in enumerate(code):
         if t.kind != IDENT or t.text not in _COST_MODEL_FNS:
             continue

@@ -1,20 +1,10 @@
-// Fixture: sim-ops-charge positives — an uncharged kernel and a
-// discarded cost-model return.
+// Fixture: sim-ops-charge positive — a discarded cost-model return.
 #include <cstddef>
 
-#include "gpu/device.hpp"
 #include "sim/titan.hpp"
 #include "util/assert.hpp"
 
 namespace fixture {
-
-void uncharged_kernel(mrscan::gpu::VirtualDevice& dev, std::size_t blocks) {
-  MRSCAN_REQUIRE(blocks > 0);
-  dev.launch(blocks, [](mrscan::gpu::BlockContext& block, std::size_t b) {
-    (void)block;
-    (void)b;
-  });
-}
 
 void dropped_seconds(const mrscan::sim::TitanParams& params,
                      std::size_t bytes) {

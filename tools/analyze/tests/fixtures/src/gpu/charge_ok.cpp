@@ -1,33 +1,19 @@
-// Fixture: sim-ops-charge negatives — a charging kernel, an
-// accumulated cost-model return, and suppressed variants.
+// Fixture: sim-ops-charge negatives — an accumulated cost-model return
+// and a suppressed drop.
 #include <cstddef>
 
-#include "gpu/device.hpp"
 #include "sim/titan.hpp"
 #include "util/assert.hpp"
 
 namespace fixture {
 
-void charging_kernel(mrscan::gpu::VirtualDevice& dev, std::size_t blocks) {
-  MRSCAN_REQUIRE(blocks > 0);
-  dev.launch(blocks, [](mrscan::gpu::BlockContext& block, std::size_t b) {
-    block.charge(16 * b);
-  });
-}
-
 double accumulated_seconds(const mrscan::sim::TitanParams& params,
                            std::size_t bytes) {
+  MRSCAN_REQUIRE(bytes > 0);
   double total = 0.0;
   total += mrscan::sim::lustre_read_seconds(params, bytes);
   const double write_s = mrscan::sim::lustre_write_seconds(params, bytes);
   return total + write_s;
-}
-
-void suppressed_kernel(mrscan::gpu::VirtualDevice& dev) {
-  // sim-ops-charge-ok: barrier-only kernel; zero modelled work by design
-  dev.launch(1, [](mrscan::gpu::BlockContext& block, std::size_t) {
-    (void)block;
-  });
 }
 
 void suppressed_drop(const mrscan::sim::TitanParams& params) {
