@@ -117,7 +117,7 @@ int main() {
     {
       const core::MrScan pipeline(config);
       const auto result = pipeline.run(points);
-      cluster_s = result.wall.get("cluster");
+      cluster_s = result.obs->wall_seconds("cluster");
       output_records = result.output_records;
     }
     OocCell cell;

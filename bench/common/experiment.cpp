@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/export.hpp"
 #include "partition/distributed.hpp"
 #include "util/assert.hpp"
 

@@ -25,10 +25,11 @@
 //                     DESIGN §13); both yield the same clustering
 //   --keep-noise      include noise points (cluster id -1) in the output
 //   --demo N          instead of --input, generate N synthetic tweets
-//   --trace-out PATH  write a Chrome trace-event JSON of the run
+//   --trace-out PATH  trace the run and write its Chrome trace-event JSON
 //                     (load in chrome://tracing or ui.perfetto.dev)
-//   --metrics-out PATH  write the flat metrics snapshot JSON; either this
-//                     flag or --trace-out enables observability
+//   --metrics-out PATH  write the run's flat metrics snapshot JSON (the
+//                     same series whether or not the run is traced)
+// Both files are written after the labeled output.
 //
 // Out-of-core mode (DESIGN §15) — identical output, bounded memory:
 //
@@ -409,11 +410,7 @@ int main(int argc, char** argv) {
   config.index_backend = index_backend;
   config.keep_noise = keep_noise;
   config.ooc = ooc;
-  if (!trace_out.empty() || !metrics_out.empty()) {
-    config.observability.enabled = true;
-    config.observability.trace_out = trace_out;
-    config.observability.metrics_out = metrics_out;
-  }
+  config.trace = !trace_out.empty();
 
   core::MrScanResult result;
   try {
@@ -445,6 +442,14 @@ int main(int argc, char** argv) {
       sweep::write_labeled_text(output, records);
     } else {
       sweep::write_labeled_text(output, result.output);
+    }
+    if (!trace_out.empty()) {
+      obs::write_text_file(trace_out,
+                           obs::chrome_trace_json(result.obs->tracer()));
+    }
+    if (!metrics_out.empty()) {
+      obs::write_text_file(
+          metrics_out, obs::metrics_json(result.obs->metrics().snapshot()));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -141,8 +141,8 @@ run_step "serve-smoke" serve_smoke
 # Out-of-core smoke: the streamed run must produce byte-identical cluster
 # output to the resident reference and a valid ooc.* metrics snapshot;
 # then a kill/resume cycle — the aborted run exits 3 right after a
-# checkpoint, the resumed run restores the finished leaves and still
-# matches the reference (DESIGN §15).
+# checkpoint, its segment files are deleted, and the resumed run restores
+# the finished leaves and still matches the reference (DESIGN §15).
 ooc_smoke() {
   local dir=build/ooc_smoke
   rm -rf "$dir" && mkdir -p "$dir" || return 1
@@ -165,6 +165,13 @@ ooc_smoke() {
     echo "ooc-smoke: expected abort exit code 3, got $rc" >&2
     return 1
   fi
+  # Segment files are scratch: the resume rewrites every one of them.
+  local segs=("$dir"/spool2/seg_*.seg)
+  if [[ ! -e "${segs[0]}" ]]; then
+    echo "ooc-smoke: the aborted run left no segment files" >&2
+    return 1
+  fi
+  rm -- "${segs[@]}" || return 1
   ./build/examples/mrscan_cli --demo 4000 --eps 0.1 --minpts 20 \
     --leaves 8 --host-threads 4 --ooc-dir "$dir/spool2" --working-set 2 \
     --resume --output "$dir/resumed.clusters" >/dev/null || return 1

@@ -393,51 +393,37 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   require_cell_domain(points, config_);
   MrScanResult result;
 
-  // One recorder per run. Its registry is the single source of truth the
-  // JSON exporters, the phase summary, and MrScanResult's own bookkeeping
-  // all read; the span tracer inside it only records when observability
-  // is enabled (DESIGN §9's cost contract).
-  const obs::Options& obs_opts = config_.observability;
-  auto recorder = std::make_shared<obs::Recorder>(obs_opts.enabled);
+  // One recorder per run: its registry is where the run's statistics are
+  // kept, and callers read and export them from MrScanResult::obs. The
+  // span tracer inside it only records when the run is traced (DESIGN
+  // §9's cost contract).
+  auto recorder = std::make_shared<obs::Recorder>(config_.trace);
   result.obs = recorder;
   obs::Registry& reg = recorder->metrics();
   obs::Tracer& tracer = recorder->tracer();
   const bool tracing = recorder->tracing();
 
-  // Mirror the final sim/fault numbers into the registry, populate the
-  // wall breakdown and FaultReport back *from* it, and write any
-  // configured artifacts. Runs on every exit path (incl. empty input).
+  // Record the final sim/fault numbers. Runs on every exit path (incl.
+  // empty input).
   const auto finalize = [&]() {
     reg.set("sim.startup", result.sim.startup);
     reg.set("sim.partition", result.sim.partition);
     reg.set("sim.cluster_merge", result.sim.cluster_merge);
     reg.set("sim.sweep", result.sim.sweep);
     reg.set("sim.total", result.sim.total());
-    // Fault counters are mirrored unconditionally (an add of 0 still
+    // Fault counters are recorded unconditionally (an add of 0 still
     // creates the counter) so every snapshot carries them.
     reg.add("fault.leaves_recovered", result.merge_net.leaves_recovered);
     reg.add("fault.packets_dropped", result.merge_net.packets_dropped);
     reg.add("fault.retries", result.merge_net.retries);
     reg.add("fault.timeouts", result.merge_net.timeouts);
     reg.set("fault.recovery_seconds", result.merge_net.recovery_seconds);
-    result.fault.leaves_recovered =
-        reg.counter_value("fault.leaves_recovered");
-    result.fault.packets_dropped =
-        reg.counter_value("fault.packets_dropped");
-    result.fault.retries = reg.counter_value("fault.retries");
-    result.fault.timeouts = reg.counter_value("fault.timeouts");
-    result.fault.recovery_seconds =
-        reg.gauge_value("fault.recovery_seconds");
-    // Host-seconds breakdown, in the order the phases ran. Phases that
-    // never ran (empty input) have no gauge and are skipped.
-    const obs::MetricsSnapshot snap = reg.snapshot();
-    for (const char* phase : {"partition", "cluster", "merge", "sweep"}) {
-      const obs::MetricSample* sample =
-          snap.find(std::string("wall.") + phase);
-      if (sample != nullptr) result.wall.add(phase, sample->value);
-    }
-    recorder->export_artifacts(obs_opts);
   };
+
+  // One host pool per run: the partitioner's per-node histograms and
+  // segment-file writes, the per-leaf cluster loop and the merge
+  // filter's per-child decode all fan out on it.
+  util::ThreadPool pool(config_.host_threads);
 
   // ---- Partition phase (its own flat tree, §3.1.3). ----
   // Out of core, the partition phase spools every leaf's segment to a
@@ -461,14 +447,13 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   part_config.materialize.shadow_rep_threshold =
       config_.shadow_rep_threshold;
   part_config.transport = config_.transport;
-  part_config.host_threads = config_.host_threads;
   part_config.recorder = recorder.get();
   part_config.spool_dir = spool;
 
   {
     obs::PhaseScope scope(*recorder, "partition");
     result.partition_phase = partition::run_distributed_partitioner(
-        points, part_config, config_.titan);
+        points, part_config, config_.titan, pool);
   }
   result.sim.partition = result.partition_phase.sim_seconds;
 
@@ -627,11 +612,6 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
     reg.add("ooc.checkpoint_bytes", bytes);
   };
 
-  util::ThreadPool pool(config_.host_threads);
-  // Per-task pool instrumentation is hot-path cost, so the observer is
-  // attached only when tracing (DESIGN §9).
-  obs::PoolMetrics pool_metrics(reg);
-  if (tracing) pool.set_observer(&pool_metrics);
   {
     obs::PhaseScope scope(*recorder, "cluster");
     // The per-leaf loop is the host-side concurrency the paper's
@@ -758,21 +738,20 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   }
   // Cross-node accumulators are reduced here, after the event loop, not
   // inside the filter: the filter must stay free of shared mutable state
-  // so nothing races if filters ever run concurrently. They land in the
-  // registry first and MrScanResult reads them back — one source of truth.
-  reg.add("merge.merges_detected", 0);
-  // det-unordered-iter-ok: counter addition is commutative; order cannot leak
+  // so nothing races if filters ever run concurrently.
+  // det-unordered-iter-ok: integer addition is commutative; order cannot leak
   for (const auto& [node, merged] : node_results) {
-    reg.add("merge.merges_detected", merged.merges_detected);
+    result.merges_detected += merged.merges_detected;
   }
-  result.merges_detected =
-      static_cast<std::size_t>(reg.counter_value("merge.merges_detected"));
+  reg.add("merge.merges_detected", result.merges_detected);
   // The reported GPGPU time is the slowest leaf's device time. Reduced
   // after the merge phase so a leaf re-clustered by the recovery handler
   // — which refills its leaf_stats slot during the reduction — contributes
   // its device_seconds too (a killed-before-cluster leaf has no stats at
   // all until recovery runs).
   for (const Stats& stats : result.leaf_stats) {
+    result.gpu_dbscan_seconds =
+        std::max(result.gpu_dbscan_seconds, stats.device_seconds);
     for (const GpuStatsField& f : kGpuStatsFields) {
       if (f.count != nullptr) {
         reg.add(f.metric, stats.*f.count);
@@ -781,7 +760,6 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
       }
     }
   }
-  result.gpu_dbscan_seconds = reg.gauge_value(names::kGpuDeviceSecondsMax);
   result.merge_net = net.stats();
   mrnet::record_network_stats(*recorder, "merge", result.merge_net);
   // Cluster + merge pipeline: completion of the reduction, which started

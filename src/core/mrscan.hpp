@@ -13,7 +13,8 @@
 // merging, labelling); hardware time (GPU, interconnect, Lustre, startup)
 // is accounted by the Titan machine model, reported in
 // MrScanResult::sim — that is the time the figures-reproduction benches
-// plot. Wall-clock host time is reported separately in `wall`.
+// plot. Wall-clock host time is kept in the run's recorder
+// (MrScanResult::obs, the "wall.<phase>" gauges).
 #pragma once
 
 #include <filesystem>
@@ -32,7 +33,6 @@
 #include "partition/distributed.hpp"
 #include "sim/titan.hpp"
 #include "sweep/sweep.hpp"
-#include "util/timer.hpp"
 
 namespace mrscan::core {
 
@@ -125,10 +125,10 @@ struct MrScanConfig {
   fault::FaultPlan fault_plan;
   /// Out-of-core execution (DESIGN §15). Off by default.
   OocOptions ooc;
-  /// Observability (span tracing + JSON export). Off by default;
-  /// enabling it never changes the clustering output or any simulated
-  /// time (DESIGN §9).
-  obs::Options observability;
+  /// Span tracing into MrScanResult::obs's tracer. Off by default; the
+  /// registry series are recorded either way, and tracing never changes
+  /// them, the clustering output or any simulated time (DESIGN §9).
+  bool trace = false;
 };
 
 /// Simulated per-phase seconds at machine scale.
@@ -142,23 +142,6 @@ struct PhaseBreakdown {
 
   double total() const {
     return startup + partition + cluster_merge + sweep;
-  }
-};
-
-/// Fault-handling outcome of a run, aggregated from the merge-tree
-/// network stats so benches can report fault-run overhead directly.
-struct FaultReport {
-  std::uint64_t leaves_recovered = 0;
-  std::uint64_t packets_dropped = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
-  /// Virtual seconds spent on partition re-reads and re-clustering
-  /// (already included in PhaseBreakdown::cluster_merge).
-  double recovery_seconds = 0.0;
-
-  bool any() const {
-    return leaves_recovered != 0 || packets_dropped != 0 || retries != 0 ||
-           timeouts != 0;
   }
 };
 
@@ -178,8 +161,6 @@ struct MrScanResult {
   std::size_t leaves_used = 0;
 
   PhaseBreakdown sim;
-  /// Measured host seconds per phase (partition/cluster/merge/sweep).
-  util::PhaseTimer wall;
 
   /// Simulated in-GPU DBSCAN time: the slowest leaf's device time
   /// (Figure 9c plots exactly this).
@@ -187,20 +168,20 @@ struct MrScanResult {
 
   std::vector<gpu::GpuDbscanStats> leaf_stats;
   partition::PartitionPhaseResult partition_phase;
+  /// The merge tree's traffic and its fault handling (leaves_recovered,
+  /// packets_dropped, retries, timeouts, recovery_seconds: all zero on a
+  /// fault-free run).
   mrnet::NetworkStats merge_net;
   mrnet::NetworkStats sweep_net;
 
   /// Total merges detected across all tree nodes.
   std::size_t merges_detected = 0;
 
-  /// Fault-handling summary (all zero on a fault-free run); per-recovery
-  /// detail lives in merge_net.recoveries.
-  FaultReport fault;
-
-  /// The run's observability recorder: the metrics registry every stat
-  /// above was populated from, plus the span tracer (empty unless
-  /// tracing was enabled). Always set by run(); shared so callers can
-  /// snapshot, summarise, or export after the run returns.
+  /// The run's observability recorder: the metrics registry, which holds
+  /// every series of the run (sim.*, wall.*, fault.*, net.*, ...), plus
+  /// the span tracer (empty unless `trace` was set). Always set by run();
+  /// shared so callers can snapshot, summarise, or export after the run
+  /// returns.
   std::shared_ptr<obs::Recorder> obs;
 
   /// Labels aligned with an input order (convenience for quality checks).

@@ -74,6 +74,20 @@ std::vector<std::uint8_t> read_file_bytes(const std::filesystem::path& path) {
   return bytes;
 }
 
+void write_file(const std::filesystem::path& path,
+                std::span<const std::uint8_t> bytes) {
+  errno = 0;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) fail(path, "cannot open for writing");
+  if (!bytes.empty() &&
+      std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
+    std::fclose(f);
+    fail(path, "short write");
+  }
+  // fclose flushes what the stream still buffers; a full disk shows here.
+  if (std::fclose(f) != 0) fail(path, "close failed");
+}
+
 void write_file_atomic(const std::filesystem::path& path,
                        std::span<const std::uint8_t> bytes) {
   const std::filesystem::path tmp =

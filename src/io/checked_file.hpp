@@ -52,6 +52,13 @@ void check_format_header(const std::filesystem::path& path,
 /// failure, including a short read against the stat'd size.
 std::vector<std::uint8_t> read_file_bytes(const std::filesystem::path& path);
 
+/// Whole-file write: open, write and close are each checked and throw
+/// with errno context. Nothing is fsync'd, so a crash may leave the file
+/// torn or missing; use it only where no later run trusts the file after
+/// a crash (segment files, which a resume rewrites).
+void write_file(const std::filesystem::path& path,
+                std::span<const std::uint8_t> bytes);
+
 /// Crash-safe whole-file write: the bytes are written to `<path>.tmp`,
 /// flushed and fsync'd, and the temp file is then renamed over `path`.
 /// A reader therefore sees either the complete old file or the complete

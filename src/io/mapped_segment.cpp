@@ -61,7 +61,7 @@ void write_segment_file(const std::filesystem::path& path,
   util::append(buf, std::uint64_t{segment.shadow.size()});
   for (const geom::Point& p : segment.owned) encode_binary_record(buf, p);
   for (const geom::Point& p : segment.shadow) encode_binary_record(buf, p);
-  write_file_atomic(path, buf);
+  write_file(path, buf);
 }
 
 MappedSegment::MappedSegment(const std::filesystem::path& path) {

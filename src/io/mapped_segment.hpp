@@ -40,7 +40,9 @@ struct SegmentCounts {
 };
 
 /// Write one leaf's segment (owned then shadow records) as a segment
-/// file. Throws with errno context on any failure.
+/// file. Throws with errno context on any failure. The write is not
+/// atomic: segment files are scratch, which a resume rewrites in its
+/// partition phase before anything reads them (DESIGN §15).
 void write_segment_file(const std::filesystem::path& path,
                         const Segment& segment);
 

@@ -48,21 +48,12 @@ geom::Point decode_binary_record(const std::uint8_t* data) {
 
 void write_points_binary(const std::filesystem::path& path,
                          std::span<const geom::Point> points) {
-  errno = 0;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) fail(path, "cannot open for writing");
-
   std::vector<std::uint8_t> buf;
   buf.reserve(kHeaderSize + points.size() * kBinaryRecordSize);
   append_format_header(buf, kPointFormat);
   util::append(buf, std::uint64_t{points.size()});
   for (const geom::Point& p : points) encode_binary_record(buf, p);
-  out.write(reinterpret_cast<const char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size()));
-  // close() flushes what the stream still buffers; the destructor would
-  // swallow a failure there (a full disk).
-  out.close();
-  if (!out) fail(path, "write failed");
+  write_file(path, buf);
 }
 
 geom::PointSet read_points_binary(const std::filesystem::path& path) {

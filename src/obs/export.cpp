@@ -110,6 +110,9 @@ void write_text_file(const std::string& path, const std::string& content) {
   }
   out.write(content.data(),
             static_cast<std::streamsize>(content.size()));
+  // close() flushes what the stream still buffers; the destructor would
+  // swallow a failure there (a full disk).
+  out.close();
   if (!out) {
     throw std::runtime_error("obs: short write to " + path);
   }

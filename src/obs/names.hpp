@@ -26,15 +26,10 @@ namespace mrscan::obs::names {
 
 // ---- dynamic families (prefixes) ----------------------------------
 inline constexpr const char* kWallPrefix = "wall.";
-inline constexpr const char* kPoolWorkerPrefix = "pool.worker.";
 inline constexpr const char* kNetPrefix = "net.";
 inline constexpr const char* kBenchMicroIndexPrefix = "bench.micro_index.";
 inline constexpr const char* kBenchServePrefix = "bench.serve.";
 inline constexpr const char* kBenchOocPrefix = "bench.ooc.";
-
-// ---- thread pool (obs::PoolMetrics) -------------------------------
-inline constexpr const char* kPoolTasks = "pool.tasks";
-inline constexpr const char* kPoolQueueDepth = "pool.queue_depth";
 
 // ---- partition phase (partition::record_partition_stats) ----------
 inline constexpr const char* kPartitionReadSeconds =

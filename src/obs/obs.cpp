@@ -1,9 +1,8 @@
 #include "obs/obs.hpp"
 
 #include <charconv>
-#include <exception>
 
-#include "util/logging.hpp"
+#include "obs/names.hpp"
 
 namespace mrscan::obs {
 
@@ -18,30 +17,20 @@ std::string format_seconds(double s) {
 
 }  // namespace
 
+double Recorder::wall_seconds(std::string_view phase) const {
+  return registry_.gauge_value(std::string(names::kWallPrefix).append(phase),
+                               0.0);
+}
+
 std::string Recorder::phase_summary() const {
   std::string out;
   for (const char* phase : {"partition", "cluster", "merge", "sweep"}) {
     if (!out.empty()) out += " | ";
     out += phase;
     out += ' ';
-    out += format_seconds(
-        registry_.gauge_value(std::string("wall.") + phase, 0.0));
+    out += format_seconds(wall_seconds(phase));
   }
   return out;
-}
-
-void Recorder::export_artifacts(const Options& options) const {
-  try {
-    if (!options.trace_out.empty()) {
-      write_text_file(options.trace_out, chrome_trace_json(tracer_));
-    }
-    if (!options.metrics_out.empty()) {
-      write_text_file(options.metrics_out,
-                      metrics_json(registry_.snapshot()));
-    }
-  } catch (const std::exception& e) {
-    util::log_error(std::string("obs export failed: ") + e.what());
-  }
 }
 
 PhaseScope::PhaseScope(Recorder& recorder, std::string phase)
@@ -71,15 +60,6 @@ LayerSpan::LayerSpan(Recorder* recorder, const char* name, std::size_t index,
     scope_.emplace(recorder->tracer(),
                    std::string(name) + ' ' + std::to_string(index), category);
   }
-}
-
-void PoolMetrics::on_enqueue(std::size_t queue_depth) {
-  registry_.add("pool.tasks");
-  registry_.observe("pool.queue_depth", static_cast<double>(queue_depth));
-}
-
-void PoolMetrics::on_task_done(std::size_t worker) {
-  registry_.add("pool.worker." + std::to_string(worker) + ".tasks");
 }
 
 }  // namespace mrscan::obs

@@ -1,41 +1,29 @@
 // Unified observability for the Mr. Scan pipeline.
 //
 // One Recorder per pipeline run bundles the metrics Registry (always
-// live — it backs MrScanResult's bookkeeping, replacing the scattered
-// hand-rolled stat plumbing) with the span Tracer (live only when
-// observability is enabled). The cost contract (DESIGN §9):
+// live: it is where a run's statistics are kept) with the span Tracer
+// (live only when the run is traced). The cost contract (DESIGN §9):
 //
-//   disabled — no spans, no per-task or per-message instrumentation;
-//              only the O(phases + leaves) registry writes that populate
-//              MrScanResult, which existed as ad-hoc bookkeeping before
-//              this subsystem;
-//   enabled  — spans for phases / leaves / network events on both the
-//              wall clock and the Titan virtual clock, ThreadPool queue
-//              metrics, and optional JSON export, with zero effect on
-//              pipeline output (asserted by the differential battery).
+//   untraced — no spans, no per-task or per-message instrumentation;
+//              only the O(phases + leaves) registry writes;
+//   traced   — the same registry series plus spans for phases / leaves /
+//              network events on both the wall clock and the Titan
+//              virtual clock, with zero effect on pipeline output
+//              (asserted by the differential battery).
+//
+// The library writes no files: callers export the recorder through
+// obs/export.hpp.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
-#include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace mrscan::obs {
-
-/// Per-run observability options (MrScanConfig::observability).
-struct Options {
-  /// Master switch for span tracing and hot-path instrumentation.
-  bool enabled = false;
-  /// Chrome trace-event JSON output path ("" = no file).
-  std::string trace_out;
-  /// Metrics snapshot JSON output path ("" = no file).
-  std::string metrics_out;
-};
 
 /// The per-run recorder: one Registry + one Tracer.
 class Recorder {
@@ -50,13 +38,13 @@ class Recorder {
   /// True when span tracing (and hot-path instrumentation) is on.
   bool tracing() const { return tracer_.enabled(); }
 
+  /// Host seconds of `phase` ("partition", "cluster", ...): its
+  /// "wall.<phase>" gauge, 0 when the phase never ran.
+  double wall_seconds(std::string_view phase) const;
+
   /// One-line wall-clock phase summary from the registry, e.g.
   /// "partition 0.012s | cluster 0.034s | merge 0.002s | sweep 0.001s".
   std::string phase_summary() const;
-
-  /// Write the configured JSON artifacts. I/O failures are logged (a bad
-  /// trace path must not kill a completed clustering run), never thrown.
-  void export_artifacts(const Options& options) const;
 
  private:
   Registry registry_;
@@ -64,9 +52,8 @@ class Recorder {
 };
 
 /// RAII phase instrumentation: times the scope on the wall clock, stores
-/// the result as gauge "wall.<phase>" (the single source of truth that
-/// MrScanResult::wall is populated from), and — when tracing — records a
-/// "phase:<phase>" wall span.
+/// the result as gauge "wall.<phase>" (the run's only copy of it), and —
+/// when tracing — records a "phase:<phase>" wall span.
 class PhaseScope {
  public:
   PhaseScope(Recorder& recorder, std::string phase);
@@ -96,21 +83,6 @@ class LayerSpan {
 
  private:
   std::optional<Tracer::WallScope> scope_;
-};
-
-/// Adapter publishing util::ThreadPool activity into the registry:
-/// counter "pool.tasks", per-worker counters "pool.worker.<i>.tasks",
-/// histogram "pool.queue_depth" (depth observed at each enqueue). Attach
-/// only when tracing — per-task instrumentation is hot-path cost.
-class PoolMetrics : public util::ThreadPool::Observer {
- public:
-  explicit PoolMetrics(Registry& registry) : registry_(registry) {}
-
-  void on_enqueue(std::size_t queue_depth) override;
-  void on_task_done(std::size_t worker) override;
-
- private:
-  Registry& registry_;
 };
 
 }  // namespace mrscan::obs

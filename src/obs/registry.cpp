@@ -145,14 +145,6 @@ MetricsSnapshot Registry::snapshot() const {
   return snap;
 }
 
-std::uint64_t Registry::counter_value(std::string_view name) const {
-  std::uint64_t total = 0;
-  for_each_slot(name, [&](const Slot& slot) {
-    if (slot.kind == MetricKind::kCounter) total += slot.count;
-  });
-  return total;
-}
-
 double Registry::gauge_value(std::string_view name, double fallback) const {
   double value = fallback;
   bool seen = false;

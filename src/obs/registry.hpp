@@ -8,8 +8,8 @@
 // JSON rendering byte-stable) no matter which worker performed which
 // write: metrics are emitted sorted by name with order-independent
 // values. That property is what lets the differential battery assert
-// that observability-enabled runs report the same counters as disabled
-// runs re-derived from MrScanResult.
+// that a traced run reports the same series and counters as an untraced
+// one.
 #pragma once
 
 #include <array>
@@ -78,8 +78,7 @@ class Registry {
   /// writers (each shard is locked in turn).
   MetricsSnapshot snapshot() const;
 
-  /// Point lookups that merge on demand (cold paths only).
-  std::uint64_t counter_value(std::string_view name) const;
+  /// Point lookup that merges on demand (cold paths only).
   double gauge_value(std::string_view name, double fallback = 0.0) const;
 
  private:

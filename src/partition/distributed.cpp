@@ -181,7 +181,7 @@ PartitionPhaseResult run_phase(
 PartitionPhaseResult run_distributed_partitioner(
     std::span<const geom::Point> points,
     const DistributedPartitionerConfig& config,
-    const sim::TitanParams& titan) {
+    const sim::TitanParams& titan, util::ThreadPool& pool) {
   MRSCAN_REQUIRE(config.partition_nodes >= 1);
   MRSCAN_REQUIRE(config.eps > 0.0);
   MRSCAN_REQUIRE(config.planner.cell_refine >= 1);
@@ -194,7 +194,6 @@ PartitionPhaseResult run_distributed_partitioner(
       box.empty() ? 0.0 : box.min_x, box.empty() ? 0.0 : box.min_y,
       config.eps / static_cast<double>(config.planner.cell_refine)};
 
-  util::ThreadPool pool(config.host_threads);
   // Each partitioner node histograms a disjoint slice and writes only its
   // own packet slot, so the build fans out on the host pool; the packets
   // (and hence the plan) are bit-identical for any worker count.

@@ -29,6 +29,7 @@
 #include "partition/materialize.hpp"
 #include "partition/partitioner.hpp"
 #include "sim/titan.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mrscan::partition {
 
@@ -47,10 +48,6 @@ struct DistributedPartitionerConfig {
   std::size_t partition_nodes = 2;
   double eps = 1.0;
   Transport transport = Transport::kLustre;
-  /// Host worker threads for the per-node cell-histogram build (the
-  /// partitioner leaves are independent). 0 = hardware concurrency,
-  /// 1 = sequential; the plan is bit-identical for any value.
-  std::size_t host_threads = 1;
   /// Per-run observability recorder (non-owning, may be null). The phase
   /// records its sub-phase gauges ("partition.*"), the rebalance-move
   /// counter, and its tree's network stats ("net.partition.*") into the
@@ -95,10 +92,12 @@ struct PartitionPhaseResult {
 /// Run the partition phase over `points` (standing in for the input file):
 /// the leaves histogram their slices of the points, and after the plan
 /// they materialise the partitions, whose points the write is charged for.
+/// The per-node histogram builds (and, out of core, the segment-file
+/// writes) run on `pool`; the plan is bit-identical for any worker count.
 PartitionPhaseResult run_distributed_partitioner(
     std::span<const geom::Point> points,
     const DistributedPartitionerConfig& config,
-    const sim::TitanParams& titan);
+    const sim::TitanParams& titan, util::ThreadPool& pool);
 
 /// Model-mode variant for the paper-scale benches: the leaves hold
 /// round-robin shares of `hist`, which stands for `virtual_point_count`

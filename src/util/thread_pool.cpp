@@ -10,7 +10,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -24,15 +24,12 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  std::size_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     tasks_.push(std::move(task));
     ++in_flight_;
-    depth = tasks_.size();
   }
   cv_task_.notify_one();
-  if (observer_ != nullptr) observer_->on_enqueue(depth);
 }
 
 void ThreadPool::wait_idle() {
@@ -67,7 +64,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   wait_idle();
 }
 
-void ThreadPool::worker_loop(std::size_t worker_index) {
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
@@ -83,7 +80,6 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
     } catch (...) {
       thrown = std::current_exception();
     }
-    if (observer_ != nullptr) observer_->on_task_done(worker_index);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       // Hand the reference off (or drop it) entirely inside the critical

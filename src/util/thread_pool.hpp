@@ -19,26 +19,9 @@ namespace mrscan::util {
 
 class ThreadPool {
  public:
-  /// Instrumentation hook (src/obs adapts this onto its Registry; util
-  /// cannot depend on obs, so the interface lives here). Callbacks run
-  /// outside the pool's mutex: on_enqueue on the submitting thread with
-  /// the queue depth measured after the push, on_task_done on the worker
-  /// that ran the task (exception or not). Implementations must be
-  /// thread-safe.
-  struct Observer {
-    virtual ~Observer() = default;
-    virtual void on_enqueue(std::size_t queue_depth) = 0;
-    virtual void on_task_done(std::size_t worker) = 0;
-  };
-
   /// threads == 0 selects hardware_concurrency (at least 1).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
-
-  /// Attach an instrumentation observer (non-owning; nullptr detaches).
-  /// Set it before submitting work — it is read without synchronisation
-  /// by workers.
-  void set_observer(Observer* observer) { observer_ = observer; }
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -71,9 +54,8 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& fn);
 
  private:
-  void worker_loop(std::size_t worker_index);
+  void worker_loop();
 
-  Observer* observer_ = nullptr;
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
   mutable std::mutex mutex_;

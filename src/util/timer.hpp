@@ -1,15 +1,8 @@
-// Wall-clock timing helpers.
-//
-// Timer measures a single interval; PhaseTimer accumulates named phases so
-// the pipeline driver can report the partition / cluster / merge / sweep
-// breakdown the paper's Figure 9 uses.
+// Wall-clock timing: Timer measures a single interval. A run's per-phase
+// wall seconds live in its obs::Recorder (the "wall.<phase>" gauges).
 #pragma once
 
 #include <chrono>
-#include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 namespace mrscan::util {
 
@@ -27,57 +20,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates elapsed seconds under named phases. Reporting stays
-/// insertion-ordered; a name index keeps add() O(1) amortised so callers
-/// with many phases (per-leaf or per-node timings) don't go quadratic.
-class PhaseTimer {
- public:
-  /// Add `seconds` to phase `name`, creating it if needed.
-  void add(const std::string& name, double seconds) {
-    const auto [it, inserted] = index_.try_emplace(name, phases_.size());
-    if (inserted) {
-      phases_.emplace_back(name, seconds);
-    } else {
-      phases_[it->second].second += seconds;
-    }
-  }
-
-  /// Accumulated seconds for `name` (0 if never recorded).
-  double get(const std::string& name) const {
-    const auto it = index_.find(name);
-    return it == index_.end() ? 0.0 : phases_[it->second].second;
-  }
-
-  double total() const {
-    double t = 0.0;
-    for (const auto& [n, s] : phases_) t += s;
-    return t;
-  }
-
-  const std::vector<std::pair<std::string, double>>& phases() const {
-    return phases_;
-  }
-
-  /// RAII guard: times a scope and adds it to the named phase.
-  class Scope {
-   public:
-    Scope(PhaseTimer& pt, std::string name)
-        : pt_(pt), name_(std::move(name)) {}
-    ~Scope() { pt_.add(name_, timer_.seconds()); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    PhaseTimer& pt_;
-    std::string name_;
-    Timer timer_;
-  };
-
- private:
-  std::vector<std::pair<std::string, double>> phases_;
-  std::unordered_map<std::string, std::size_t> index_;
 };
 
 }  // namespace mrscan::util

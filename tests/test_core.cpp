@@ -124,8 +124,8 @@ TEST(MrScanPipeline, PhaseTimesArePopulated) {
   // Cluster-merge completion includes the slowest leaf's GPU time.
   EXPECT_GE(result.sim.cluster_merge, result.gpu_dbscan_seconds);
   // Wall phases were measured.
-  EXPECT_GT(result.wall.get("partition"), 0.0);
-  EXPECT_GT(result.wall.get("cluster"), 0.0);
+  EXPECT_GT(result.obs->wall_seconds("partition"), 0.0);
+  EXPECT_GT(result.obs->wall_seconds("cluster"), 0.0);
 }
 
 TEST(MrScanPipeline, DeterministicAcrossRuns) {

@@ -222,7 +222,7 @@ TEST(Differential, FaultMatrixUnderHostThreadsStaysBitIdentical) {
   cfg.fault_plan.retry.leaf_timeout_s = 2.0;
   const auto faulty = mc::MrScan(cfg).run(points);
 
-  EXPECT_EQ(faulty.fault.leaves_recovered, 2u);
+  EXPECT_EQ(faulty.merge_net.leaves_recovered, 2u);
   EXPECT_TRUE(faulty.output == baseline.output)
       << "faulty threaded run diverged from the sequential fault-free run";
   EXPECT_EQ(faulty.cluster_count, baseline.cluster_count);
@@ -244,7 +244,7 @@ TEST(Differential, FaultMatrixUnderHostThreadsStaysBitIdentical) {
     ooc_cfg.ooc.working_set = 2;
     const auto streamed = mc::MrScan(ooc_cfg).run(points);
     const std::string context = "ooc host_threads " + std::to_string(threads);
-    EXPECT_EQ(streamed.fault.leaves_recovered, 2u) << context;
+    EXPECT_EQ(streamed.merge_net.leaves_recovered, 2u) << context;
     EXPECT_TRUE(read_labeled(streamed.output_path) == baseline.output)
         << context << ": streamed records differ from the fault-free run";
     EXPECT_EQ(streamed.sim.total(), faulty.sim.total()) << context;
@@ -447,7 +447,7 @@ TEST(Differential, FaultMatrixCoversTheCellGraphPath) {
   cfg.fault_plan.retry.leaf_timeout_s = 2.0;
   const auto faulty = mc::MrScan(cfg).run(points);
 
-  EXPECT_EQ(faulty.fault.leaves_recovered, 2u);
+  EXPECT_EQ(faulty.merge_net.leaves_recovered, 2u);
   EXPECT_TRUE(faulty.output == baseline.output)
       << "faulty cell-graph run diverged from the fault-free two-pass run";
   EXPECT_EQ(faulty.cluster_count, baseline.cluster_count);
@@ -552,6 +552,44 @@ TEST(Differential, OutOfCoreRunIsByteIdenticalToResident) {
   }
 
   fs::remove_all(root);
+}
+
+TEST(Differential, ResumeRewritesDeletedSegmentFiles) {
+  // Segment files are scratch (DESIGN §15): a resume re-runs the
+  // partition phase and rewrites every one before anything reads it, so
+  // a kill that also loses all of them still resumes to the resident
+  // bytes. Only the label spills and the manifest must survive.
+  namespace fs = std::filesystem;
+  mrscan::data::TwitterConfig tw;
+  tw.num_points = 8000;
+  tw.seed = 19;
+  const auto points = mrscan::data::generate_twitter(tw);
+  auto cfg = make_config(0.1, 20, 24, 4);
+  const auto resident = mc::MrScan(cfg).run(points);
+
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mrscan_ooc_noseg_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  cfg.ooc.enabled = true;
+  cfg.ooc.dir = dir;
+  cfg.ooc.working_set = 3;
+  cfg.ooc.abort_after_leaves = 7;
+  EXPECT_THROW(mc::MrScan(cfg).run(points), mc::OocAborted);
+  std::size_t deleted = 0;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".seg") continue;
+    fs::remove(entry.path());
+    ++deleted;
+  }
+  ASSERT_EQ(deleted, resident.leaves_used);
+
+  cfg.ooc.abort_after_leaves = 0;
+  cfg.ooc.resume = true;
+  const auto resumed = mc::MrScan(cfg).run(points);
+  EXPECT_GT(resumed.ooc_leaves_restored, 0u);
+  EXPECT_TRUE(read_labeled(resumed.output_path) == resident.output);
+  EXPECT_DOUBLE_EQ(resumed.sim.total(), resident.sim.total());
+  fs::remove_all(dir);
 }
 
 TEST(Differential, ResumeRefusesACheckpointOfAnotherInputOrKernel) {

@@ -9,6 +9,7 @@
 #include "dbscan/sequential.hpp"
 #include "partition/distributed.hpp"
 #include "quality/dbdc.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mg = mrscan::geom;
 namespace md = mrscan::dbscan;
@@ -46,11 +47,12 @@ TEST(DirectTransport, RemovesTheWriteTerm) {
   config.partition_nodes = 4;
   config.planner = mp::PartitionerConfig{8, 40, true, 1.075};
 
+  mrscan::util::ThreadPool pool(1);
   const auto lustre = mp::run_distributed_partitioner(
-      points, config, mrscan::sim::TitanParams{});
+      points, config, mrscan::sim::TitanParams{}, pool);
   config.transport = mp::Transport::kDirect;
   const auto direct = mp::run_distributed_partitioner(
-      points, config, mrscan::sim::TitanParams{});
+      points, config, mrscan::sim::TitanParams{}, pool);
 
   EXPECT_GT(lustre.write_seconds, 0.0);
   EXPECT_DOUBLE_EQ(lustre.send_seconds, 0.0);

@@ -390,8 +390,10 @@ mc::MrScanConfig fault_config() {
 TEST(PipelineFault, FaultFreeRunReportsNoFaultActivity) {
   const auto points = fault_points();
   const auto result = mc::MrScan(fault_config()).run(points);
-  EXPECT_FALSE(result.fault.any());
+  EXPECT_EQ(result.merge_net.leaves_recovered, 0u);
   EXPECT_EQ(result.merge_net.packets_dropped, 0u);
+  EXPECT_EQ(result.merge_net.retries, 0u);
+  EXPECT_EQ(result.merge_net.timeouts, 0u);
   EXPECT_TRUE(result.merge_net.recoveries.empty());
 }
 
@@ -485,7 +487,7 @@ TEST(PipelineFault, KillingTheSlowestLeafStillReportsItsDeviceTime) {
   cfg.fault_plan.retry.leaf_timeout_s = 2.0;
   const auto result = mc::MrScan(cfg).run(points);
 
-  EXPECT_EQ(result.fault.leaves_recovered, 1u);
+  EXPECT_EQ(result.merge_net.leaves_recovered, 1u);
   // Recovery re-clusters deterministically, so the recovered leaf's
   // device time equals what the dead leaf would have reported — and it
   // must reach the reduced max.
@@ -499,9 +501,9 @@ TEST(PipelineFault, RecoveryIsReportedInStatsAndChargedToTheClock) {
   cfg.fault_plan.retry.leaf_timeout_s = 2.0;
   const auto result = mc::MrScan(cfg).run(points);
 
-  EXPECT_EQ(result.fault.leaves_recovered, 1u);
-  EXPECT_GT(result.fault.recovery_seconds, 0.0);
-  EXPECT_GT(result.fault.timeouts, 0u);
+  EXPECT_EQ(result.merge_net.leaves_recovered, 1u);
+  EXPECT_GT(result.merge_net.recovery_seconds, 0.0);
+  EXPECT_GT(result.merge_net.timeouts, 0u);
   ASSERT_EQ(result.merge_net.recoveries.size(), 1u);
   const mn::RecoveryEvent& event = result.merge_net.recoveries[0];
   EXPECT_EQ(event.leaf_rank, 1u);
@@ -516,12 +518,11 @@ TEST(PipelineFault, RetriesStayWithinBudget) {
   auto cfg = fault_config();
   cfg.fault_plan.drop(mf::kAllNodes, 0).drop(mf::kAllNodes, 1);
   const auto result = mc::MrScan(cfg).run(points);
-  EXPECT_GT(result.fault.retries, 0u);
+  EXPECT_GT(result.merge_net.retries, 0u);
   // Each sender retried at most max_attempts - 1 times.
-  EXPECT_LE(result.fault.retries,
-            result.fault.packets_dropped);
+  EXPECT_LE(result.merge_net.retries, result.merge_net.packets_dropped);
   EXPECT_LE(
-      result.fault.retries,
+      result.merge_net.retries,
       static_cast<std::uint64_t>(cfg.fault_plan.retry.max_attempts - 1) *
           (result.merge_net.packets_up + 1));
 }

@@ -5,18 +5,20 @@
 //     the same snapshot — and the same JSON bytes — as sequential ones;
 //   * spans carry the right clock domain and sort deterministically;
 //   * the exporters produce exactly the documented JSON shapes;
-//   * enabling observability on a fault-injected multi-threaded pipeline
-//     run changes NOTHING about the clustering: output records, cluster
-//     count, and fault counters are identical, while the trace covers all
-//     four phases, the partition phase's layers and the leaf-recovery
-//     re-read, and the sim.* gauges equal MrScanResult::PhaseBreakdown
-//     exactly.
+//   * tracing a fault-injected multi-threaded pipeline run changes
+//     NOTHING about the clustering: output records, cluster count, and
+//     fault counters are identical, while the trace covers all four
+//     phases, the partition phase's layers and the leaf-recovery re-read,
+//     and the sim.* gauges equal MrScanResult::PhaseBreakdown exactly;
+//   * a traced run records exactly the series an untraced one does, with
+//     equal values except the host-measured wall.* gauges.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -198,8 +200,15 @@ TEST(ObsExport, ChromeTraceJsonGolden) {
             "]}\n");
 }
 
+TEST(ObsExport, WriteTextFileReportsAFailedFlush) {
+  // A short file stays in the stream's buffer until close(); a full disk
+  // must fail the write there, not vanish in the destructor.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(mo::write_text_file("/dev/full", "{}\n"), std::runtime_error);
+}
+
 // ---------------------------------------------------------------------------
-// Pipeline differential: observability changes nothing.
+// Pipeline differential: tracing changes nothing.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -225,6 +234,15 @@ mc::MrScanConfig obs_config() {
   return config;
 }
 
+/// `snap` without its host-measured wall.* gauges, which vary run to
+/// run by design.
+mo::MetricsSnapshot without_wall(mo::MetricsSnapshot snap) {
+  std::erase_if(snap.samples, [](const mo::MetricSample& s) {
+    return s.name.rfind("wall.", 0) == 0;
+  });
+  return snap;
+}
+
 bool has_span(const std::vector<mo::TraceSpan>& spans,
               const std::string& needle) {
   return std::any_of(spans.begin(), spans.end(),
@@ -240,10 +258,10 @@ TEST(ObsPipeline, TracingLeavesFaultInjectedOutputByteIdentical) {
 
   auto cfg_off = obs_config();
   const auto off = mc::MrScan(cfg_off).run(points);
-  ASSERT_EQ(off.fault.leaves_recovered, 1u);
+  ASSERT_EQ(off.merge_net.leaves_recovered, 1u);
 
   auto cfg_on = obs_config();
-  cfg_on.observability.enabled = true;
+  cfg_on.trace = true;
   const auto on = mc::MrScan(cfg_on).run(points);
 
   // (a) byte-identical clustering output.
@@ -251,11 +269,12 @@ TEST(ObsPipeline, TracingLeavesFaultInjectedOutputByteIdentical) {
   EXPECT_TRUE(on.output == off.output);
   // Counters and simulated times agree too.
   EXPECT_EQ(on.merges_detected, off.merges_detected);
-  EXPECT_EQ(on.fault.leaves_recovered, off.fault.leaves_recovered);
-  EXPECT_EQ(on.fault.packets_dropped, off.fault.packets_dropped);
-  EXPECT_EQ(on.fault.retries, off.fault.retries);
-  EXPECT_EQ(on.fault.timeouts, off.fault.timeouts);
-  EXPECT_DOUBLE_EQ(on.fault.recovery_seconds, off.fault.recovery_seconds);
+  EXPECT_EQ(on.merge_net.leaves_recovered, off.merge_net.leaves_recovered);
+  EXPECT_EQ(on.merge_net.packets_dropped, off.merge_net.packets_dropped);
+  EXPECT_EQ(on.merge_net.retries, off.merge_net.retries);
+  EXPECT_EQ(on.merge_net.timeouts, off.merge_net.timeouts);
+  EXPECT_DOUBLE_EQ(on.merge_net.recovery_seconds,
+                   off.merge_net.recovery_seconds);
   EXPECT_DOUBLE_EQ(on.sim.total(), off.sim.total());
   EXPECT_DOUBLE_EQ(on.gpu_dbscan_seconds, off.gpu_dbscan_seconds);
 
@@ -288,29 +307,54 @@ TEST(ObsPipeline, TracingLeavesFaultInjectedOutputByteIdentical) {
   EXPECT_FALSE(off.obs->tracing());
   EXPECT_TRUE(off.obs->tracer().spans().empty());
 
-  // (c) metrics snapshot phase seconds equal PhaseBreakdown exactly.
+  // (c) the registry holds the run's numbers: the sim.* gauges equal
+  // PhaseBreakdown exactly, the fault.* counters equal merge_net's
+  // fields, and every phase has a positive wall.* gauge.
   const mo::MetricsSnapshot snap = on.obs->metrics().snapshot();
   EXPECT_EQ(snap.gauge("sim.startup"), on.sim.startup);
   EXPECT_EQ(snap.gauge("sim.partition"), on.sim.partition);
   EXPECT_EQ(snap.gauge("sim.cluster_merge"), on.sim.cluster_merge);
   EXPECT_EQ(snap.gauge("sim.sweep"), on.sim.sweep);
   EXPECT_EQ(snap.gauge("sim.total"), on.sim.total());
-  // ... and the registry is where MrScanResult's numbers came from.
   EXPECT_EQ(snap.counter("fault.leaves_recovered"),
-            on.fault.leaves_recovered);
+            on.merge_net.leaves_recovered);
+  EXPECT_EQ(snap.counter("fault.packets_dropped"),
+            on.merge_net.packets_dropped);
+  EXPECT_EQ(snap.counter("fault.retries"), on.merge_net.retries);
+  EXPECT_EQ(snap.counter("fault.timeouts"), on.merge_net.timeouts);
+  EXPECT_EQ(snap.gauge("fault.recovery_seconds"),
+            on.merge_net.recovery_seconds);
   EXPECT_EQ(snap.counter("merge.merges_detected"), on.merges_detected);
   EXPECT_EQ(snap.gauge("gpu.device_seconds_max"), on.gpu_dbscan_seconds);
-  EXPECT_GT(snap.counter("pool.tasks"), 0u);
   EXPECT_GT(snap.counter("net.merge.packets_up"), 0u);
   EXPECT_GT(snap.counter("net.partition.packets_up"), 0u);
   EXPECT_GT(snap.counter("partition.parts"), 0u);
-
-  // The wall.* gauges back MrScanResult::wall verbatim.
   for (const char* phase : {"partition", "cluster", "merge", "sweep"}) {
-    EXPECT_EQ(snap.gauge(std::string("wall.") + phase),
-              on.wall.get(phase))
-        << phase;
+    const double wall = snap.gauge(std::string("wall.") + phase);
+    EXPECT_GT(wall, 0.0) << phase;
+    EXPECT_EQ(on.obs->wall_seconds(phase), wall) << phase;
   }
+}
+
+TEST(ObsPipeline, TracedAndUntracedRunsRecordTheSameSeries) {
+  // Tracing adds spans and nothing else: both runs record the same
+  // series, and every value but the host-measured wall.* gauges agrees.
+  const auto points = obs_points();
+  auto cfg = obs_config();
+  const auto off = mc::MrScan(cfg).run(points);
+  cfg.trace = true;
+  const auto on = mc::MrScan(cfg).run(points);
+
+  const mo::MetricsSnapshot untraced = off.obs->metrics().snapshot();
+  const mo::MetricsSnapshot traced = on.obs->metrics().snapshot();
+  const auto names = [](const mo::MetricsSnapshot& snap) {
+    std::vector<std::string> out;
+    for (const mo::MetricSample& s : snap.samples) out.push_back(s.name);
+    return out;
+  };
+  EXPECT_EQ(names(traced), names(untraced));
+  EXPECT_EQ(mo::metrics_json(without_wall(traced)),
+            mo::metrics_json(without_wall(untraced)));
 }
 
 TEST(ObsPipeline, OutOfCoreTraceShowsThePartitionSpill) {
@@ -323,7 +367,7 @@ TEST(ObsPipeline, OutOfCoreTraceShowsThePartitionSpill) {
   cfg.ooc.enabled = true;
   cfg.ooc.dir = dir / "off";
   const auto off = mc::MrScan(cfg).run(points);
-  cfg.observability.enabled = true;
+  cfg.trace = true;
   cfg.ooc.dir = dir / "on";
   const auto result = mc::MrScan(cfg).run(points);
   // Tracing changes neither the streamed bytes nor a simulated second.
@@ -343,8 +387,8 @@ TEST(ObsPipeline, OutOfCoreTraceShowsThePartitionSpill) {
 }
 
 TEST(ObsPipeline, DisabledRunStillPopulatesRegistry) {
-  // Observability off is the default — but the registry (not the tracer)
-  // is always live, because MrScanResult is populated from it.
+  // Tracing is off by default, but the registry (not the tracer) is
+  // always live: it is where a run's statistics are kept.
   const auto points = obs_points();
   auto cfg = obs_config();
   cfg.fault_plan = {};
@@ -355,8 +399,6 @@ TEST(ObsPipeline, DisabledRunStillPopulatesRegistry) {
   const mo::MetricsSnapshot snap = result.obs->metrics().snapshot();
   EXPECT_EQ(snap.gauge("sim.total"), result.sim.total());
   EXPECT_EQ(snap.counter("fault.leaves_recovered"), 0u);
-  // No tracing => no per-task pool instrumentation.
-  EXPECT_EQ(snap.find("pool.tasks"), nullptr);
   // The one-line summary renders every phase.
   const std::string summary = result.obs->phase_summary();
   for (const char* phase : {"partition", "cluster", "merge", "sweep"}) {
@@ -369,15 +411,11 @@ TEST(ObsPipeline, MetricsJsonIsByteStableAcrossIdenticalRuns) {
   std::string first;
   for (int round = 0; round < 2; ++round) {
     auto cfg = obs_config();
-    cfg.observability.enabled = true;
+    cfg.trace = true;
     const auto result = mc::MrScan(cfg).run(points);
-    // Drop the host-measured values: wall seconds and queue depths vary
-    // run to run by design; everything else must render identically.
-    mo::MetricsSnapshot snap = result.obs->metrics().snapshot();
-    std::erase_if(snap.samples, [](const mo::MetricSample& s) {
-      return s.name.rfind("wall.", 0) == 0 || s.name.rfind("pool.", 0) == 0;
-    });
-    const std::string json = mo::metrics_json(snap);
+    // Everything but the wall seconds must render identically.
+    const std::string json =
+        mo::metrics_json(without_wall(result.obs->metrics().snapshot()));
     if (round == 0) {
       first = json;
     } else {

@@ -21,6 +21,7 @@
 #include "partition/materialize.hpp"
 #include "partition/partitioner.hpp"
 #include "pin_digest.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mg = mrscan::geom;
 namespace mi = mrscan::index;
@@ -348,8 +349,9 @@ TEST(DistributedPartitioner, ProducesSamePlanAsSerial) {
   config.eps = 0.1;
   config.planner = mp::PartitionerConfig{8, 4, true, 1.075};
   config.partition_nodes = 4;
+  mrscan::util::ThreadPool pool(1);
   const auto result = mp::run_distributed_partitioner(
-      s.points, config, mrscan::sim::TitanParams{});
+      s.points, config, mrscan::sim::TitanParams{}, pool);
 
   const auto serial =
       mp::plan_partitions(s.hist, s.geometry, config.planner);
@@ -369,8 +371,9 @@ TEST(DistributedPartitioner, TimesBreakdownIsPopulated) {
   config.eps = 0.1;
   config.planner = mp::PartitionerConfig{4, 4, true, 1.075};
   config.partition_nodes = 2;
+  mrscan::util::ThreadPool pool(1);
   const auto result = mp::run_distributed_partitioner(
-      s.points, config, mrscan::sim::TitanParams{});
+      s.points, config, mrscan::sim::TitanParams{}, pool);
   EXPECT_GT(result.read_seconds, 0.0);
   EXPECT_GT(result.write_seconds, 0.0);
   EXPECT_GT(result.histogram_reduce_seconds, 0.0);
@@ -386,8 +389,9 @@ TEST(DistributedPartitioner, ModelModeMatchesPlanOfRealMode) {
   config.planner = mp::PartitionerConfig{8, 4, true, 1.075};
   config.partition_nodes = 4;
 
+  mrscan::util::ThreadPool pool(1);
   const auto real = mp::run_distributed_partitioner(
-      s.points, config, mrscan::sim::TitanParams{});
+      s.points, config, mrscan::sim::TitanParams{}, pool);
   const auto model = mp::run_distributed_partitioner_model(
       s.hist, s.geometry, s.points.size(), config,
       mrscan::sim::TitanParams{});
@@ -621,8 +625,9 @@ TEST(PartitionPin, RealModeResidentAndSpooled) {
                      0x1.de2358c2056afp-14, 0x1.d462c343b70efp-10,
                      0x1.31e84943da8f2p-14, 0x1.86961c36976bcp-5,
                      0.0,                   0x4beeacc03993d81e};
+  mrscan::util::ThreadPool pool(1);
   const auto resident =
-      mp::run_distributed_partitioner(points, config, titan);
+      mp::run_distributed_partitioner(points, config, titan, pool);
   expect_phase(resident, pin);
   EXPECT_EQ(resident.segments.size(), resident.plan.part_count());
 
@@ -631,7 +636,8 @@ TEST(PartitionPin, RealModeResidentAndSpooled) {
       ("mrscan_partition_pin_" + std::to_string(::getpid()));
   std::filesystem::create_directories(spool);
   config.spool_dir = spool;
-  const auto spooled = mp::run_distributed_partitioner(points, config, titan);
+  const auto spooled =
+      mp::run_distributed_partitioner(points, config, titan, pool);
   std::filesystem::remove_all(spool);
   expect_phase(spooled, pin);
   EXPECT_TRUE(spooled.segments.empty());

@@ -147,7 +147,7 @@ TEST(ServeLifecycle, RejectsDuplicateInsertAndUnknownRemove) {
   EXPECT_EQ(result.stats.inserts, 1u);
   EXPECT_EQ(result.stats.rejected, 3u);
   EXPECT_EQ(service.live_points(), 3u);
-  EXPECT_EQ(service.metrics().counter_value(names::kServeRejected), 3u);
+  EXPECT_EQ(service.metrics().snapshot().counter(names::kServeRejected), 3u);
 }
 
 TEST(ServeLifecycle, RejectsOutOfDomainInserts) {
@@ -292,7 +292,7 @@ TEST(ServeFault, DroppedPublishRetriesThenSucceeds) {
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.stats.retries, 2u);
   EXPECT_GT(result.stats.sim_seconds, 0.0);
-  EXPECT_EQ(service.metrics().counter_value(names::kServeRetries), 2u);
+  EXPECT_EQ(service.metrics().snapshot().counter(names::kServeRetries), 2u);
   expect_matches_batch(service, "after retried epoch");
 }
 
@@ -317,7 +317,7 @@ TEST(ServeFault, ExhaustedRetryBudgetFailsEpochCleanly) {
   EXPECT_EQ(service.pending_mutations(), 1u);
   EXPECT_EQ(service.live_points(), 2u);
   EXPECT_EQ(service.snapshot()->labels, before->labels);
-  EXPECT_EQ(service.metrics().counter_value(names::kServeFaultAborts), 1u);
+  EXPECT_EQ(service.metrics().snapshot().counter(names::kServeFaultAborts), 1u);
 }
 
 TEST(ServeFault, SlowEpochStretchesVirtualSeconds) {
@@ -442,7 +442,7 @@ TEST(ServeQueries, ClusterStatsAggregateTheSnapshot) {
   EXPECT_DOUBLE_EQ(stats->weight, 3.0);
   EXPECT_FALSE(service.cluster_stats(1).has_value());
   EXPECT_FALSE(service.cluster_stats(mrscan::dbscan::kNoise).has_value());
-  EXPECT_GE(service.metrics().counter_value(names::kServeQueries), 2u);
+  EXPECT_GE(service.metrics().snapshot().counter(names::kServeQueries), 2u);
 }
 
 // ---- the text protocol ----

@@ -8,7 +8,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -16,7 +15,6 @@
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace mu = mrscan::util;
 
@@ -209,47 +207,6 @@ TEST(Bytes, Fnv1aMatchesTheStandardVectors) {
   EXPECT_EQ(mu::fnv1a(a), 0xaf63dc4c8601ec8cull);
   const std::uint8_t foobar[] = {'f', 'o', 'o', 'b', 'a', 'r'};
   EXPECT_EQ(mu::fnv1a(foobar), 0x85944171f73967e8ull);
-}
-
-TEST(PhaseTimer, AccumulatesNamedPhases) {
-  mu::PhaseTimer pt;
-  pt.add("partition", 1.5);
-  pt.add("cluster", 2.0);
-  pt.add("partition", 0.5);
-  EXPECT_DOUBLE_EQ(pt.get("partition"), 2.0);
-  EXPECT_DOUBLE_EQ(pt.get("cluster"), 2.0);
-  EXPECT_DOUBLE_EQ(pt.get("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(pt.total(), 4.0);
-  ASSERT_EQ(pt.phases().size(), 2u);
-  EXPECT_EQ(pt.phases()[0].first, "partition");
-}
-
-TEST(PhaseTimer, ManyPhasesKeepInsertionOrderAndAccumulate) {
-  // The indexed lookup must not disturb the reporting order: phases()
-  // lists names by first add(), no matter how often each is revisited.
-  mu::PhaseTimer pt;
-  const std::size_t kPhases = 200;
-  for (std::size_t round = 0; round < 3; ++round) {
-    for (std::size_t i = 0; i < kPhases; ++i) {
-      pt.add("phase-" + std::to_string(i), static_cast<double>(i));
-    }
-  }
-  ASSERT_EQ(pt.phases().size(), kPhases);
-  for (std::size_t i = 0; i < kPhases; ++i) {
-    EXPECT_EQ(pt.phases()[i].first, "phase-" + std::to_string(i));
-    EXPECT_DOUBLE_EQ(pt.phases()[i].second, 3.0 * static_cast<double>(i));
-    EXPECT_DOUBLE_EQ(pt.get("phase-" + std::to_string(i)),
-                     3.0 * static_cast<double>(i));
-  }
-}
-
-TEST(PhaseTimer, ScopeRecordsElapsed) {
-  mu::PhaseTimer pt;
-  {
-    mu::PhaseTimer::Scope scope(pt, "work");
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GT(pt.get("work"), 0.0);
 }
 
 TEST(ThreadPool, ParallelForCoversRange) {

@@ -85,8 +85,8 @@ RULES: dict[str, tuple[str, str, tuple[str, ...]]] = {
         ("src",)),
     "no-printf-library": (
         "hygiene",
-        "printf family banned outside util/logging|assert; diagnostics "
-        "flow through util::log_error or exceptions",
+        "printf family banned outside util/assert|audit; the library "
+        "reports through exceptions",
         ("src",)),
     "no-manual-lock": (
         "hygiene",

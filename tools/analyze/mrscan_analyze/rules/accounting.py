@@ -23,7 +23,7 @@ from ..context import FileContext
 from ..lexer import IDENT, PUNCT, STRING, tokenize, match_paren
 
 _REGISTRY_METHODS = frozenset((
-    "add", "set", "set_max", "observe", "counter_value", "gauge_value"))
+    "add", "set", "set_max", "observe", "gauge_value"))
 _SNAPSHOT_METHODS = frozenset(("counter", "gauge", "find"))
 _RECEIVER_FALLBACK_NAMES = frozenset((
     "reg", "registry", "registry_", "snap", "snapshot", "snapshot_"))

@@ -15,7 +15,7 @@ from ..context import FileContext
 # validate their inputs.
 REQUIRE_DIRS = ("partition", "dbscan", "gpu", "mrnet", "sweep")
 
-PRINTF_EXEMPT = re.compile(r"util/(logging\.(hpp|cpp)|assert\.hpp|audit\.hpp)$")
+PRINTF_EXEMPT = re.compile(r"util/(assert|audit)\.hpp$")
 
 RAW_RAND = re.compile(r"(?<![\w:])(?:std\s*::\s*)?s?rand\s*\(")
 NAKED_NEW = re.compile(r"(?<![\w.])new\b(?!\s*\()")
@@ -73,7 +73,8 @@ def check_hygiene(ctx: FileContext) -> None:
         if (is_src and not PRINTF_EXEMPT.search(rel)
                 and PRINTF_FAMILY.search(line)):
             ctx.report(lineno, "no-printf-library",
-                       "printf-family call in library code; use util/logging")
+                       "printf-family call in library code; report through "
+                       "exceptions")
         if is_src:
             m = MANUAL_LOCK.search(line)
             if m and not RAII_LOCK_VAR.search(line):
