@@ -172,6 +172,20 @@ ooc_smoke() {
     return 1
   fi
   rm -- "${segs[@]}" || return 1
+  # A label spill is a plain write that its checkpoint entry's digest
+  # vouches for: one that changed on disk at the same size (here, leaf
+  # 0's first clustered label set to noise) must be re-clustered.
+  python3 - "$dir/spool2/labels_0.lbl" <<'EOF' || return 1
+import struct, sys
+path = sys.argv[1]
+labels = bytearray(open(path, "rb").read())
+for at in range(0, len(labels) - 7, 8):
+    if struct.unpack_from("<q", labels, at)[0] >= 0:
+        struct.pack_into("<q", labels, at, -1)
+        open(path, "wb").write(labels)
+        sys.exit(0)
+sys.exit("ooc-smoke: labels_0.lbl holds no clustered label")
+EOF
   ./build/examples/mrscan_cli --demo 4000 --eps 0.1 --minpts 20 \
     --leaves 8 --host-threads 4 --ooc-dir "$dir/spool2" --working-set 2 \
     --resume --output "$dir/resumed.clusters" >/dev/null || return 1

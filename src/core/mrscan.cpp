@@ -26,6 +26,7 @@
 #include "obs/names.hpp"
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
+#include "util/bytes.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mrscan::core {
@@ -65,7 +66,8 @@ class LeafStore {
         spool_(std::move(spool)),
         keep_noise_(keep_noise),
         recorder_(recorder),
-        kept_(resident() ? counts_.size() : 0) {
+        kept_(resident() ? counts_.size() : 0),
+        spill_digests_(resident() ? 0 : counts_.size()) {
     if (!resident()) return;
     // Every record is an owned point, so the owned counts bound the
     // output: one reservation, no doubling copies, and the tail left by
@@ -95,8 +97,9 @@ class LeafStore {
   }
 
   /// Keep the owned points' cluster ids for the sweep; shadow labels are
-  /// read only by the leaf summary. The spill is atomic, so a crash
-  /// cannot leave a torn file that a later resume would trust.
+  /// read only by the leaf summary. The spill is a plain write whose
+  /// digest the leaf's checkpoint entry records: a crash may leave the
+  /// file torn or zeroed, and spill_intact() then refuses to trust it.
   void keep(std::size_t leaf, const dbscan::Labeling& labels) {
     const auto owned = static_cast<std::ptrdiff_t>(counts_[leaf].owned);
     if (resident()) {
@@ -107,7 +110,8 @@ class LeafStore {
     const obs::LayerSpan span(&recorder_, "io.spill_labels");
     std::vector<std::uint8_t> buf(kept_bytes(leaf));
     if (owned > 0) std::memcpy(buf.data(), labels.cluster.data(), buf.size());
-    io::write_file_atomic(labels_path(leaf), buf);
+    io::write_file(labels_path(leaf), buf);
+    spill_digests_[leaf] = util::fnv1a(buf);
   }
 
   /// Label the leaf's owned points with the global ids the sweep
@@ -165,14 +169,23 @@ class LeafStore {
     return counts_[leaf].owned * sizeof(dbscan::ClusterId);
   }
 
-  /// Resume: true when the leaf's label spill survived at the size its
-  /// checkpoint entry recorded. A leaf whose spill is missing or short is
-  /// clustered again.
-  bool spill_intact(std::size_t leaf, std::uint64_t recorded_bytes) const {
+  /// util::fnv1a of the label spill keep() wrote, as a checkpoint entry
+  /// records it.
+  std::uint64_t kept_digest(std::size_t leaf) const {
+    return spill_digests_[leaf];
+  }
+
+  /// Resume: true when the leaf's label spill survived with the size and
+  /// digest its checkpoint entry recorded. A leaf whose spill is missing,
+  /// short, zeroed or otherwise changed is clustered again.
+  bool spill_intact(std::size_t leaf, std::uint64_t recorded_bytes,
+                    std::uint64_t recorded_digest) const {
+    const std::filesystem::path path = labels_path(leaf);
     std::error_code ec;
-    const std::uintmax_t size =
-        std::filesystem::file_size(labels_path(leaf), ec);
-    return !ec && size == recorded_bytes && recorded_bytes == kept_bytes(leaf);
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    return !ec && size == recorded_bytes &&
+           recorded_bytes == kept_bytes(leaf) &&
+           util::fnv1a(io::read_file_bytes(path)) == recorded_digest;
   }
 
  private:
@@ -216,6 +229,8 @@ class LeafStore {
   /// Resident: the records, in sweep delivery order, in one allocation
   /// reserved at construction.
   std::vector<sweep::LabeledPoint> output_;
+  /// Out of core: util::fnv1a of each leaf's label spill.
+  std::vector<std::uint64_t> spill_digests_;
   /// Out of core: the streamed MRLB output.
   std::optional<io::LabeledFileWriter> writer_;
 };
@@ -494,6 +509,10 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
                   *recorder);
   std::vector<mrnet::Packet> leaf_packets(leaf_count);
   std::vector<double> leaf_ready(leaf_count, 0.0);
+  // Per leaf: 0 until it has a summary, then whether this run clustered
+  // it or restored it from a checkpoint.
+  constexpr std::uint8_t kClustered = 1;
+  constexpr std::uint8_t kRestored = 2;
   std::vector<std::uint8_t> leaf_done(leaf_count, 0);
   result.leaf_stats.resize(leaf_count);
 
@@ -560,27 +579,31 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   // manifest is exactly the done frontier. Merge state is a pure
   // function of the leaf summaries, so nothing else needs saving.
   const std::filesystem::path checkpoint_path = spool / "checkpoint.mrck";
-  std::uint64_t fingerprint = 0;
   std::size_t chunk = leaf_count;
+  // The entries a resume restored: the manifest this run's checkpoints
+  // start from.
+  fault::CheckpointManifest restored;
   if (ooc) {
     chunk = std::max<std::size_t>(1, config_.ooc.working_set);
     if (config_.ooc.checkpoint || config_.ooc.resume) {
-      fingerprint = ooc_fingerprint(config_, gpu_config, points);
+      restored.fingerprint = ooc_fingerprint(config_, gpu_config, points);
     }
+    restored.total_leaves = leaf_count;
     if (config_.ooc.resume) {
-      fault::CheckpointManifest manifest =
-          fault::load_checkpoint(checkpoint_path, fingerprint);
-      MRSCAN_REQUIRE_MSG(manifest.total_leaves == leaf_count,
+      restored = fault::load_checkpoint(checkpoint_path, restored.fingerprint);
+      MRSCAN_REQUIRE_MSG(restored.total_leaves == leaf_count,
                          "checkpoint leaf count does not match this run");
-      for (auto& entry : manifest.entries) {
+      std::erase_if(restored.entries, [&](const fault::CheckpointEntry& e) {
+        return !store.spill_intact(e.rank, e.labels_bytes, e.labels_digest);
+      });
+      for (const fault::CheckpointEntry& entry : restored.entries) {
         const std::size_t rank = entry.rank;
-        if (!store.spill_intact(rank, entry.labels_bytes)) continue;
-        leaf_packets[rank] = mrnet::Packet(std::move(entry.summary));
+        leaf_packets[rank] = mrnet::Packet(entry.summary);
         leaf_ready[rank] = entry.ready_seconds;
-        result.leaf_stats[rank] = decode_gpu_stats(std::move(entry.stats));
-        leaf_done[rank] = 1;
-        ++result.ooc_leaves_restored;
+        result.leaf_stats[rank] = decode_gpu_stats(entry.stats);
+        leaf_done[rank] = kRestored;
       }
+      result.ooc_leaves_restored = restored.entries.size();
     }
     reg.set("ooc.working_set", static_cast<double>(chunk));
     reg.add("ooc.leaves_restored", result.ooc_leaves_restored);
@@ -590,30 +613,41 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
     reg.add("ooc.checkpoint_bytes", 0);
     reg.add("ooc.mapped_bytes", 0);
   }
-  const auto save_ooc_checkpoint = [&]() {
+  // Append the entries of the leaves the chunk [begin, end) clustered,
+  // in rank order, so a fresh run's manifest has the bytes one
+  // save_checkpoint of every entry would write.
+  const auto append_ooc_checkpoint = [&](std::size_t begin, std::size_t end) {
     const obs::LayerSpan span(recorder.get(), "fault.checkpoint");
-    fault::CheckpointManifest manifest;
-    manifest.fingerprint = fingerprint;
-    manifest.total_leaves = leaf_count;
-    for (std::size_t leaf = 0; leaf < leaf_count; ++leaf) {
-      if (leaf_done[leaf] == 0) continue;
+    std::vector<fault::CheckpointEntry> entries;
+    for (std::size_t leaf = begin; leaf < end; ++leaf) {
+      if (leaf_done[leaf] != kClustered) continue;
       fault::CheckpointEntry entry;
       entry.rank = static_cast<std::uint32_t>(leaf);
       entry.ready_seconds = leaf_ready[leaf];
       entry.labels_bytes = store.kept_bytes(leaf);
+      entry.labels_digest = store.kept_digest(leaf);
       entry.stats = encode_gpu_stats(result.leaf_stats[leaf]);
       const auto packet_bytes = leaf_packets[leaf].bytes();
       entry.summary.assign(packet_bytes.begin(), packet_bytes.end());
-      manifest.entries.push_back(std::move(entry));
+      entries.push_back(std::move(entry));
     }
+    if (entries.empty()) return;
     const std::size_t bytes =
-        fault::save_checkpoint(checkpoint_path, manifest);
+        fault::append_checkpoint(checkpoint_path, entries);
     reg.add("ooc.checkpoint_writes", 1);
     reg.add("ooc.checkpoint_bytes", bytes);
   };
 
   {
     obs::PhaseScope scope(*recorder, "cluster");
+    // The manifest is created once, atomically, holding only what this
+    // run restored: a torn tail, or an entry whose spill failed its
+    // check, is gone from it. Each chunk then appends its leaves' entries.
+    if (ooc && config_.ooc.checkpoint) {
+      const obs::LayerSpan span(recorder.get(), "fault.checkpoint");
+      reg.add("ooc.checkpoint_bytes",
+              fault::save_checkpoint(checkpoint_path, restored));
+    }
     // The per-leaf loop is the host-side concurrency the paper's
     // thousands of leaves give for free (§3.2); a ThreadPool supplies it.
     // Every iteration writes only its own slots of leaf_* /
@@ -624,12 +658,6 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
     std::size_t fresh_clustered = 0;
     for (std::size_t begin = 0; begin < leaf_count; begin += chunk) {
       const std::size_t end = std::min(leaf_count, begin + chunk);
-      const auto done_in_chunk = [&] {
-        return static_cast<std::size_t>(std::count(
-            leaf_done.begin() + static_cast<std::ptrdiff_t>(begin),
-            leaf_done.begin() + static_cast<std::ptrdiff_t>(end), 1));
-      };
-      const std::size_t done_before = done_in_chunk();
       pool.parallel_for(begin, end, [&](std::size_t leaf) {
         if (leaf_done[leaf] != 0) return;  // restored from checkpoint
         const obs::LayerSpan span(recorder.get(), "cluster leaf", leaf,
@@ -645,18 +673,20 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
         auto summary = cluster_leaf(leaf);
         leaf_packets[leaf] = std::move(summary.first);
         leaf_ready[leaf] = read_time + summary.second;
-        leaf_done[leaf] = 1;
+        leaf_done[leaf] = kClustered;
       });
       // parallel_for rethrows the first leaf failure; any concurrent ones
       // must have been counted, never silently swallowed.
       MRSCAN_ASSERT_MSG(pool.dropped_exceptions() == 0,
                         "cluster phase swallowed a worker exception");
       if (!ooc) continue;
-      const std::size_t fresh = done_in_chunk() - done_before;
+      const auto fresh = static_cast<std::size_t>(std::count(
+          leaf_done.begin() + static_cast<std::ptrdiff_t>(begin),
+          leaf_done.begin() + static_cast<std::ptrdiff_t>(end), kClustered));
       fresh_clustered += fresh;
       reg.add("ooc.chunks", 1);
       reg.add("ooc.leaves_clustered", fresh);
-      if (config_.ooc.checkpoint) save_ooc_checkpoint();
+      if (config_.ooc.checkpoint) append_ooc_checkpoint(begin, end);
       if (config_.ooc.abort_after_leaves != 0 &&
           fresh_clustered >= config_.ooc.abort_after_leaves) {
         throw OocAborted(

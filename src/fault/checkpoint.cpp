@@ -1,7 +1,5 @@
 #include "fault/checkpoint.hpp"
 
-#include <span>
-
 #include "io/checked_file.hpp"
 #include "util/bytes.hpp"
 
@@ -9,7 +7,7 @@ namespace mrscan::fault {
 
 namespace {
 
-constexpr io::FileFormat kCheckpointFormat{{'M', 'R', 'C', 'K'}, 1,
+constexpr io::FileFormat kCheckpointFormat{{'M', 'R', 'C', 'K'}, 2,
                                            "checkpoint manifest"};
 
 /// A blob: its u32 length, then its bytes.
@@ -34,6 +32,7 @@ void append_entry(std::vector<std::uint8_t>& buf,
   util::append(buf, entry.rank);
   util::append(buf, entry.ready_seconds);
   util::append(buf, entry.labels_bytes);
+  util::append(buf, entry.labels_digest);
   append_blob(buf, entry.stats);
   append_blob(buf, entry.summary);
   const std::uint64_t checksum =
@@ -48,8 +47,8 @@ bool parse_entry(std::span<const std::uint8_t> bytes, util::ByteReader& in,
                  const CheckpointManifest& manifest, CheckpointEntry& out) {
   const std::size_t begin = in.offset();
   if (!in.read(out.rank) || !in.read(out.ready_seconds) ||
-      !in.read(out.labels_bytes) || !read_blob(in, out.stats) ||
-      !read_blob(in, out.summary)) {
+      !in.read(out.labels_bytes) || !in.read(out.labels_digest) ||
+      !read_blob(in, out.stats) || !read_blob(in, out.summary)) {
     return false;
   }
   const std::uint64_t expected =
@@ -71,6 +70,14 @@ std::size_t save_checkpoint(const std::filesystem::path& path,
     append_entry(buf, entry);
   }
   io::write_file_atomic(path, buf);
+  return buf.size();
+}
+
+std::size_t append_checkpoint(const std::filesystem::path& path,
+                              std::span<const CheckpointEntry> entries) {
+  std::vector<std::uint8_t> buf;
+  for (const CheckpointEntry& entry : entries) append_entry(buf, entry);
+  io::append_file(path, buf);
   return buf.size();
 }
 

@@ -10,16 +10,21 @@
 // Manifest file format, written through util/bytes.hpp (native byte
 // order, which that header static_asserts is little-endian):
 //
-//   magic "MRCK" (4) | version u32 | fingerprint u64 | total_leaves u64
+//   magic "MRCK" (4) | version u32 (2) | fingerprint u64 | total_leaves u64
 //   entry*:  rank u32 | ready_seconds f64 | labels_bytes u64
-//            | stats_len u32 | stats bytes | summary_len u32
-//            | summary bytes | util::fnv1a of the entry's bytes u64
+//            | labels_digest u64 | stats_len u32 | stats bytes
+//            | summary_len u32 | summary bytes
+//            | util::fnv1a of the entry's bytes u64
 //
-// Writes go through io::write_file_atomic (temp + fsync + rename), so a
-// reader sees either the previous complete manifest or the new one.
-// load_checkpoint additionally tolerates a torn *tail* — per-entry
-// checksums let it restore the longest valid prefix of entries and drop
-// the rest, and it never mislabels a damaged entry as a finished leaf.
+// A run creates the manifest once with save_checkpoint, which goes
+// through io::write_file_atomic (temp + fsync + rename), and then adds
+// each chunk's entries with append_checkpoint: one O_APPEND write and
+// one fdatasync (io::append_file). Appending N entries one call at a
+// time gives the same bytes as one save_checkpoint of all N. A crash
+// mid-append leaves at most a torn *tail*, which load_checkpoint
+// tolerates: per-entry checksums let it restore the longest valid prefix
+// of entries and drop the rest, and it never mislabels a damaged entry
+// as a finished leaf.
 //
 // The stats/summary blobs are opaque bytes: fault sits below mrnet in
 // the module DAG, so the packet encoding/decoding lives in core.
@@ -27,6 +32,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <vector>
 
 namespace mrscan::fault {
@@ -38,9 +44,11 @@ struct CheckpointEntry {
   /// cluster + summary build), restored so resumed runs reproduce the
   /// original run's sim timings bit-for-bit.
   double ready_seconds = 0.0;
-  /// Expected byte size of the leaf's label spill file; resume
-  /// re-clusters the leaf when the file on disk doesn't match.
+  /// Byte size and util::fnv1a of the leaf's label spill file. The
+  /// spill is written without fsync, so resume re-clusters the leaf
+  /// unless the file on disk matches both.
   std::uint64_t labels_bytes = 0;
+  std::uint64_t labels_digest = 0;
   std::vector<std::uint8_t> stats;    // opaque: GPU stats packet
   std::vector<std::uint8_t> summary;  // opaque: MergeSummary packet
 
@@ -63,6 +71,12 @@ struct CheckpointManifest {
 /// context on failure. Returns the serialized byte size.
 std::size_t save_checkpoint(const std::filesystem::path& path,
                             const CheckpointManifest& manifest);
+
+/// Append `entries` to the manifest save_checkpoint created at `path`,
+/// durably (io::append_file). Throws with errno context on failure.
+/// Returns the appended byte size.
+std::size_t append_checkpoint(const std::filesystem::path& path,
+                              std::span<const CheckpointEntry> entries);
 
 /// Load a manifest. Throws (with path + errno context) when the file is
 /// missing, not a manifest, a wrong version, or carries a different

@@ -122,4 +122,34 @@ void write_file_atomic(const std::filesystem::path& path,
   }
 }
 
+void append_file(const std::filesystem::path& path,
+                 std::span<const std::uint8_t> bytes) {
+  errno = 0;
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  if (fd < 0) fail(path, "cannot open for appending");
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ::ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      if (n == 0) errno = EIO;
+      const int saved = errno;
+      ::close(fd);
+      errno = saved;
+      fail(path, "short append");
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  // The appended bytes (and the size that covers them) must reach the
+  // disk before the caller counts them as durable; the file's name and
+  // the bytes before them already were.
+  if (::fdatasync(fd) != 0) {
+    const int saved = errno;
+    ::close(fd);
+    errno = saved;
+    fail(path, "fdatasync failed");
+  }
+  if (::close(fd) != 0) fail(path, "close failed");
+}
+
 }  // namespace mrscan::io

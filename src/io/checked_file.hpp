@@ -54,8 +54,10 @@ std::vector<std::uint8_t> read_file_bytes(const std::filesystem::path& path);
 
 /// Whole-file write: open, write and close are each checked and throw
 /// with errno context. Nothing is fsync'd, so a crash may leave the file
-/// torn or missing; use it only where no later run trusts the file after
-/// a crash (segment files, which a resume rewrites).
+/// torn, zeroed or missing; use it only where no later run trusts the
+/// file after a crash without checking it: segment files, which a resume
+/// rewrites, and label spills, which a resume checks against the size
+/// and digest their checkpoint entry recorded (DESIGN §15).
 void write_file(const std::filesystem::path& path,
                 std::span<const std::uint8_t> bytes);
 
@@ -64,8 +66,17 @@ void write_file(const std::filesystem::path& path,
 /// A reader therefore sees either the complete old file or the complete
 /// new file — never a torn mix (DESIGN §15 atomicity argument). The
 /// containing directory is fsync'd best-effort so the rename itself is
-/// durable.
+/// durable. Two fsyncs and a rename per call: meant for a file written
+/// once per run (a checkpoint manifest's creation), not per leaf.
 void write_file_atomic(const std::filesystem::path& path,
                        std::span<const std::uint8_t> bytes);
+
+/// Durable append to an existing file: one O_APPEND write, one
+/// fdatasync, then close, each checked and throwing with errno context.
+/// The file must exist (it is not created). A crash mid-append can leave
+/// a torn tail after the old bytes, never damage them, so the format
+/// appended to must detect a torn tail (the MRCK entry checksums do).
+void append_file(const std::filesystem::path& path,
+                 std::span<const std::uint8_t> bytes);
 
 }  // namespace mrscan::io

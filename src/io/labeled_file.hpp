@@ -54,7 +54,8 @@ class LabeledFileWriter {
 
 /// Streaming reader; next() returns false at a clean end-of-file and
 /// throws on a torn tail (the constructor already rejects files whose
-/// size is not header + n × kLabeledRecordSize).
+/// size is not header + n × kLabeledRecordSize). Records are decoded from
+/// a block of whole records that one stream read fills.
 class LabeledFileReader {
  public:
   explicit LabeledFileReader(const std::filesystem::path& path);
@@ -63,10 +64,15 @@ class LabeledFileReader {
   bool next(geom::Point& point, std::int64_t& cluster);
 
  private:
+  /// Fill `block_` with the next records, at most one block's worth.
+  void read_block();
+
   std::filesystem::path path_;
   std::ifstream in_;
   std::uint64_t records_ = 0;
   std::uint64_t cursor_ = 0;
+  std::vector<std::uint8_t> block_;  // read, not yet decoded from block_pos_
+  std::size_t block_pos_ = 0;
 };
 
 }  // namespace mrscan::io

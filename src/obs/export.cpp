@@ -1,7 +1,9 @@
 #include "obs/export.hpp"
 
+#include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
 
@@ -104,18 +106,25 @@ std::string metrics_json(const MetricsSnapshot& snapshot) {
 }
 
 void write_text_file(const std::string& path, const std::string& content) {
+  // The OS reason, as io::fail gives it (obs may include only util).
+  const auto fail = [&path](const char* what) {
+    const int saved_errno = errno;
+    std::string message = std::string("obs: ") + what + ": " + path;
+    if (saved_errno != 0) {
+      message += ": ";
+      message += std::strerror(saved_errno);
+    }
+    throw std::runtime_error(message);
+  };
+  errno = 0;
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("obs: cannot open " + path + " for writing");
-  }
+  if (!out) fail("cannot open for writing");
   out.write(content.data(),
             static_cast<std::streamsize>(content.size()));
   // close() flushes what the stream still buffers; the destructor would
   // swallow a failure there (a full disk).
   out.close();
-  if (!out) {
-    throw std::runtime_error("obs: short write to " + path);
-  }
+  if (!out) fail("short write");
 }
 
 }  // namespace mrscan::obs

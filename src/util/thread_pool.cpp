@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 namespace mrscan::util {
 
@@ -51,14 +52,18 @@ std::size_t ThreadPool::dropped_exceptions() const {
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
   if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = std::min(n, worker_count());
-  const std::size_t chunk = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    submit([lo, hi, &fn] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
+  // One claiming task per worker: each takes the next unclaimed index
+  // until none is left, so a worker that finishes early keeps pulling
+  // work instead of idling behind a slow index. wait_idle() returns only
+  // after every task has, so the counter outlives its readers.
+  std::atomic<std::size_t> next{begin};
+  const std::size_t tasks = std::min(end - begin, worker_count());
+  for (std::size_t t = 0; t < tasks; ++t) {
+    submit([&next, end, &fn] {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < end; i = next.fetch_add(1, std::memory_order_relaxed)) {
+        fn(i);
+      }
     });
   }
   wait_idle();

@@ -46,10 +46,13 @@ class ThreadPool {
   /// (a throwing run rethrows the first and counts the rest here).
   std::size_t dropped_exceptions() const;
 
-  /// Run fn(i) for i in [begin, end), blocking until done. Work is split
-  /// into contiguous chunks, one per worker. If fn throws, the remaining
-  /// indices of other chunks still run and the first exception is
-  /// rethrown here after the range completes.
+  /// Run fn(i) for i in [begin, end), blocking until done. Workers claim
+  /// indices one at a time from a shared counter, in ascending order, so
+  /// an idle worker takes the next index instead of waiting behind a
+  /// slow one; a 1-worker pool runs them in order. If fn throws, that
+  /// worker stops claiming, the others claim the rest, and the first
+  /// exception is rethrown here after they finish (later ones are
+  /// counted in dropped_exceptions()).
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 

@@ -13,12 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
 
 #include "cluster_equiv.hpp"
 #include "core/mrscan.hpp"
+#include "io/checked_file.hpp"
 #include "io/labeled_file.hpp"
 #include "data/sdss.hpp"
 #include "data/synthetic.hpp"
@@ -590,6 +592,67 @@ TEST(Differential, ResumeRewritesDeletedSegmentFiles) {
   EXPECT_TRUE(read_labeled(resumed.output_path) == resident.output);
   EXPECT_DOUBLE_EQ(resumed.sim.total(), resident.sim.total());
   fs::remove_all(dir);
+}
+
+TEST(Differential, ResumeReclustersALeafWhoseSpillChanged) {
+  // Label spills are written without fsync, so a crash can leave one
+  // with the right size and the wrong bytes. Its checkpoint entry's
+  // digest must catch that: the leaf is clustered again, not restored.
+  // Setting one clustered label to noise keeps the file's size, so a
+  // size-only check would restore it and change the output.
+  namespace fs = std::filesystem;
+  mrscan::data::TwitterConfig tw;
+  tw.num_points = 8000;
+  tw.seed = 19;
+  const auto points = mrscan::data::generate_twitter(tw);
+  auto cfg = make_config(0.1, 20, 24, 4);
+  const auto resident = mc::MrScan(cfg).run(points);
+
+  const fs::path root = fs::temp_directory_path() /
+                        ("mrscan_ooc_spill_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  cfg.ooc.enabled = true;
+  cfg.ooc.dir = root / "altered";
+  cfg.ooc.working_set = 3;
+  cfg.ooc.abort_after_leaves = 7;
+  EXPECT_THROW(mc::MrScan(cfg).run(points), mc::OocAborted);
+  // The same aborted spool, left untouched, says what a resume restores.
+  const fs::path untouched = root / "untouched";
+  fs::copy(cfg.ooc.dir, untouched, fs::copy_options::recursive);
+
+  bool altered = false;
+  for (std::size_t leaf = 0; leaf < resident.leaves_used && !altered;
+       ++leaf) {
+    const fs::path spill =
+        cfg.ooc.dir / ("labels_" + std::to_string(leaf) + ".lbl");
+    if (!fs::exists(spill)) continue;
+    std::vector<std::uint8_t> bytes = mrscan::io::read_file_bytes(spill);
+    for (std::size_t at = 0; at + sizeof(md::ClusterId) <= bytes.size();
+         at += sizeof(md::ClusterId)) {
+      md::ClusterId label = 0;
+      std::memcpy(&label, bytes.data() + at, sizeof(label));
+      if (label < 0) continue;
+      label = md::kNoise;
+      std::memcpy(bytes.data() + at, &label, sizeof(label));
+      mrscan::io::write_file(spill, bytes);
+      altered = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(altered) << "no spilled leaf holds a clustered label";
+
+  cfg.ooc.abort_after_leaves = 0;
+  cfg.ooc.resume = true;
+  const auto resumed = mc::MrScan(cfg).run(points);
+  auto untouched_cfg = cfg;
+  untouched_cfg.ooc.dir = untouched;
+  const auto reference = mc::MrScan(untouched_cfg).run(points);
+  EXPECT_GT(resumed.ooc_leaves_restored, 0u);
+  EXPECT_EQ(resumed.ooc_leaves_restored + 1, reference.ooc_leaves_restored);
+  EXPECT_TRUE(read_labeled(resumed.output_path) == resident.output);
+  EXPECT_TRUE(read_labeled(reference.output_path) == resident.output);
+  EXPECT_DOUBLE_EQ(resumed.sim.total(), resident.sim.total());
+  fs::remove_all(root);
 }
 
 TEST(Differential, ResumeRefusesACheckpointOfAnotherInputOrKernel) {

@@ -103,13 +103,16 @@ TEST_F(FormatPin, CheckpointManifest) {
   mf::CheckpointManifest manifest;
   manifest.fingerprint = 0x0123456789abcdefull;
   manifest.total_leaves = 9;
-  manifest.entries.push_back({2, 0.375, 112, {1, 2, 3}, {0xa0, 0xa1}});
-  manifest.entries.push_back({7, 1.0e-3, 0, {}, {0xff, 0x00, 0x7f, 0x80}});
+  // The second entry's spill is empty, so its digest is FNV-1a's basis.
+  manifest.entries.push_back(
+      {2, 0.375, 112, 0x0f1e2d3c4b5a6978ull, {1, 2, 3}, {0xa0, 0xa1}});
+  manifest.entries.push_back({7, 1.0e-3, 0, 0xcbf29ce484222325ull, {},
+                              {0xff, 0x00, 0x7f, 0x80}});
   const std::size_t written = mf::save_checkpoint(path, manifest);
   const Pin pin = pin_of_file(path);
   EXPECT_EQ(written, pin.size);
-  EXPECT_EQ(pin.size, 105u);
-  EXPECT_EQ(pin.digest, 0x92bfcfc647bc123full);
+  EXPECT_EQ(pin.size, 121u);
+  EXPECT_EQ(pin.digest, 0xf40b151cd62f50afull);
 }
 
 TEST_F(FormatPin, SummaryPacket) {

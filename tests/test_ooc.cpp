@@ -96,6 +96,31 @@ TEST_F(CheckedFileTest, ReadMissingFileThrowsWithContext) {
   }
 }
 
+TEST_F(CheckedFileTest, AppendAddsToAnExistingFileOnly) {
+  const auto path = dir_ / "log.bin";
+  const std::vector<std::uint8_t> head = {1, 2, 3};
+  const std::vector<std::uint8_t> tail = {4, 5};
+  mio::write_file(path, head);
+  mio::append_file(path, tail);
+  mio::append_file(path, {});
+  EXPECT_EQ(mio::read_file_bytes(path),
+            (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+
+  // Appending needs the file's existing bytes (a manifest's header), so
+  // a missing file is an error naming the path and the reason.
+  const auto absent = dir_ / "absent.bin";
+  try {
+    mio::append_file(absent, tail);
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("absent.bin: No such file or directory"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_FALSE(fs::exists(absent));
+}
+
 TEST_F(CheckedFileTest, AtomicWriteToBadDirectoryThrows) {
   EXPECT_THROW(
       mio::write_file_atomic(dir_ / "no_such_subdir" / "x.bin", {}),
@@ -230,11 +255,56 @@ mf::CheckpointManifest sample_manifest() {
     entry.rank = rank;
     entry.ready_seconds = 0.25 * rank + 0.125;
     entry.labels_bytes = 8ull * (rank + 1);
+    entry.labels_digest = 0x9e3779b97f4a7c15ull * (rank + 1);
     entry.stats = {static_cast<std::uint8_t>(rank), 2, 3};
     entry.summary.assign(rank + 5, static_cast<std::uint8_t>(0xA0 + rank));
     manifest.entries.push_back(std::move(entry));
   }
   return manifest;
+}
+
+/// The manifest a run writes: save_checkpoint of the first entry, then
+/// append_checkpoint of the second, then of the rest.
+fs::path appended_manifest(const fs::path& path,
+                           const mf::CheckpointManifest& manifest) {
+  const std::span<const mf::CheckpointEntry> entries(manifest.entries);
+  mf::CheckpointManifest first = manifest;
+  first.entries.resize(1);
+  mf::save_checkpoint(path, first);
+  mf::append_checkpoint(path, entries.subspan(1, 1));
+  mf::append_checkpoint(path, entries.subspan(2));
+  return path;
+}
+
+/// Load `bytes` cut at every offset (through a file in `dir`): a cut
+/// inside the header throws, any other loads a bit-identical prefix of
+/// `manifest`'s entries, and the whole file loads all of them.
+void sweep_every_cut(const fs::path& dir,
+                     const std::vector<std::uint8_t>& bytes,
+                     const mf::CheckpointManifest& manifest) {
+  constexpr std::size_t kHeaderSize = 24;
+  const auto torn = dir / "torn.mrck";
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    mio::write_file(torn, std::span<const std::uint8_t>(bytes.data(), cut));
+    if (cut < kHeaderSize) {
+      EXPECT_THROW(mf::load_checkpoint(torn, manifest.fingerprint),
+                   std::runtime_error)
+          << "cut=" << cut;
+      continue;
+    }
+    mf::CheckpointManifest loaded;
+    ASSERT_NO_THROW(loaded =
+                        mf::load_checkpoint(torn, manifest.fingerprint))
+        << "cut=" << cut;
+    ASSERT_LE(loaded.entries.size(), manifest.entries.size())
+        << "cut=" << cut;
+    for (std::size_t i = 0; i < loaded.entries.size(); ++i) {
+      EXPECT_EQ(loaded.entries[i], manifest.entries[i]) << "cut=" << cut;
+    }
+    if (cut == bytes.size()) {
+      EXPECT_EQ(loaded.entries.size(), manifest.entries.size());
+    }
+  }
 }
 
 }  // namespace
@@ -247,6 +317,20 @@ TEST_F(CheckpointTest, RoundTrip) {
 
   const auto loaded = mf::load_checkpoint(path, manifest.fingerprint);
   EXPECT_EQ(loaded.fingerprint, manifest.fingerprint);
+  EXPECT_EQ(loaded.total_leaves, manifest.total_leaves);
+  EXPECT_EQ(loaded.entries, manifest.entries);
+}
+
+TEST_F(CheckpointTest, AppendedEntriesMatchOneSave) {
+  const auto manifest = sample_manifest();
+  ASSERT_EQ(manifest.entries.size(), 4u);
+  const auto whole = dir_ / "whole.mrck";
+  const std::size_t bytes = mf::save_checkpoint(whole, manifest);
+  const auto appended = appended_manifest(dir_ / "appended.mrck", manifest);
+  EXPECT_EQ(fs::file_size(appended), bytes);
+  EXPECT_EQ(mio::read_file_bytes(appended), mio::read_file_bytes(whole));
+
+  const auto loaded = mf::load_checkpoint(appended, manifest.fingerprint);
   EXPECT_EQ(loaded.total_leaves, manifest.total_leaves);
   EXPECT_EQ(loaded.entries, manifest.entries);
 }
@@ -273,37 +357,16 @@ TEST_F(CheckpointTest, MissingAndGarbageThrow) {
 // header) or load a manifest whose entries are a bit-identical prefix
 // of the original's — the per-entry checksums make a torn tail
 // indistinguishable from "fewer leaves finished", never a corrupt
-// restore.
+// restore. The sweep cuts both a saved manifest and one built by
+// appends, as a run writes it (an interrupted append is such a cut).
 TEST_F(CheckpointTest, TornWriteAtEveryByteOffset) {
   const auto manifest = sample_manifest();
-  const auto path = dir_ / "checkpoint.mrck";
-  const std::size_t full = mf::save_checkpoint(path, manifest);
-  const std::vector<std::uint8_t> bytes = mio::read_file_bytes(path);
-  ASSERT_EQ(bytes.size(), full);
-
-  constexpr std::size_t kHeaderSize = 24;
-  for (std::size_t cut = 0; cut <= full; ++cut) {
-    const auto torn = dir_ / "torn.mrck";
-    mio::write_file_atomic(
-        torn, std::span<const std::uint8_t>(bytes.data(), cut));
-    if (cut < kHeaderSize) {
-      EXPECT_THROW(mf::load_checkpoint(torn, manifest.fingerprint),
-                   std::runtime_error)
-          << "cut=" << cut;
-      continue;
-    }
-    mf::CheckpointManifest loaded;
-    ASSERT_NO_THROW(loaded =
-                        mf::load_checkpoint(torn, manifest.fingerprint))
-        << "cut=" << cut;
-    ASSERT_LE(loaded.entries.size(), manifest.entries.size())
-        << "cut=" << cut;
-    for (std::size_t i = 0; i < loaded.entries.size(); ++i) {
-      EXPECT_EQ(loaded.entries[i], manifest.entries[i]) << "cut=" << cut;
-    }
-    if (cut == full) {
-      EXPECT_EQ(loaded.entries.size(), manifest.entries.size());
-    }
+  const auto saved = dir_ / "checkpoint.mrck";
+  mf::save_checkpoint(saved, manifest);
+  for (const fs::path& path :
+       {saved, appended_manifest(dir_ / "appended.mrck", manifest)}) {
+    SCOPED_TRACE(path.filename().string());
+    sweep_every_cut(dir_, mio::read_file_bytes(path), manifest);
   }
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <span>
@@ -240,6 +243,30 @@ TEST(ThreadPool, SingleWorkerIsSequential) {
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
+TEST(ThreadPool, ParallelForHandsIdleWorkersTheRest) {
+  // Index 0 holds its worker until the other seven indices have run, for
+  // at most 5 s. The other worker must claim all seven meanwhile; had
+  // each worker owned a contiguous half, indices 1-3 would sit behind
+  // index 0 until the wait ran out.
+  mu::ThreadPool pool(2);
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t others_done = 0;
+  bool others_ran_meanwhile = false;
+  pool.parallel_for(0, 8, [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (i == 0) {
+      others_ran_meanwhile = cv.wait_for(lock, std::chrono::seconds(5),
+                                         [&] { return others_done == 7; });
+      return;
+    }
+    ++others_done;
+    cv.notify_all();
+  });
+  EXPECT_TRUE(others_ran_meanwhile);
+  EXPECT_EQ(others_done, 7u);
+}
+
 // ---- Exception safety (regression: throwing tasks used to hit the
 // noexcept worker loop and std::terminate the process). ----
 
@@ -276,8 +303,8 @@ TEST(ThreadPool, ThrowingParallelForRethrowsAndCompletesRest) {
                           hits[i].fetch_add(1);
                         }),
       std::runtime_error);
-  // A throwing chunk abandons only its own remaining indices; every
-  // other chunk still covers its range.
+  // The throwing worker stops claiming; the other workers go on claiming
+  // the rest of the range.
   int covered = 0;
   for (const auto& h : hits) covered += h.load();
   EXPECT_GE(covered, 1);
@@ -309,7 +336,8 @@ TEST(ThreadPool, DroppedExceptionsAreCountedNotSwallowed) {
 
 TEST(ThreadPool, ParallelForFromMultipleWorkersCountsConcurrentThrows) {
   mu::ThreadPool pool(4);
-  // 4 chunks of 1 index each; every chunk throws from its own worker.
+  // 4 indices and 4 claiming tasks: every index throws, so each task
+  // stops at its first claim and the 4 throws come from 4 tasks.
   EXPECT_THROW(pool.parallel_for(0, 4,
                                  [](std::size_t i) {
                                    throw std::runtime_error(
