@@ -86,9 +86,26 @@ run_step() {
   fi
 }
 
+# Configure a preset in its binaryDir (build/ for default, build-<name>/
+# for the others). A tree that is already configured keeps its generator:
+# the tier-1 command makes a Unix Makefiles build/, and CMake refuses to
+# reconfigure a tree with the preset's Ninja.
+configure_preset() {
+  local preset="$1" dir="build-$1"
+  if [[ "$preset" == "default" ]]; then
+    dir="build"
+  fi
+  local args=(--preset "$preset")
+  if [[ -f "$dir/CMakeCache.txt" ]]; then
+    args+=(-G "$(sed -n 's/^CMAKE_GENERATOR:INTERNAL=//p' \
+                   "$dir/CMakeCache.txt")")
+  fi
+  run_step "configure:$preset" cmake "${args[@]}"
+}
+
 run_preset() {
   local preset="$1"
-  run_step "configure:$preset" cmake --preset "$preset"
+  configure_preset "$preset"
   run_step "build:$preset" cmake --build --preset "$preset" -j "$JOBS"
   local ctest_args=(--preset "$preset" -j "$JOBS")
   if [[ "$NO_STRESS" -eq 1 ]]; then
@@ -255,13 +272,13 @@ sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
 
 if [[ "$QUICK" -eq 0 ]]; then
   run_step "e2e-smoke" e2e_smoke
-  run_step "configure:release" cmake --preset release
+  configure_preset release
   run_step "build:release" cmake --build --preset release -j "$JOBS"
   run_preset asan-ubsan
   run_preset tsan
 
   if command -v clang-tidy >/dev/null 2>&1; then
-    run_step "configure:tidy" cmake --preset tidy
+    configure_preset tidy
     run_step "build:tidy" cmake --build --preset tidy -j "$JOBS"
   else
     bold "tidy"

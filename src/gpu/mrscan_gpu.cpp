@@ -1,6 +1,7 @@
 #include "gpu/mrscan_gpu.hpp"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <vector>
 
@@ -237,22 +238,82 @@ void attach_border_points(Engine& engine,
 }
 
 /// Resolve per-point chain ids into cluster labels (the one D2H copy),
-/// shared by both cluster paths.
+/// shared by both cluster paths. Labels number the chains' roots in order
+/// of first appearance, as Labeling::renumber would; roots are chain ids,
+/// so a dense table indexed by root replaces its hash map.
 void resolve_labels(const std::vector<std::uint32_t>& chain,
                     cluster::UnionFind& chains, GpuDbscanResult& result,
                     VirtualDevice& device) {
   const auto n = static_cast<std::uint32_t>(chain.size());
   device.copy_to_host(n * kLabelBytes);
+  std::vector<dbscan::ClusterId> label_of_root(chains.size(), dbscan::kNoise);
+  dbscan::ClusterId next = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     if (chain[i] == kNoChain) {
       result.labels.cluster[i] = dbscan::kNoise;
+      continue;
+    }
+    dbscan::ClusterId& label = label_of_root[chains.find(chain[i])];
+    if (label == dbscan::kNoise) label = next++;
+    result.labels.cluster[i] = label;
+  }
+  result.stats.chains = chains.size();
+}
+
+constexpr std::int32_t kRings = cluster::kCellGraphRings;
+constexpr std::int32_t kRingSpan = 2 * kRings + 1;
+
+/// Cell ordinals by offset (dx, dy) within kRings, at ring_slot(dx, dy).
+using RingTable = std::array<std::size_t, kRingSpan * kRingSpan>;
+
+constexpr std::size_t ring_slot(std::int32_t dx, std::int32_t dy) {
+  return static_cast<std::size_t>((dy + kRings) * kRingSpan + dx + kRings);
+}
+
+/// Fill `ring` with the ordinals of the cells within kRings of cell `self`
+/// that sort after it in code order; npos where that cell is empty or
+/// sorts before `self`. The connect step reads them in its own (dy, dx)
+/// order. Each column of the ring costs one or two binary searches and a
+/// short walk, not one search per offset: a column's codes are
+/// contiguous, but the rows iy - kRings .. iy + kRings form one ascending
+/// run only while they do not cross iy = 0, since the code's low half is
+/// the uint32 of iy and the negative rows sort after the others.
+void forward_ring(std::span<const std::uint64_t> codes, std::size_t self,
+                  RingTable& ring) {
+  ring.fill(index::Grid::npos);
+  const std::uint64_t own = codes[self];
+  const geom::CellKey key = geom::cell_from_code(own);
+  const auto begin = codes.begin();
+  const auto after_self = begin + static_cast<std::ptrdiff_t>(self) + 1;
+  auto from = after_self;
+  // Rows key.iy + dy_lo .. key.iy + dy_hi of column ix, all on one side
+  // of iy = 0, so their codes form one ascending run.
+  const auto scan = [&](std::int32_t dx, std::int32_t dy_lo,
+                        std::int32_t dy_hi) {
+    const std::int32_t ix = key.ix + dx;
+    const std::uint64_t hi = geom::cell_code({ix, key.iy + dy_hi});
+    if (hi <= own) return;
+    const std::uint64_t lo =
+        std::max(geom::cell_code({ix, key.iy + dy_lo}), own + 1);
+    // The previous run ended below this one unless the column index
+    // wrapped at ix = 0; every run lies after `self`.
+    if (*(from - 1) >= lo) from = after_self;
+    auto it = std::lower_bound(from, codes.end(), lo);
+    for (; it != codes.end() && *it <= hi; ++it) {
+      const std::int32_t dy = geom::cell_from_code(*it).iy - key.iy;
+      ring[ring_slot(dx, dy)] = static_cast<std::size_t>(it - begin);
+    }
+    from = it;
+  };
+  const bool crosses_zero = key.iy - kRings < 0 && key.iy + kRings >= 0;
+  for (std::int32_t dx = -kRings; dx <= kRings; ++dx) {
+    if (crosses_zero) {
+      scan(dx, -key.iy, kRings);       // rows 0 .. iy + kRings
+      scan(dx, -kRings, -key.iy - 1);  // rows iy - kRings .. -1
     } else {
-      result.labels.cluster[i] =
-          static_cast<dbscan::ClusterId>(chains.find(chain[i]));
+      scan(dx, -kRings, kRings);
     }
   }
-  result.labels.renumber();
-  result.stats.chains = chains.size();
 }
 
 /// The cell-graph cluster path (DESIGN §12), after Wang/Gu/Shun's
@@ -355,20 +416,16 @@ void cell_graph_dbscan(std::span<const geom::Point> points,
     const double eps2 = eps * eps;
     std::vector<std::uint64_t> block_ops(config.block_count, 0);
     std::uint32_t active = 0;  // round-robin ordinal over core cells
+    RingTable ring{};
     for (std::size_t ca = 0; ca < cell_count; ++ca) {
       if (cell_chain[ca] == kNoChain) continue;
       std::uint64_t& ops = block_ops[active % config.block_count];
       ++active;
-      const geom::CellKey key = geom::cell_from_code(codes[ca]);
-      for (std::int32_t dy = -cluster::kCellGraphRings;
-           dy <= cluster::kCellGraphRings; ++dy) {
-        for (std::int32_t dx = -cluster::kCellGraphRings;
-             dx <= cluster::kCellGraphRings; ++dx) {
-          if (dx == 0 && dy == 0) continue;
-          const std::uint64_t ncode =
-              geom::cell_code(geom::CellKey{key.ix + dx, key.iy + dy});
-          if (ncode <= codes[ca]) continue;  // each pair tested once
-          const std::size_t cb = grid.find(ncode);
+      forward_ring(codes, ca, ring);
+      for (std::int32_t dy = -kRings; dy <= kRings; ++dy) {
+        for (std::int32_t dx = -kRings; dx <= kRings; ++dx) {
+          // Each pair is tested once, from the cell that sorts first.
+          const std::size_t cb = ring[ring_slot(dx, dy)];
           if (cb == index::Grid::npos || cell_chain[cb] == kNoChain) {
             continue;
           }

@@ -19,7 +19,11 @@
 // QueryScratch (traversal stack + result buffer) through every query, and
 // leaf scans read an SoA coordinate mirror (separate x/y arrays in leaf
 // order) so they stream cache-line-sequential doubles instead of striding
-// through geom::Point records via the order_[i] indirection.
+// through geom::Point records via the order_[i] indirection. The scans do
+// not branch on the distance test, whose outcome is close to random point
+// by point: a count adds each comparison result to its total, and a
+// collecting query stores every candidate index and advances its write
+// position by the result (DESIGN §10).
 #pragma once
 
 #include <cstdint>
@@ -139,7 +143,17 @@ class KDTree {
   std::size_t node_count() const { return nodes_.size(); }
 
  private:
-  std::uint32_t build(std::uint32_t begin, std::uint32_t end, int depth);
+  // A point as the build moves it: coordinates packed with the original
+  // index, so the median splits compare and swap contiguous records
+  // instead of gathering points_ through order_.
+  struct BuildPoint {
+    double x;
+    double y;
+    std::uint32_t index;
+  };
+
+  std::uint32_t build(std::span<BuildPoint> pts, std::uint32_t begin,
+                      std::uint32_t end, int depth);
 
   std::span<const geom::Point> points_;
   KDTreeConfig config_;

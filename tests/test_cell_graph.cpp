@@ -5,6 +5,7 @@
 // degenerate grids, the cell-core rule's exact threshold).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -19,6 +20,7 @@
 #include "gpu/device.hpp"
 #include "gpu/mrscan_gpu.hpp"
 #include "sweep/sweep.hpp"
+#include "util/rng.hpp"
 
 namespace mcl = mrscan::cluster;
 namespace md = mrscan::dbscan;
@@ -36,8 +38,8 @@ gpu::MrScanGpuConfig leaf_config(double eps, std::size_t min_pts,
 }
 
 /// Run one leaf on both cluster paths and require the full labelings to
-/// agree exactly: identical core flags, and (renumber() canonicalizes
-/// both by first appearance) identical cluster vectors.
+/// agree exactly: identical core flags, and (both number clusters by
+/// first appearance) identical cluster vectors.
 gpu::GpuDbscanResult expect_paths_identical(const mg::PointSet& points,
                                             double eps,
                                             std::size_t min_pts) {
@@ -343,4 +345,70 @@ TEST(CellGraph, ChargesEveryBcpComparisonToTheDevice) {
   EXPECT_GE(result.stats.distance_ops, result.stats.cellgraph_bcp_ops);
   EXPECT_GT(result.stats.kernel_launches, 0u);
   EXPECT_GT(result.stats.device_seconds, 0.0);
+}
+
+TEST(CellGraph, ChainsAcrossTheAxesKeepTheirPairOrder) {
+  // Seeded random walks around the origin whose every step leaves a loose
+  // clump of three points, over a sparse uniform background. Consecutive
+  // clumps, 0.5 to 0.95 Eps apart, lie in cells up to three apart, so
+  // chains of core cells meet at every forward offset, and do so across
+  // ix = 0 and iy = 0, where the uint32 halves of the cell codes wrap.
+  // The pair tests and their ops depend on the order the pairs are
+  // visited in: a source cell skips a neighbour that an earlier pair
+  // already joined to it, and which of two such neighbours it tests first
+  // decides which one it skips. So both are pinned with the labels.
+  const double eps = 1.0;
+  const double side = mcl::cell_graph_side(eps);
+  mrscan::util::Rng rng(2029);
+  mg::PointSet pts;
+  for (int walk = 0; walk < 14; ++walk) {
+    double x = rng.uniform(-3.0, 3.0);
+    double y = rng.uniform(-3.0, 3.0);
+    for (int step = 0; step < 8; ++step) {
+      for (int k = 0; k < 3; ++k) {
+        pts.push_back({pts.size(), x + rng.uniform(-0.15, 0.15),
+                       y + rng.uniform(-0.15, 0.15)});
+      }
+      const double angle = rng.uniform(0.0, 6.283185307179586);
+      const double len = rng.uniform(0.5, 0.95) * eps;
+      x += len * std::cos(angle);
+      y += len * std::sin(angle);
+    }
+  }
+  for (int k = 0; k < 60; ++k) {
+    pts.push_back({pts.size(), rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)});
+  }
+  const std::size_t min_pts = 6;
+  const auto result = expect_paths_identical(pts, eps, min_pts);
+  expect_matches_sequential(pts, eps, min_pts, result);
+
+  // The fixture covers what it claims: for every forward offset, two core
+  // cells at that offset on either side of iy = 0 (when dy != 0) and on
+  // either side of ix = 0 (when dx != 0).
+  const mg::GridGeometry grid{0.0, 0.0, side};
+  std::vector<mg::CellKey> core_cells;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    if (result.labels.core[i]) core_cells.push_back(grid.cell_of(pts[i]));
+  }
+  for (std::int32_t dx = 0; dx <= mcl::kCellGraphRings; ++dx) {
+    for (std::int32_t dy = -mcl::kCellGraphRings;
+         dy <= mcl::kCellGraphRings; ++dy) {
+      if (dx == 0 && dy <= 0) continue;
+      bool across_y = dy == 0;
+      bool across_x = dx == 0;
+      for (const mg::CellKey a : core_cells) {
+        const mg::CellKey b{a.ix + dx, a.iy + dy};
+        if (std::find(core_cells.begin(), core_cells.end(), b) ==
+            core_cells.end()) {
+          continue;
+        }
+        across_y |= (a.iy < 0) != (b.iy < 0);
+        across_x |= (a.ix < 0) != (b.ix < 0);
+      }
+      EXPECT_TRUE(across_y && across_x) << "offset (" << dx << ", " << dy
+                                        << ")";
+    }
+  }
+  EXPECT_EQ(result.stats.cellgraph_bcp_pairs, 192u);
+  EXPECT_EQ(result.stats.cellgraph_bcp_ops, 408u);
 }

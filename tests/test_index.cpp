@@ -12,11 +12,13 @@
 #include "data/twitter.hpp"
 #include "geometry/bbox.hpp"
 #include "geometry/point.hpp"
+#include "gpu/dense_box.hpp"
 #include "index/bvh.hpp"
 #include "index/cell_histogram.hpp"
 #include "index/grid.hpp"
 #include "index/kdtree.hpp"
 #include "index/query_scratch.hpp"
+#include "pin_digest.hpp"
 #include "util/rng.hpp"
 
 namespace mg = mrscan::geom;
@@ -509,6 +511,90 @@ TEST(KDTreeAdversarial, BatchedApisMatchSingleQueries) {
                                               single_scratch, 4, &single_ops));
         EXPECT_EQ(ops, single_ops);
       });
+}
+
+// ---- KDTreePin: the query contract of the index ----------------------
+//
+// The leaf kernels charge the virtual device what these queries report,
+// so a rewrite of the build or of the leaf scans must keep, bit for bit:
+// the leaf order and leaf boxes, and for every query point the count and
+// the ops charged at each early-exit target, and the neighbour indices
+// (in order) and ops of a full radius query. Each input is pinned at
+// min_leaf_extent 0 (population-bounded leaves) and at the dense-box side
+// (the leaf kernels' setting, with large dense-area leaves).
+
+namespace {
+
+using mrscan::test::Digest;
+
+std::uint64_t kdtree_query_digest(const mg::PointSet& pts, double eps,
+                                  double min_leaf_extent) {
+  const mi::KDTree tree(pts, mi::KDTreeConfig{64, min_leaf_extent});
+  Digest d;
+  d.add(std::uint64_t{tree.node_count()});
+  for (const std::uint32_t i : tree.order()) d.add(std::uint64_t{i});
+  for (const auto& leaf : tree.leaves()) {
+    d.add(std::uint64_t{leaf.begin});
+    d.add(std::uint64_t{leaf.end});
+    for (const double v :
+         {leaf.box.min_x, leaf.box.min_y, leaf.box.max_x, leaf.box.max_y}) {
+      d.add(v);
+    }
+  }
+  mi::QueryScratch scratch;
+  for (const mg::Point& p : pts) {
+    for (const std::size_t at_least : {0, 1, 5, 40}) {
+      std::uint64_t ops = 0;
+      d.add(std::uint64_t{
+          tree.count_in_radius(p, eps, scratch, at_least, &ops)});
+      d.add(ops);
+    }
+    std::uint64_t ops = 0;
+    const auto neighbors = tree.radius_query(p, eps, scratch, &ops);
+    d.add(std::uint64_t{neighbors.size()});
+    for (const std::uint32_t i : neighbors) d.add(std::uint64_t{i});
+    d.add(ops);
+  }
+  return d.value();
+}
+
+}  // namespace
+
+TEST(KDTreePin, TwitterQueriesChargeAndReturnPinnedResults) {
+  mrscan::data::TwitterConfig config;
+  config.num_points = 20'000;
+  config.seed = 5;
+  const auto pts = mrscan::data::generate_twitter(config);  // x < 0
+  const double eps = 0.1;
+  const std::uint64_t plain = kdtree_query_digest(pts, eps, 0.0);
+  const std::uint64_t dense =
+      kdtree_query_digest(pts, eps, mrscan::gpu::dense_box_side(eps));
+  EXPECT_EQ(plain, 0xd3babe50f8d31da6u)
+      << std::hex << "digest 0x" << plain;
+  EXPECT_EQ(dense, 0x5bd80b7b05d0150eu)
+      << std::hex << "digest 0x" << dense;
+}
+
+TEST(KDTreePin, DuplicateHeavyQueriesChargeAndReturnPinnedResults) {
+  // 1,500 seeded sites west of the origin, site k repeated 1 + k % 7
+  // times: runs of equal keys at every median the build selects.
+  mrscan::util::Rng rng(44);
+  mg::PointSet pts;
+  for (std::uint32_t k = 0; k < 1'500; ++k) {
+    const double x = rng.uniform(-1.25, -1.0);
+    const double y = rng.uniform(0.0, 0.25);
+    for (std::uint32_t copy = 0; copy <= k % 7; ++copy) {
+      pts.push_back(mg::Point{pts.size(), x, y, 1.0f});
+    }
+  }
+  const double eps = 0.05;
+  const std::uint64_t plain = kdtree_query_digest(pts, eps, 0.0);
+  const std::uint64_t dense =
+      kdtree_query_digest(pts, eps, mrscan::gpu::dense_box_side(eps));
+  EXPECT_EQ(plain, 0xe52449f2906ce90fu)
+      << std::hex << "digest 0x" << plain;
+  EXPECT_EQ(dense, 0x1e8564e9a4d2ec94u)
+      << std::hex << "digest 0x" << dense;
 }
 
 TEST(CellHistogram, CountsMatchGrid) {

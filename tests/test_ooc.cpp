@@ -377,18 +377,22 @@ TEST_F(CheckpointTest, CorruptEntryByteNeverRestored) {
   const auto path = dir_ / "checkpoint.mrck";
   mf::save_checkpoint(path, manifest);
   std::vector<std::uint8_t> bytes = mio::read_file_bytes(path);
+  // The first entry's encoded size: a manifest holding only it, less the
+  // header.
   constexpr std::size_t kHeaderSize = 24;
-  // Corrupt a byte inside the second entry's payload region.
-  const std::size_t victim = kHeaderSize + 40;
+  mf::CheckpointManifest first = manifest;
+  first.entries.resize(1);
+  const std::size_t first_entry =
+      mf::save_checkpoint(dir_ / "first.mrck", first) - kHeaderSize;
+  // Corrupt a byte inside the second entry (its ready_seconds).
+  const std::size_t victim = kHeaderSize + first_entry + 6;
   ASSERT_LT(victim, bytes.size());
   bytes[victim] ^= 0xFF;
   const auto damaged = dir_ / "damaged.mrck";
   mio::write_file_atomic(damaged, bytes);
   const auto loaded = mf::load_checkpoint(damaged, manifest.fingerprint);
-  ASSERT_LT(loaded.entries.size(), manifest.entries.size());
-  for (std::size_t i = 0; i < loaded.entries.size(); ++i) {
-    EXPECT_EQ(loaded.entries[i], manifest.entries[i]);
-  }
+  ASSERT_EQ(loaded.entries.size(), 1u);
+  EXPECT_EQ(loaded.entries[0], manifest.entries[0]);
 }
 
 // ---- reader hardening regressions (bugfix sweep) ------------------
