@@ -1,12 +1,16 @@
 // Micro-benchmarks: spatial index substrate (KD-tree, BVH, grid,
-// histogram).
+// histogram) and the partition plan built over it.
 //
 // The *Scratch / *Many variants measure the allocation-free query engine
 // (QueryScratch + SoA leaf mirror, DESIGN §10) against the legacy
 // out-vector overloads kept for comparison. After the run, every
 // benchmark's real time is exported as a "bench.micro_index.<name>.ns"
 // gauge to BENCH_micro_index.json under MRSCAN_BENCH_METRICS_DIR, so CI
-// can validate the numbers with tools/obs/check_obs_json.py --bench.
+// can validate the numbers with tools/obs/check_obs_json.py --bench. A
+// benchmark's user counters that are not rates (BM_PlanPartitions'
+// parts and rebalance moves) are exported as
+// "bench.micro_index.<name>.<counter>" counters, which the trajectory
+// gate compares exactly.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -14,13 +18,16 @@
 #include <vector>
 
 #include "common/experiment.hpp"
+#include "data/sdss.hpp"
 #include "data/twitter.hpp"
+#include "geometry/bbox.hpp"
 #include "index/bvh.hpp"
 #include "index/cell_histogram.hpp"
 #include "index/grid.hpp"
 #include "index/kdtree.hpp"
 #include "index/query_scratch.hpp"
 #include "obs/registry.hpp"
+#include "partition/partitioner.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -219,6 +226,40 @@ void BM_HistogramMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramMerge);
 
+/// plan_partitions over the cell histogram of 1M points, as a batch run
+/// plans it: the grid anchored at the data's lower-left corner, Eps-sized
+/// cells, one part per clustering leaf.
+void BM_PlanPartitions(benchmark::State& state, bool sdss) {
+  geom::PointSet points;
+  double eps = 0.1;
+  partition::PartitionerConfig config{16, 40, true, 1.075};
+  if (sdss) {
+    data::SdssConfig sdss_config;
+    sdss_config.num_points = 1'000'000;
+    points = data::generate_sdss(sdss_config);
+    eps = 0.00015;
+    config = partition::PartitionerConfig{256, 5, true, 1.075};
+  } else {
+    points = bench_points(1'000'000);
+  }
+  const geom::BBox box = geom::bbox_of(points);
+  const geom::GridGeometry geometry{box.min_x, box.min_y, eps};
+  const index::CellHistogram hist(geometry, points);
+  points = {};
+  partition::PartitionPlan plan;
+  for (auto _ : state) {
+    plan = partition::plan_partitions(hist, geometry, config);
+    benchmark::DoNotOptimize(plan.parts.data());
+  }
+  state.counters["parts"] = static_cast<double>(plan.part_count());
+  state.counters["rebalance_moves"] =
+      static_cast<double>(plan.rebalance_moves);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(hist.cell_count()));
+}
+BENCHMARK_CAPTURE(BM_PlanPartitions, twitter_16, false);
+BENCHMARK_CAPTURE(BM_PlanPartitions, sdss_256, true);
+
 /// Reporter that mirrors each benchmark's real time into an obs registry,
 /// exported as BENCH_micro_index.json for the CI bench-smoke validator.
 class MetricsReporter : public benchmark::ConsoleReporter {
@@ -232,6 +273,11 @@ class MetricsReporter : public benchmark::ConsoleReporter {
       }
       registry_.set("bench.micro_index." + name + ".ns",
                     run.GetAdjustedRealTime());
+      for (const auto& [counter, value] : run.counters) {
+        if ((value.flags & benchmark::Counter::kIsRate) != 0) continue;
+        registry_.add("bench.micro_index." + name + "." + counter,
+                      static_cast<std::uint64_t>(value.value));
+      }
     }
     ConsoleReporter::ReportRuns(runs);
   }

@@ -226,7 +226,7 @@ bench_smoke() {
   rm -rf "$dir" && mkdir -p "$dir" \
     && env MRSCAN_BENCH_METRICS_DIR="$dir" \
          ./build/bench/bench_micro_index \
-         --benchmark_filter='BM_(KDTree|BVH|GridBuild)' --benchmark_min_time=0.05 \
+         --benchmark_filter='BM_(KDTree|BVH|GridBuild|PlanPartitions)' --benchmark_min_time=0.05 \
     && env MRSCAN_BENCH_METRICS_DIR="$dir" MRSCAN_BENCH_MICRO_POINTS=20000 \
          ./build/bench/bench_micro_pipeline \
          --benchmark_filter='BM_(WriteLabeledText|ClusterPhase(HostThreads|CellGraph)/1)' \

@@ -16,6 +16,7 @@
 #include "fault/checkpoint.hpp"
 #include "fault/injector.hpp"
 #include "geometry/bbox.hpp"
+#include "index/grid.hpp"
 #include "io/checked_file.hpp"
 #include "io/labeled_file.hpp"
 #include "io/mapped_segment.hpp"
@@ -25,6 +26,7 @@
 #include "mrnet/topology.hpp"
 #include "obs/names.hpp"
 #include "obs/obs.hpp"
+#include "partition/materialize.hpp"
 #include "util/assert.hpp"
 #include "util/bytes.hpp"
 #include "util/thread_pool.hpp"
@@ -48,46 +50,44 @@ std::vector<std::int64_t> unpack_id_map(const mrnet::Packet& packet) {
 
 /// Where each leaf's points and owned labels live between its cluster
 /// step and the sweep, and where the sweep's records go. A resident run
-/// keeps the leaf's segment where the partition phase left it, its owned
-/// cluster ids in memory, and the records in MrScanResult::output. An
-/// out-of-core run maps the leaf's MRSG file from the spool directory,
-/// spills the ids beside it, and streams the records to an MRLB file.
-/// Nothing outside this class knows which. Every per-leaf operation
-/// touches only that leaf's slot and files, so leaves may run
-/// concurrently (DESIGN §8).
+/// cuts each leaf from the partition phase's grid and the input when it
+/// needs the leaf's points, keeps its owned cluster ids in memory, and
+/// labels every leaf on the pool into MrScanResult::output once the sweep
+/// has delivered them all. An out-of-core run maps the leaf's MRSG file
+/// from the spool directory, spills the ids beside it, and streams the
+/// records to an MRLB file as each leaf is delivered. Nothing outside
+/// this class knows which. Every per-leaf operation touches only that
+/// leaf's slot and files, so leaves may run concurrently (DESIGN §8).
 class LeafStore {
  public:
-  /// `spool` is empty on a resident run.
+  /// On a resident run `grid` is the partition phase's grid over
+  /// `points`; out of core it is null, and the leaves live in `spool`.
   LeafStore(const partition::PartitionPhaseResult& phase,
-            std::filesystem::path spool, bool keep_noise,
+            const index::Grid* grid, std::span<const geom::Point> points,
+            std::filesystem::path spool, const MrScanConfig& config,
             obs::Recorder& recorder)
-      : segments_(phase.segments),
+      : plan_(phase.plan),
         counts_(phase.segment_counts),
+        grid_(grid),
+        points_(points),
+        materialize_{config.shadow_rep_threshold},
         spool_(std::move(spool)),
-        keep_noise_(keep_noise),
+        keep_noise_(config.keep_noise),
         recorder_(recorder),
         kept_(resident() ? counts_.size() : 0),
-        spill_digests_(resident() ? 0 : counts_.size()) {
-    if (!resident()) return;
-    // Every record is an owned point, so the owned counts bound the
-    // output: one reservation, no doubling copies, and the tail left by
-    // the noise points a run drops is never touched.
-    std::uint64_t owned = 0;
-    for (const io::SegmentCounts& c : counts_) owned += c.owned;
-    output_.reserve(owned);
-  }
+        records_(resident() ? counts_.size() : 0),
+        spill_digests_(resident() ? 0 : counts_.size()) {}
   LeafStore(const LeafStore&) = delete;
   LeafStore& operator=(const LeafStore&) = delete;
 
-  /// The leaf's owned points, then its shadow points: a copy of the
-  /// resident segment, or the segment file mapped and decoded.
+  /// The leaf's owned points, then its shadow points: gathered from the
+  /// grid and the input, or the segment file mapped and decoded.
   geom::PointSet load(std::size_t leaf) const {
     if (resident()) {
-      const io::Segment& seg = segments_[leaf];
       geom::PointSet pts;
-      pts.reserve(seg.owned.size() + seg.shadow.size());
-      pts.insert(pts.end(), seg.owned.begin(), seg.owned.end());
-      pts.insert(pts.end(), seg.shadow.begin(), seg.shadow.end());
+      pts.reserve(counts_[leaf].total());
+      partition::gather_partition(plan_, leaf, *grid_, points_, materialize_,
+                                  pts);
       return pts;
     }
     const obs::LayerSpan span(&recorder_, "io.map");
@@ -97,14 +97,16 @@ class LeafStore {
   }
 
   /// Keep the owned points' cluster ids for the sweep; shadow labels are
-  /// read only by the leaf summary. The spill is a plain write whose
-  /// digest the leaf's checkpoint entry records: a crash may leave the
-  /// file torn or zeroed, and spill_intact() then refuses to trust it.
+  /// read only by the leaf summary. Resident, also count the records the
+  /// leaf will yield. The spill is a plain write whose digest the leaf's
+  /// checkpoint entry records: a crash may leave the file torn or zeroed,
+  /// and spill_intact() then refuses to trust it.
   void keep(std::size_t leaf, const dbscan::Labeling& labels) {
     const auto owned = static_cast<std::ptrdiff_t>(counts_[leaf].owned);
     if (resident()) {
-      kept_[leaf].cluster.assign(labels.cluster.begin(),
-                                 labels.cluster.begin() + owned);
+      std::vector<dbscan::ClusterId>& ids = kept_[leaf].cluster;
+      ids.assign(labels.cluster.begin(), labels.cluster.begin() + owned);
+      records_[leaf] = sweep::owned_record_count(ids, keep_noise_);
       return;
     }
     const obs::LayerSpan span(&recorder_, "io.spill_labels");
@@ -114,14 +116,12 @@ class LeafStore {
     spill_digests_[leaf] = util::fnv1a(buf);
   }
 
-  /// Label the leaf's owned points with the global ids the sweep
-  /// delivered and append the records to the output.
-  void sweep(std::size_t leaf, std::span<const std::int64_t> global_of_local) {
+  /// Take the global ids the sweep delivered to the leaf. Out of core,
+  /// its records stream to the output file now; a resident run keeps the
+  /// ids, in delivery order, for finish().
+  void deliver(std::size_t leaf, std::vector<std::int64_t> global_of_local) {
     if (resident()) {
-      const obs::LayerSpan span(&recorder_, "sweep.label");
-      const auto records = sweep::label_owned_points(
-          segments_[leaf].owned, kept_[leaf], global_of_local, keep_noise_);
-      output_.insert(output_.end(), records.begin(), records.end());
+      delivered_.push_back({leaf, std::move(global_of_local)});
       return;
     }
     // Re-map just this leaf's owned points and its label spill; both are
@@ -149,10 +149,26 @@ class LeafStore {
   }
 
   /// Close the output and record it in `result`: the records themselves,
-  /// or the streamed file's path.
-  void finish(MrScanResult& result) {
+  /// or the streamed file's path. A resident run labels its delivered
+  /// leaves here, on `pool`: each gathers its owned points again and
+  /// writes its records into its own span of the output, which starts at
+  /// the record count of the leaves delivered before it, so the output
+  /// keeps delivery order.
+  void finish(MrScanResult& result, util::ThreadPool& pool) {
     if (resident()) {
-      result.output = std::move(output_);
+      std::vector<std::size_t> offsets{0};
+      for (const Delivery& d : delivered_) {
+        offsets.push_back(offsets.back() + records_[d.leaf]);
+      }
+      std::vector<sweep::LabeledPoint> output(offsets.back());
+      const std::span<sweep::LabeledPoint> all(output);
+      pool.parallel_for(0, delivered_.size(), [&](std::size_t d) {
+        label(delivered_[d],
+              all.subspan(offsets[d], offsets[d + 1] - offsets[d]));
+      });
+      MRSCAN_ASSERT_MSG(pool.dropped_exceptions() == 0,
+                        "sweep swallowed a worker exception");
+      result.output = std::move(output);
       result.output_records = result.output.size();
       return;
     }
@@ -189,7 +205,27 @@ class LeafStore {
   }
 
  private:
-  bool resident() const { return spool_.empty(); }
+  /// A leaf the sweep delivered, with its global ids.
+  struct Delivery {
+    std::size_t leaf;
+    std::vector<std::int64_t> global_of_local;
+  };
+
+  bool resident() const { return grid_ != nullptr; }
+
+  /// Resident: label one delivered leaf's owned points into `out`.
+  void label(const Delivery& delivery,
+             std::span<sweep::LabeledPoint> out) const {
+    const obs::LayerSpan span(&recorder_, "sweep.label");
+    geom::PointSet owned;
+    owned.reserve(counts_[delivery.leaf].owned);
+    partition::for_each_owned_cell(
+        plan_, delivery.leaf, *grid_, [&](std::span<const std::uint32_t> cell) {
+          for (const std::uint32_t idx : cell) owned.push_back(points_[idx]);
+        });
+    sweep::label_owned_points(owned, kept_[delivery.leaf],
+                              delivery.global_of_local, keep_noise_, out);
+  }
 
   std::filesystem::path labels_path(std::size_t leaf) const {
     return spool_ / ("labels_" + std::to_string(leaf) + ".lbl");
@@ -219,16 +255,20 @@ class LeafStore {
     return ids;
   }
 
-  std::span<const io::Segment> segments_;
+  const partition::PartitionPlan& plan_;
   std::span<const io::SegmentCounts> counts_;
+  const index::Grid* grid_;
+  std::span<const geom::Point> points_;
+  partition::MaterializeConfig materialize_;
   std::filesystem::path spool_;
   bool keep_noise_;
   obs::Recorder& recorder_;
   /// Resident: each leaf's owned cluster ids (`core` stays empty).
   std::vector<dbscan::Labeling> kept_;
-  /// Resident: the records, in sweep delivery order, in one allocation
-  /// reserved at construction.
-  std::vector<sweep::LabeledPoint> output_;
+  /// Resident: the records each leaf yields.
+  std::vector<std::size_t> records_;
+  /// Resident: the leaves in sweep delivery order.
+  std::vector<Delivery> delivered_;
   /// Out of core: util::fnv1a of each leaf's label spill.
   std::vector<std::uint64_t> spill_digests_;
   /// Out of core: the streamed MRLB output.
@@ -465,10 +505,14 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   part_config.recorder = recorder.get();
   part_config.spool_dir = spool;
 
+  // A resident run's leaves are cut from the phase's grid. It lives only
+  // here, so MrScanResult keeps no point data from the partition phase.
+  std::optional<index::Grid> grid;
   {
     obs::PhaseScope scope(*recorder, "partition");
     result.partition_phase = partition::run_distributed_partitioner(
         points, part_config, config_.titan, pool);
+    grid = std::exchange(result.partition_phase.grid, std::nullopt);
   }
   result.sim.partition = result.partition_phase.sim_seconds;
 
@@ -505,8 +549,8 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
     }
   }
 
-  LeafStore store(result.partition_phase, spool, config_.keep_noise,
-                  *recorder);
+  LeafStore store(result.partition_phase, grid ? &*grid : nullptr, points,
+                  spool, config_, *recorder);
   std::vector<mrnet::Packet> leaf_packets(leaf_count);
   std::vector<double> leaf_ready(leaf_count, 0.0);
   // Per leaf: 0 until it has a summary, then whether this run clustered
@@ -848,10 +892,10 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
         // so the records land in the same order in either mode (DESIGN
         // §8, §15).
         [&](std::uint32_t leaf_rank, const mrnet::Packet& packet) {
-          store.sweep(leaf_rank, unpack_id_map(packet));
+          store.deliver(leaf_rank, unpack_id_map(packet));
         });
+    store.finish(result, pool);
   }
-  store.finish(result);
   result.sweep_net = sweep_net.stats();
   mrnet::record_network_stats(*recorder, "sweep", result.sweep_net);
 

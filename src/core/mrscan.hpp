@@ -167,6 +167,9 @@ struct MrScanResult {
   double gpu_dbscan_seconds = 0.0;
 
   std::vector<gpu::GpuDbscanStats> leaf_stats;
+  /// The partition phase's plan, per-leaf counts and costs. Its grid
+  /// stays inside run(), so the result holds no point data from the
+  /// phase.
   partition::PartitionPhaseResult partition_phase;
   /// The merge tree's traffic and its fault handling (leaves_recovered,
   /// packets_dropped, retries, timeouts, recovery_seconds: all zero on a

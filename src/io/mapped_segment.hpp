@@ -37,6 +37,8 @@ struct SegmentCounts {
   std::uint64_t shadow = 0;
 
   std::uint64_t total() const { return owned + shadow; }
+
+  friend bool operator==(const SegmentCounts&, const SegmentCounts&) = default;
 };
 
 /// Write one leaf's segment (owned then shadow records) as a segment

@@ -215,19 +215,24 @@ PartitionPhaseResult run_distributed_partitioner(
   return run_phase(
       leaf_histograms, geometry, points.size(), config, titan,
       [&](PartitionPhaseResult& result) {
-        // The grid build, and the copies when resident, are the
-        // materialize layer; out of core, writing the files is the spill.
+        // The grid build is the materialize layer. A resident run copies
+        // no point here: it keeps the grid, and each leaf gathers its own
+        // points from it when it loads. Out of core, writing the files is
+        // the spill.
         std::optional<obs::LayerSpan> span(std::in_place, config.recorder,
                                            "partition.materialize");
-        const index::Grid grid(geometry, points);
+        index::Grid grid(geometry, points);
         if (config.spool_dir.empty()) {
-          result.segments = materialize_partitions(result.plan, grid, points,
-                                                   config.materialize);
-          result.segment_counts.reserve(result.segments.size());
-          for (const auto& seg : result.segments) {
-            result.segment_counts.push_back(
-                {seg.owned.size(), seg.shadow.size()});
-          }
+          // The counts walk the cells each leaf's gather walks, so they
+          // are exactly the points it takes, representatives included.
+          const std::size_t parts = result.plan.part_count();
+          std::vector<io::SegmentCounts> counts(parts);
+          pool.parallel_for(0, parts, [&](std::size_t pi) {
+            counts[pi] = count_partition(result.plan, pi, grid, points,
+                                         config.materialize);
+          });
+          result.segment_counts = std::move(counts);
+          result.grid.emplace(std::move(grid));
         } else {
           // Out-of-core: spool each partition to its per-leaf segment
           // file and keep only the counts resident (DESIGN §15).

@@ -12,14 +12,18 @@
 //      since each leaf holds a random slice and contributes a little data
 //      to nearly every partition (the paper's §5.1.1 bottleneck).
 //
-// The histogram reduce, planning, and materialisation execute for real;
-// file-system time is modeled with the Titan Lustre parameters so the
-// phase cost is meaningful at paper scale. The replica keeps the segments
-// resident or spools them to per-leaf files (DESIGN §15); the write of
-// step 4 is charged, not performed.
+// The histogram reduce and planning execute for real; file-system time is
+// modeled with the Titan Lustre parameters so the phase cost is
+// meaningful at paper scale. The write of step 4 is charged, not
+// performed. A resident run copies no point in this phase: it hands the
+// run the grid over the input, and each clustering leaf gathers its own
+// partition from it on its pool worker (§3.1.3: a leaf reads only its own
+// partition). Out of core, the phase spools every partition to a per-leaf
+// file (DESIGN §15).
 #pragma once
 
 #include <filesystem>
+#include <optional>
 #include <span>
 
 #include "geometry/point.hpp"
@@ -57,20 +61,23 @@ struct DistributedPartitionerConfig {
   /// Never alters the plan.
   obs::Recorder* recorder = nullptr;
   /// Out-of-core spool directory (DESIGN §15). When non-empty, segments
-  /// are written as per-leaf files under this directory instead of kept
-  /// resident: PartitionPhaseResult::segments stays empty and only
-  /// segment_counts is populated. The timing model is unchanged — the
-  /// paper's partitioner always wrote to the PFS; resident mode merely
-  /// skipped the local materialisation of that write.
+  /// are written as per-leaf files under this directory, and
+  /// PartitionPhaseResult::grid stays empty. The timing model is
+  /// unchanged — the paper's partitioner always wrote to the PFS; resident
+  /// mode merely skips the local materialisation of that write.
   std::filesystem::path spool_dir;
 };
 
 struct PartitionPhaseResult {
   PartitionPlan plan;
-  /// Resident mode only; empty when the phase spooled to files.
-  std::vector<io::Segment> segments;
-  /// Per-leaf record counts, filled in both modes (resident mode derives
-  /// them from `segments`), so downstream cost models never need the
+  /// Resident mode only: the grid over the phase's input points, at the
+  /// plan's geometry, that every partition is cut from. A leaf gathers
+  /// its owned and shadow points from it and the input
+  /// (gather_partition). Empty out of core and in model mode.
+  std::optional<index::Grid> grid;
+  /// Per-leaf record counts (owned, shadow), filled by both real modes:
+  /// exactly what each leaf's gather or segment file holds, shadow
+  /// representatives included, so downstream cost models never need the
   /// points resident.
   std::vector<io::SegmentCounts> segment_counts;
 
@@ -91,9 +98,11 @@ struct PartitionPhaseResult {
 
 /// Run the partition phase over `points` (standing in for the input file):
 /// the leaves histogram their slices of the points, and after the plan
-/// they materialise the partitions, whose points the write is charged for.
-/// The per-node histogram builds (and, out of core, the segment-file
-/// writes) run on `pool`; the plan is bit-identical for any worker count.
+/// the points are grouped by cell, and out of core spooled to the
+/// segment files; the write is charged for every point of every
+/// partition. The per-node histogram builds, the resident counts and the
+/// out-of-core segment-file writes run on `pool`; the plan is
+/// bit-identical for any worker count.
 PartitionPhaseResult run_distributed_partitioner(
     std::span<const geom::Point> points,
     const DistributedPartitionerConfig& config,

@@ -1,12 +1,21 @@
-// Turn a partition plan plus the actual points into per-partition segments
-// (owned points followed by shadow points), optionally applying the
-// partitioner's shadow representative-point optimisation (§3.1.3): for
-// extremely dense shadow cells, write 8 geometrically-selected
-// representatives instead of the full cell, trading a possible missed merge
-// for drastically less data written.
+// A partition's points, cut from a plan and the grid over the input:
+// each part's owned points followed by its shadow points, optionally
+// applying the partitioner's shadow representative-point optimisation
+// (§3.1.3): for extremely dense shadow cells, take 8 geometrically-
+// selected representatives instead of the full cell, trading a possible
+// missed merge for drastically less data written.
+//
+// One walk over a part's cells, the owned cells in the plan's order and
+// then the shadow cells in code order, serves every consumer: a resident
+// run's leaf gathering its own points on its pool worker
+// (gather_partition), the count of those points (count_partition), the
+// out-of-core spill (materialize_partitions_to_files) and the serial
+// materialize_partitions. So a leaf sees the same points in the same
+// order whichever way its partition reached it.
 #pragma once
 
 #include <filesystem>
+#include <functional>
 #include <span>
 
 #include "index/grid.hpp"
@@ -23,6 +32,32 @@ struct MaterializeConfig {
   std::size_t shadow_rep_threshold = 0;
 };
 
+/// What a part takes from one cell: indices into the grid's points,
+/// ascending.
+using CellPoints = std::function<void(std::span<const std::uint32_t>)>;
+
+/// Calls `fn` once per non-empty owned cell of part `part_index`, in the
+/// plan's order, with the cell's members. `grid` must be built with the
+/// plan's geometry.
+void for_each_owned_cell(const PartitionPlan& plan, std::size_t part_index,
+                         const index::Grid& grid, const CellPoints& fn);
+
+/// Append one partition's owned points, then its shadow points, to `out`:
+/// the points a clustering leaf loads, equal to materialize_partition's
+/// owned followed by its shadow.
+void gather_partition(const PartitionPlan& plan, std::size_t part_index,
+                      const index::Grid& grid,
+                      std::span<const geom::Point> points,
+                      const MaterializeConfig& config, geom::PointSet& out);
+
+/// The record counts materialize_partition yields for the part, counted
+/// without copying a point.
+io::SegmentCounts count_partition(const PartitionPlan& plan,
+                                  std::size_t part_index,
+                                  const index::Grid& grid,
+                                  std::span<const geom::Point> points,
+                                  const MaterializeConfig& config = {});
+
 /// Extract one partition's owned and shadow points. `grid` must be built
 /// over `points` with the plan's geometry.
 io::Segment materialize_partition(const PartitionPlan& plan,
@@ -31,7 +66,8 @@ io::Segment materialize_partition(const PartitionPlan& plan,
                                   std::span<const geom::Point> points,
                                   const MaterializeConfig& config = {});
 
-/// Extract each partition's owned and shadow points (resident mode).
+/// Extract each partition's owned and shadow points, one part after
+/// another.
 std::vector<io::Segment> materialize_partitions(
     const PartitionPlan& plan, const index::Grid& grid,
     std::span<const geom::Point> points,

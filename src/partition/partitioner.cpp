@@ -60,32 +60,58 @@ class RankedCells {
     return prefix_[end] - prefix_[begin];
   }
 
-  /// Calls fn(rank) for every cell within `rings` (Chebyshev) of cell r,
-  /// r itself excluded. Column indices are distinct ix values in
+  /// For each rank r in [begin, end), in order, calls fn(n) for every
+  /// cell n within `rings` (Chebyshev) of cell r, r itself excluded, by
+  /// column and then by rank. Column indices are distinct ix values in
   /// increasing order, so the columns in reach lie within `rings` columns
-  /// of r's own; each is searched only over its own run.
+  /// of r's own. The ranks are walked one column run at a time: within a
+  /// run iy rises, so each neighbouring column's window
+  /// [iy - rings, iy + rings] only moves forward, and the column is
+  /// searched once per run, after which its cursor steps ahead.
   template <class Fn>
-  void for_each_ring_neighbor(std::size_t r, std::int32_t rings,
-                              Fn&& fn) const {
-    const geom::CellKey k = keys_[r];
-    const std::int64_t lo_y = std::int64_t{k.iy} - rings;
-    const std::int64_t hi_y = std::int64_t{k.iy} + rings;
-    const std::size_t c = column_of_[r];
+  void for_each_ring_neighbor(std::size_t begin, std::size_t end,
+                              std::int32_t rings, Fn&& fn) const {
     const auto reach = static_cast<std::size_t>(rings);
-    const std::size_t first = c - std::min(c, reach);
-    const std::size_t last = std::min(column_begin_.size() - 1, c + reach + 1);
-    for (std::size_t col = first; col < last; ++col) {
-      const auto begin = keys_.begin() + column_begin_[col];
-      const auto end = keys_.begin() + column_begin_[col + 1];
-      const std::int64_t dx = std::int64_t{begin->ix} - k.ix;
-      if (dx < -rings || dx > rings) continue;
-      auto it = std::lower_bound(
-          begin, end, lo_y,
-          [](const geom::CellKey& key, std::int64_t y) { return key.iy < y; });
-      for (; it != end && it->iy <= hi_y; ++it) {
-        const auto n = static_cast<std::size_t>(it - keys_.begin());
-        if (n != r) fn(n);
+    struct Cursor {
+      std::size_t next;  // first rank of the column not below the window
+      std::size_t end;   // the column's end rank
+    };
+    std::vector<Cursor> cursors;
+    for (std::size_t run = begin; run < end;) {
+      const std::size_t c = column_of_[run];
+      const std::size_t run_end = std::min(end, column_begin_[c + 1]);
+      const std::size_t first = c - std::min(c, reach);
+      const std::size_t last =
+          std::min(column_begin_.size() - 1, c + reach + 1);
+      const std::int64_t lo_y = std::int64_t{keys_[run].iy} - rings;
+      cursors.clear();
+      for (std::size_t col = first; col < last; ++col) {
+        const auto col_begin = keys_.begin() + column_begin_[col];
+        const auto col_end = keys_.begin() + column_begin_[col + 1];
+        const std::int64_t dx = std::int64_t{col_begin->ix} - keys_[run].ix;
+        if (dx < -rings || dx > rings) continue;
+        const auto it = std::lower_bound(
+            col_begin, col_end, lo_y,
+            [](const geom::CellKey& key, std::int64_t y) {
+              return key.iy < y;
+            });
+        cursors.push_back({static_cast<std::size_t>(it - keys_.begin()),
+                           column_begin_[col + 1]});
       }
+      for (std::size_t r = run; r < run_end; ++r) {
+        const std::int64_t r_lo = std::int64_t{keys_[r].iy} - rings;
+        const std::int64_t r_hi = std::int64_t{keys_[r].iy} + rings;
+        for (Cursor& cur : cursors) {
+          while (cur.next != cur.end && keys_[cur.next].iy < r_lo) {
+            ++cur.next;
+          }
+          for (std::size_t n = cur.next; n != cur.end && keys_[n].iy <= r_hi;
+               ++n) {
+            if (n != r) fn(n);
+          }
+        }
+      }
+      run = run_end;
     }
   }
 
@@ -114,11 +140,9 @@ class PartShadow {
     begin_ = begin;
     end_ = end;
     shadow_points_ = 0;
-    for (std::size_t r = begin; r < end; ++r) {
-      cells_.for_each_ring_neighbor(r, rings_, [&](std::size_t n) {
-        if (near_[n]++ == 0) touched_.push_back(n);
-      });
-    }
+    cells_.for_each_ring_neighbor(begin, end, rings_, [&](std::size_t n) {
+      if (near_[n]++ == 0) touched_.push_back(n);
+    });
     for (const std::size_t r : touched_) {
       if (!owns(r)) shadow_points_ += cells_.count(r);
     }
@@ -128,9 +152,10 @@ class PartShadow {
   /// part; only that cell's ring can change shadow membership.
   void pop_front() {
     const std::size_t front = begin_++;
-    cells_.for_each_ring_neighbor(front, rings_, [&](std::size_t n) {
-      if (--near_[n] == 0 && !owns(n)) shadow_points_ -= cells_.count(n);
-    });
+    cells_.for_each_ring_neighbor(
+        front, front + 1, rings_, [&](std::size_t n) {
+          if (--near_[n] == 0 && !owns(n)) shadow_points_ -= cells_.count(n);
+        });
     if (near_[front] > 0) shadow_points_ += cells_.count(front);
   }
 

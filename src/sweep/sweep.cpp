@@ -1,5 +1,6 @@
 #include "sweep/sweep.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <fstream>
@@ -35,20 +36,42 @@ std::vector<LabeledPoint> label_owned_points(
     const dbscan::Labeling& labels,
     std::span<const std::int64_t> global_of_local, bool keep_noise) {
   MRSCAN_REQUIRE(labels.size() >= owned_points.size());
-  std::vector<LabeledPoint> out;
-  out.reserve(owned_points.size());
+  std::vector<LabeledPoint> out(owned_record_count(
+      std::span(labels.cluster).first(owned_points.size()), keep_noise));
+  label_owned_points(owned_points, labels, global_of_local, keep_noise, out);
+  return out;
+}
+
+std::size_t owned_record_count(std::span<const dbscan::ClusterId> owned_labels,
+                               bool keep_noise) {
+  if (keep_noise) return owned_labels.size();
+  return static_cast<std::size_t>(
+      std::count_if(owned_labels.begin(), owned_labels.end(),
+                    [](dbscan::ClusterId c) { return c >= 0; }));
+}
+
+void label_owned_points(std::span<const geom::Point> owned_points,
+                        const dbscan::Labeling& labels,
+                        std::span<const std::int64_t> global_of_local,
+                        bool keep_noise, std::span<LabeledPoint> out) {
+  MRSCAN_REQUIRE(labels.size() >= owned_points.size());
+  std::size_t written = 0;
   for (std::size_t i = 0; i < owned_points.size(); ++i) {
     const dbscan::ClusterId local = labels.cluster[i];
+    if (local < 0 && !keep_noise) continue;
+    MRSCAN_REQUIRE_MSG(written < out.size(),
+                       "the leaf yields more records than its output span");
     if (local < 0) {
-      if (keep_noise) out.push_back({owned_points[i], dbscan::kNoise});
+      out[written++] = {owned_points[i], dbscan::kNoise};
       continue;
     }
     MRSCAN_REQUIRE_MSG(static_cast<std::size_t>(local) <
                            global_of_local.size(),
                        "local cluster id outside the sweep mapping");
-    out.push_back({owned_points[i], global_of_local[local]});
+    out[written++] = {owned_points[i], global_of_local[local]};
   }
-  return out;
+  MRSCAN_REQUIRE_MSG(written == out.size(),
+                     "the leaf yields fewer records than its output span");
 }
 
 void write_labeled_text(const std::filesystem::path& path,

@@ -45,6 +45,20 @@ std::vector<LabeledPoint> label_owned_points(
     std::span<const std::int64_t> global_of_local,
     bool keep_noise = false);
 
+/// How many records label_owned_points yields for a leaf whose owned
+/// points carry `owned_labels`: all of them with keep_noise, else the
+/// clustered ones.
+std::size_t owned_record_count(std::span<const dbscan::ClusterId> owned_labels,
+                               bool keep_noise);
+
+/// The same records, written into caller storage: `out` must hold exactly
+/// owned_record_count of them, so leaves can label into disjoint spans of
+/// one output at once.
+void label_owned_points(std::span<const geom::Point> owned_points,
+                        const dbscan::Labeling& labels,
+                        std::span<const std::int64_t> global_of_local,
+                        bool keep_noise, std::span<LabeledPoint> out);
+
 /// Write labeled points as text: "id x y weight cluster" per line. The
 /// id and cluster are decimal integers; x, y and the weight (widened to
 /// double) are printf "%.17g", which round-trips every double. The bytes

@@ -556,6 +556,60 @@ TEST(Differential, OutOfCoreRunIsByteIdenticalToResident) {
   fs::remove_all(root);
 }
 
+TEST(Differential, ResidentMatchesOutOfCoreWithRepresentativesAndNoise) {
+  // A resident leaf gathers its points from the partition grid, and the
+  // sweep labels the leaves on the pool, each at the record count of the
+  // leaves delivered before it; out of core the points come from segment
+  // files and the records stream. Shadow representatives change what a
+  // leaf holds, kept noise changes how many records it yields, and both
+  // modes must still agree at any worker count.
+  namespace fs = std::filesystem;
+  mrscan::data::TwitterConfig tw;
+  tw.num_points = 20'000;
+  tw.seed = 23;
+  const auto points = mrscan::data::generate_twitter(tw);
+  const fs::path root = fs::temp_directory_path() /
+                        ("mrscan_ooc_reps_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  for (const bool keep_noise : {false, true}) {
+    for (const std::size_t refine : {1UL, 2UL}) {
+      for (const std::size_t threads : {1UL, 4UL}) {
+        const std::string tag = std::string(keep_noise ? "noise" : "clusters") +
+                                "_refine" + std::to_string(refine) + "_ht" +
+                                std::to_string(threads);
+        SCOPED_TRACE(tag);
+        auto cfg = make_config(0.1, 20, 8, 4);
+        cfg.shadow_rep_threshold = 16;
+        cfg.keep_noise = keep_noise;
+        cfg.cell_refine = refine;
+        cfg.host_threads = threads;
+        const auto resident = mc::MrScan(cfg).run(points);
+        cfg.ooc.enabled = true;
+        cfg.ooc.dir = root / tag;
+        cfg.ooc.working_set = 3;
+        const auto ooc = mc::MrScan(cfg).run(points);
+
+        ASSERT_GT(resident.cluster_count, 0u);
+        if (keep_noise) {
+          EXPECT_EQ(resident.output.size(), points.size());
+        }
+        EXPECT_TRUE(read_labeled(ooc.output_path) == resident.output)
+            << "streamed records differ from the resident run";
+        const auto& counts = resident.partition_phase.segment_counts;
+        EXPECT_TRUE(counts == ooc.partition_phase.segment_counts);
+        std::uint64_t shadow = 0;
+        for (const auto& c : counts) shadow += c.shadow;
+        const auto& plan = resident.partition_phase.plan;
+        EXPECT_LT(shadow, plan.total_points_with_shadow() -
+                              plan.total_owned_points())
+            << "no shadow cell was dense enough for representatives";
+        EXPECT_EQ(resident.sim.total(), ooc.sim.total());
+      }
+    }
+  }
+  fs::remove_all(root);
+}
+
 TEST(Differential, ResumeRewritesDeletedSegmentFiles) {
   // Segment files are scratch (DESIGN §15): a resume re-runs the
   // partition phase and rewrites every one before anything reads it, so

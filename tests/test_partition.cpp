@@ -239,6 +239,56 @@ TEST(Materialize, SegmentsContainOwnedAndShadowPoints) {
   EXPECT_EQ(total_owned, s.points.size());
 }
 
+TEST(Materialize, GatherEqualsMaterializedPartition) {
+  // A resident run copies no segment: each leaf gathers its points from
+  // the phase's grid. They must be exactly materialize_partition's owned
+  // points followed by its shadow points, in order, and the phase's counts
+  // must be their sizes, shadow representatives included.
+  const auto points = twitter_points(50'000);
+  const mrscan::sim::TitanParams titan;
+  mrscan::util::ThreadPool pool(2);
+  for (const std::size_t refine : {1UL, 2UL}) {
+    for (const std::size_t threshold : {0UL, 32UL}) {
+      SCOPED_TRACE("cell_refine " + std::to_string(refine) + ", threshold " +
+                   std::to_string(threshold));
+      mp::DistributedPartitionerConfig config;
+      config.eps = 0.1;
+      config.partition_nodes = 4;
+      config.planner = mp::PartitionerConfig{8, 4, true, 1.075, true, refine};
+      config.materialize.shadow_rep_threshold = threshold;
+      const auto phase =
+          mp::run_distributed_partitioner(points, config, titan, pool);
+      ASSERT_EQ(phase.plan.part_count(), 8u);
+      ASSERT_EQ(phase.segment_counts.size(), phase.plan.part_count());
+      ASSERT_TRUE(phase.grid.has_value());
+      const mi::Grid grid(phase.plan.geometry, points);
+      std::uint64_t shadow = 0;
+      for (std::size_t pi = 0; pi < phase.plan.part_count(); ++pi) {
+        const auto seg = mp::materialize_partition(phase.plan, pi, grid,
+                                                   points, config.materialize);
+        mg::PointSet expected = seg.owned;
+        expected.insert(expected.end(), seg.shadow.begin(), seg.shadow.end());
+        mg::PointSet gathered;
+        mp::gather_partition(phase.plan, pi, *phase.grid, points,
+                             config.materialize, gathered);
+        EXPECT_TRUE(gathered == expected) << "part " << pi;
+        EXPECT_EQ(phase.segment_counts[pi].owned, seg.owned.size());
+        EXPECT_EQ(phase.segment_counts[pi].shadow, seg.shadow.size());
+        shadow += seg.shadow.size();
+      }
+      // The threshold must bite, or the representatives go untested.
+      const std::uint64_t planned =
+          phase.plan.total_points_with_shadow() -
+          phase.plan.total_owned_points();
+      if (threshold == 0) {
+        EXPECT_EQ(shadow, planned);
+      } else {
+        EXPECT_LT(shadow, planned);
+      }
+    }
+  }
+}
+
 TEST(Materialize, GridAtAnotherGeometryThrows) {
   // A grid at the plan's cell size but another origin buckets the points
   // into other cells, so its segments would be silently wrong.
@@ -362,7 +412,11 @@ TEST(DistributedPartitioner, ProducesSamePlanAsSerial) {
     EXPECT_EQ(result.plan.parts[pi].shadow_points,
               serial.parts[pi].shadow_points);
   }
-  ASSERT_EQ(result.segments.size(), serial.part_count());
+  // A resident phase copies no point: it returns one count per part and
+  // the grid over every input point that the leaves gather from.
+  EXPECT_EQ(result.segment_counts.size(), serial.part_count());
+  ASSERT_TRUE(result.grid.has_value());
+  EXPECT_EQ(result.grid->point_count(), s.points.size());
 }
 
 TEST(DistributedPartitioner, TimesBreakdownIsPopulated) {
@@ -400,7 +454,11 @@ TEST(DistributedPartitioner, ModelModeMatchesPlanOfRealMode) {
     EXPECT_EQ(model.plan.parts[pi].owned_cells,
               real.plan.parts[pi].owned_cells);
   }
-  EXPECT_TRUE(model.segments.empty());
+  EXPECT_TRUE(model.segment_counts.empty());
+  EXPECT_FALSE(model.grid.has_value());
+  EXPECT_EQ(real.segment_counts.size(), real.plan.part_count());
+  ASSERT_TRUE(real.grid.has_value());
+  EXPECT_EQ(real.grid->point_count(), s.points.size());
   EXPECT_GT(model.sim_seconds, 0.0);
 }
 
@@ -629,7 +687,9 @@ TEST(PartitionPin, RealModeResidentAndSpooled) {
   const auto resident =
       mp::run_distributed_partitioner(points, config, titan, pool);
   expect_phase(resident, pin);
-  EXPECT_EQ(resident.segments.size(), resident.plan.part_count());
+  EXPECT_EQ(resident.segment_counts.size(), resident.plan.part_count());
+  ASSERT_TRUE(resident.grid.has_value());
+  EXPECT_EQ(resident.grid->point_count(), points.size());
 
   const std::filesystem::path spool =
       std::filesystem::temp_directory_path() /
@@ -640,5 +700,6 @@ TEST(PartitionPin, RealModeResidentAndSpooled) {
       mp::run_distributed_partitioner(points, config, titan, pool);
   std::filesystem::remove_all(spool);
   expect_phase(spooled, pin);
-  EXPECT_TRUE(spooled.segments.empty());
+  EXPECT_EQ(spooled.segment_counts, resident.segment_counts);
+  EXPECT_FALSE(spooled.grid.has_value());
 }
