@@ -156,14 +156,16 @@ void BM_SummaryPacketRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SummaryPacketRoundTrip);
 
-/// Seconds per BM_WriteLabeledText iteration, exported with the 1-thread
-/// cluster-phase snapshot that runs after it; negative when it did not
-/// run.
+/// Seconds per BM_WriteLabeledText/1 iteration, exported with the
+/// 1-thread cluster-phase snapshot that runs after it; negative when it
+/// did not run.
 double g_write_labeled_text_s = -1.0;
 
-// The sweep's text writer (the serial io.write_text layer of a batch run)
-// on 1M Twitter-like records into a temp file.
+// The sweep's text writer (the io.write_text layer of a batch run) on 1M
+// Twitter-like records into a temp file, with the argument's writer
+// threads.
 void BM_WriteLabeledText(benchmark::State& state) {
+  const auto threads = static_cast<std::size_t>(state.range(0));
   const auto points = bench_points(1'000'000);
   std::vector<sweep::LabeledPoint> records;
   records.reserve(points.size());
@@ -176,7 +178,7 @@ void BM_WriteLabeledText(benchmark::State& state) {
   double total_s = 0.0;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    sweep::write_labeled_text(path, records);
+    sweep::write_labeled_text(path, records, threads);
     const std::chrono::duration<double> took =
         std::chrono::steady_clock::now() - start;
     state.SetIterationTime(took.count());
@@ -186,9 +188,16 @@ void BM_WriteLabeledText(benchmark::State& state) {
                           static_cast<std::int64_t>(
                               std::filesystem::file_size(path)));
   std::filesystem::remove(path);
-  g_write_labeled_text_s = total_s / static_cast<double>(state.iterations());
+  if (threads == 1) {
+    g_write_labeled_text_s =
+        total_s / static_cast<double>(state.iterations());
+  }
 }
-BENCHMARK(BM_WriteLabeledText)->UseManualTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WriteLabeledText)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Cluster-phase wall clock at 8 leaves across host worker counts. The
 // reported time IS the cluster phase (manual timing from the run's

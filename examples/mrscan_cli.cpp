@@ -14,9 +14,9 @@
 //   --minpts N        DBSCAN MinPts (default 40)
 //   --leaves N        clustering leaf processes (default 8)
 //   --partition-nodes N  partitioner width (default 4)
-//   --host-threads N  host workers for the phase loops (0 = hardware
-//                     concurrency, default 1); output is bit-identical
-//                     for any value (DESIGN §8)
+//   --host-threads N  host workers for the phase loops and the output
+//                     write (0 = hardware concurrency, default 1);
+//                     output is bit-identical for any value (DESIGN §8)
 //   --cluster-algo A  per-leaf cluster formulation: "two-pass" (default)
 //                     or "cell-graph" (DESIGN §12); both yield the same
 //                     clustering
@@ -61,9 +61,9 @@
 //                       mutations (default 25)
 //   --serve-dist D      demo stream distribution: "twitter" (default) or
 //                       "blobs"
-// --eps/--minpts/--host-threads configure the service; --output writes
-// the final snapshot's labeled points; --metrics-out writes the service
-// registry's serve.* snapshot.
+// --eps/--minpts/--host-threads configure the service (--host-threads
+// also the output write); --output writes the final snapshot's labeled
+// points; --metrics-out writes the service registry's serve.* snapshot.
 //
 // Flag errors are one line on stderr + exit 2 (scripts can pattern-match
 // them); runtime failures are one line + exit 1.
@@ -232,7 +232,7 @@ int run_serve(const ServeOptions& serve, double eps, std::size_t min_pts,
           sweep::LabeledPoint{snapshot->points[i], snapshot->labels[i]});
     }
     try {
-      sweep::write_labeled_text(output, records);
+      sweep::write_labeled_text(output, records, host_threads);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 1;
@@ -439,9 +439,9 @@ int main(int argc, char** argv) {
       while (reader.next(point, cluster)) {
         records.push_back(sweep::LabeledPoint{point, cluster});
       }
-      sweep::write_labeled_text(output, records);
+      sweep::write_labeled_text(output, records, host_threads);
     } else {
-      sweep::write_labeled_text(output, result.output);
+      sweep::write_labeled_text(output, result.output, host_threads);
     }
     if (!trace_out.empty()) {
       obs::write_text_file(trace_out,

@@ -17,9 +17,6 @@ void audit_dense_boxes(const DenseBoxes& boxes, const Tree& tree, double eps,
                           "box map does not cover the point set");
 
   const double side = dense_box_side(eps);
-  // side = Eps/sqrt(2) is irrational; allow one ulp of slack so the
-  // diagonal re-derivation does not trip on rounding.
-  const double eps2_tol = eps * eps * (1.0 + 1e-12);
   const auto leaves = tree.leaves();
 
   std::size_t covered = 0;
@@ -36,7 +33,7 @@ void audit_dense_boxes(const DenseBoxes& boxes, const Tree& tree, double eps,
         "dense box wider than (sqrt(2)/2) * Eps");
     const double w = leaf.box.width();
     const double h = leaf.box.height();
-    MRSCAN_AUDIT_ASSERT_MSG(w * w + h * h <= eps2_tol,
+    MRSCAN_AUDIT_ASSERT_MSG(w * w + h * h <= eps * eps,
                             "dense box diagonal exceeds Eps");
     for (std::uint32_t i = leaf.begin; i < leaf.end; ++i) {
       const std::uint32_t idx = tree.order()[i];

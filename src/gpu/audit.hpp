@@ -2,8 +2,9 @@
 //
 // Checks what detect_dense_boxes promises (§3.2.3):
 //   * every marked leaf holds >= MinPts points and fits in a box of side
-//     <= (sqrt(2)/2) * Eps, so its diagonal is <= Eps and all members are
-//     mutually Eps-reachable core points;
+//     <= (sqrt(2)/2) * Eps whose diagonal, computed as the kernels compute
+//     a distance, is <= Eps, so all members are mutually Eps-reachable
+//     core points;
 //   * the point -> box map agrees exactly with the marked leaves' member
 //     ranges, every member lies inside its leaf's bounding box, and the
 //     covered-point total is consistent.

@@ -20,7 +20,14 @@ DenseBoxes detect_dense_boxes(const Tree& tree, double eps,
   for (std::uint32_t leaf_id = 0; leaf_id < leaves.size(); ++leaf_id) {
     const auto& leaf = leaves[leaf_id];
     if (leaf.size() < min_pts) continue;
-    if (leaf.box.width() > side || leaf.box.height() > side) continue;
+    const double w = leaf.box.width();
+    const double h = leaf.box.height();
+    if (w > side || h > side) continue;
+    // `side` rounds above Eps/sqrt(2) for most Eps, so a box at the side
+    // bound can hold two corners that fail the kernels' distance test.
+    // Rounding is monotone: a box whose diagonal passes that test,
+    // computed the same way, holds no pair that fails it.
+    if (w * w + h * h > eps * eps) continue;
     const auto box_ordinal = static_cast<std::uint32_t>(result.leaf_ids.size());
     result.leaf_ids.push_back(leaf_id);
     for (std::uint32_t i = leaf.begin; i < leaf.end; ++i) {

@@ -5,10 +5,12 @@
 // a cluster" without per-point expansion. A sub-division that small has a
 // diagonal of at most Eps, so every pair of its points is mutually within
 // Eps; with at least MinPts points, every one of them is a core point —
-// membership is inferred, not computed. The sub-divisions come for free
-// from the region-leaf KD-tree (§3.2.1) — or from the BVH's Morton-run
-// leaves, which stop splitting under the same extent rule — so detection
-// is O(l) in the number of leaves for either backend.
+// membership is inferred, not computed. The detector also checks that
+// diagonal in floating point, as the kernels test a distance, because the
+// side bound can round above (sqrt(2)/2) * Eps. The sub-divisions come
+// for free from the region-leaf KD-tree (§3.2.1) — or from the BVH's
+// Morton-run leaves, which stop splitting under the same extent rule — so
+// detection is O(l) in the number of leaves for either backend.
 #pragma once
 
 #include <cstdint>

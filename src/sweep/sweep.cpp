@@ -3,27 +3,55 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <condition_variable>
 #include <fstream>
+#include <memory>
+#include <mutex>
 
 #include "io/checked_file.hpp"
 #include "util/assert.hpp"
 #include "util/decimal.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mrscan::sweep {
 
 namespace {
 
-/// The text writer formats records into one block of this size and
-/// hands the stream a full block at a time.
+/// The text writer formats each slice of records into one block of this
+/// size and hands the stream the block.
 constexpr std::size_t kTextBlockBytes = std::size_t{1} << 20;
 
 /// Most bytes one text record touches: a 20-digit id, three %.17g
 /// numbers (util::write_g17 stores at most kG17WriteBytes each, its
 /// digit-copy tail included), a 20-character cluster id (INT64_MIN) and
-/// five separators. A block with this much room left always takes one
-/// more record.
-constexpr std::ptrdiff_t kMaxTextRecordBytes =
+/// five separators.
+constexpr std::size_t kMaxTextRecordBytes =
     20 + 3 * util::kG17WriteBytes + 20 + 5;
+
+/// Records per slice: the most whose worst case fits in one block.
+constexpr std::size_t kTextSliceRecords =
+    kTextBlockBytes / kMaxTextRecordBytes;
+static_assert(kTextSliceRecords == 7'133);
+
+/// Format `records` as text lines from `cursor`, which must have room
+/// for kMaxTextRecordBytes per record before `end`. Returns the end of
+/// the text.
+char* format_text(std::span<const LabeledPoint> records, char* cursor,
+                  char* const end) {
+  for (const LabeledPoint& r : records) {
+    cursor = std::to_chars(cursor, end, r.point.id).ptr;
+    *cursor++ = ' ';
+    cursor = util::write_g17(cursor, r.point.x);
+    *cursor++ = ' ';
+    cursor = util::write_g17(cursor, r.point.y);
+    *cursor++ = ' ';
+    cursor = util::write_g17(cursor, r.point.weight);
+    *cursor++ = ' ';
+    cursor = std::to_chars(cursor, end, r.cluster).ptr;
+    *cursor++ = '\n';
+  }
+  return cursor;
+}
 
 }  // namespace
 
@@ -75,32 +103,66 @@ void label_owned_points(std::span<const geom::Point> owned_points,
 }
 
 void write_labeled_text(const std::filesystem::path& path,
-                        std::span<const LabeledPoint> records) {
+                        std::span<const LabeledPoint> records,
+                        std::size_t threads) {
   errno = 0;
   std::ofstream out(path, std::ios::trunc);
   if (!out) io::fail(path, "cannot open for writing");
-  std::vector<char> block(kTextBlockBytes);
-  char* const block_end = block.data() + block.size();
-  char* cursor = block.data();
-  const auto write_block = [&] {
-    out.write(block.data(), cursor - block.data());
-    if (!out) io::fail(path, "write failed");
-    cursor = block.data();
+  const std::size_t slices =
+      (records.size() + kTextSliceRecords - 1) / kTextSliceRecords;
+  const std::size_t workers =
+      std::min(util::ThreadPool::resolve_worker_count(threads),
+               std::max<std::size_t>(slices, 1));
+  // Slice s formats into block s % workers. Workers claim slices in
+  // ascending order, hold one at a time and append in slice order, so
+  // slice s - workers is appended before slice s is claimed.
+  const auto blocks =
+      std::make_unique_for_overwrite<char[]>(workers * kTextBlockBytes);
+  std::mutex mutex;
+  std::condition_variable turn_changed;
+  std::size_t turn = 0;  // guarded by mutex: the next slice to append
+  bool failed = false;   // guarded by mutex: stops every later slice
+  // Block until `ready()` holds; false when a write failed instead.
+  const auto wait_until = [&](auto ready) {
+    std::unique_lock<std::mutex> lock(mutex);
+    turn_changed.wait(lock, [&] { return failed || ready(); });
+    return !failed;
   };
-  for (const LabeledPoint& r : records) {
-    if (block_end - cursor < kMaxTextRecordBytes) write_block();
-    cursor = std::to_chars(cursor, block_end, r.point.id).ptr;
-    *cursor++ = ' ';
-    cursor = util::write_g17(cursor, r.point.x);
-    *cursor++ = ' ';
-    cursor = util::write_g17(cursor, r.point.y);
-    *cursor++ = ' ';
-    cursor = util::write_g17(cursor, r.point.weight);
-    *cursor++ = ' ';
-    cursor = std::to_chars(cursor, block_end, r.cluster).ptr;
-    *cursor++ = '\n';
-  }
-  write_block();
+  const auto append_slice = [&](std::size_t s) {
+    // Never waits (see above), but reading `turn` orders the append of
+    // slice s - workers before this slice overwrites its block.
+    if (!wait_until([&] { return turn + workers > s; })) return;
+    char* const block = blocks.get() + (s % workers) * kTextBlockBytes;
+    const std::size_t first = s * kTextSliceRecords;
+    char* const text_end = format_text(
+        records.subspan(first,
+                        std::min(kTextSliceRecords, records.size() - first)),
+        block, block + kTextBlockBytes);
+    if (!wait_until([&] { return turn == s; })) return;
+    // Only the slice whose turn it is touches the stream.
+    out.write(block, text_end - block);
+    if (!out) io::fail(path, "write failed");
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      ++turn;
+    }
+    turn_changed.notify_all();
+  };
+  util::ThreadPool pool(workers);
+  pool.parallel_for(0, slices, [&](std::size_t s) {
+    try {
+      append_slice(s);
+    } catch (...) {
+      // Wake the slices waiting for a turn that will never come; the
+      // pool rethrows this one exception.
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        failed = true;
+      }
+      turn_changed.notify_all();
+      throw;
+    }
+  });
   // close() flushes what the stream still buffers; a failure there (a
   // full disk) must not be left to the destructor, which swallows it.
   out.close();

@@ -62,10 +62,14 @@ void label_owned_points(std::span<const geom::Point> owned_points,
 /// Write labeled points as text: "id x y weight cluster" per line. The
 /// id and cluster are decimal integers; x, y and the weight (widened to
 /// double) are printf "%.17g", which round-trips every double. The bytes
-/// do not depend on the C++ locale. Throws std::runtime_error naming the
-/// path and errno on any open, write or close failure.
+/// do not depend on the C++ locale or on `threads`: up to that many pool
+/// workers (0 = hardware concurrency, capped at the number of slices)
+/// format fixed slices of the records and append them in order. Throws
+/// std::runtime_error naming the path and errno on any open, write or
+/// close failure.
 void write_labeled_text(const std::filesystem::path& path,
-                        std::span<const LabeledPoint> records);
+                        std::span<const LabeledPoint> records,
+                        std::size_t threads = 0);
 
 /// Align a clustered output with an input point order: result[i] is the
 /// cluster of points[i] (noise when absent from `records`). Used by the

@@ -5,10 +5,13 @@
 
 namespace mrscan::util {
 
+std::size_t ThreadPool::resolve_worker_count(std::size_t threads) {
+  if (threads != 0) return threads;
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  threads = resolve_worker_count(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

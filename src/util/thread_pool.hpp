@@ -28,6 +28,10 @@ class ThreadPool {
 
   std::size_t worker_count() const { return workers_.size(); }
 
+  /// The worker count ThreadPool(threads) starts: `threads`, or
+  /// hardware_concurrency (at least 1) when it is 0.
+  static std::size_t resolve_worker_count(std::size_t threads);
+
   /// Enqueue a task. A task that throws does not kill the worker: the
   /// first exception is captured and rethrown from the next wait_idle()
   /// (and therefore from parallel_for); later exceptions before that

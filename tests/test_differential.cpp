@@ -28,6 +28,7 @@
 #include "dbscan/sequential.hpp"
 #include "geometry/bbox.hpp"
 #include "geometry/cell.hpp"
+#include "gpu/dense_box.hpp"
 #include "quality/dbdc.hpp"
 #include "sweep/sweep.hpp"
 
@@ -164,6 +165,65 @@ TEST(Differential, DenseBoxOnAndOffAgreeWithTheOracle) {
     config.gpu.dense_box = dense_box;
     expect_matches_oracle(points, config,
                           dense_box ? "dense-box on" : "dense-box off");
+  }
+}
+
+// A dense box counts every pair of its points within Eps. Its side bound,
+// dense_box_side(eps), rounds above Eps/sqrt(2) at these Eps (both fixture
+// values among them), so the opposite corners of a square with that side
+// fail the distance test that every kernel and the oracle apply. With r
+// points on each corner, a point has 3r neighbours, itself included, so
+// at MinPts in (3r, 4r] all of them are noise.
+TEST(Differential, DenseBoxCornersBeyondEpsStayNoise) {
+  struct Case {
+    std::size_t per_corner;
+    std::size_t min_pts;
+    std::size_t leaves;
+    std::size_t far_points;  // isolated points, to spread the leaves
+  };
+  const Case cases[] = {{1, 4, 1, 0}, {20, 61, 1, 0}, {20, 61, 4, 0},
+                        {20, 61, 4, 20}};
+  for (const double eps : {1.0, 0.1, 0.00015}) {
+    const double side = mrscan::gpu::dense_box_side(eps);
+    ASSERT_GT(side * side + side * side, eps * eps)
+        << "at Eps " << eps << " the square's diagonal passes the test";
+    for (const Case& c : cases) {
+      mg::PointSet points;
+      for (const auto& [x, y] : {std::pair{0.0, 0.0}, std::pair{side, 0.0},
+                                 std::pair{0.0, side}, std::pair{side, side}}) {
+        for (std::size_t i = 0; i < c.per_corner; ++i) {
+          points.push_back({points.size(), x, y, 1.0f});
+        }
+      }
+      for (std::size_t i = 0; i < c.far_points; ++i) {
+        const double at = 5.0 * eps * static_cast<double>(i + 1);
+        points.push_back({points.size(), at, -at, 1.0f});
+      }
+      const std::string context =
+          "Eps " + std::to_string(eps) + ", " +
+          std::to_string(c.per_corner) + " per corner, MinPts " +
+          std::to_string(c.min_pts) + ", " + std::to_string(c.leaves) +
+          " leaves, " + std::to_string(c.far_points) + " far points";
+      const auto oracle =
+          md::dbscan_sequential(points, md::DbscanParams{eps, c.min_pts});
+      for (const md::ClusterId label : oracle.cluster) {
+        ASSERT_EQ(label, md::kNoise) << context << ": oracle";
+      }
+      for (const auto algo : {mrscan::cluster::ClusterAlgo::kTwoPass,
+                              mrscan::cluster::ClusterAlgo::kCellGraph}) {
+        auto config = make_config(eps, c.min_pts, c.leaves, 4);
+        config.cluster_algo = algo;
+        ASSERT_TRUE(config.gpu.dense_box);
+        const auto result = mc::MrScan(config).run(points);
+        const std::string where =
+            context + ", " + std::string(mrscan::cluster::to_string(algo));
+        EXPECT_EQ(result.cluster_count, 0u) << where;
+        EXPECT_TRUE(result.output.empty()) << where;
+        if (c.far_points > 0) {
+          EXPECT_GT(result.leaves_used, 1u) << where;
+        }
+      }
+    }
   }
 }
 

@@ -157,24 +157,60 @@ TEST(Sweep, LabeledTextMatchesStreamFormatting) {
   fs::remove_all(dir);
 }
 
+TEST(Sweep, LabeledTextBytesDoNotDependOnThreads) {
+  // Around one slice of the writer (7,133 records), and several slices
+  // with a short tail, so some workers wait for their turn to append.
+  mrscan::util::Rng rng(31);
+  std::vector<msw::LabeledPoint> all(5 * 7'133 + 3);
+  for (msw::LabeledPoint& r : all) {
+    r.point.id = rng.next_u64();
+    r.point.x = rng.uniform(-180.0, 180.0);
+    r.point.y = rng.uniform(-90.0, 90.0);
+    r.point.weight = static_cast<float>(rng.uniform(0.0, 2.0));
+    r.cluster = static_cast<std::int64_t>(rng.next_u64() % 100'000) - 1;
+  }
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mrscan_sweep_threads_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const fs::path path = dir / "out.txt";
+  for (const std::size_t count :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7'132},
+        std::size_t{7'133}, std::size_t{7'134}, all.size()}) {
+    const auto records = std::span(all).first(count);
+    const std::string expected = stream_rendering(records);
+    for (const std::size_t threads : {1, 2, 3, 4, 8}) {
+      msw::write_labeled_text(path, records, threads);
+      EXPECT_TRUE(file_contents(path) == expected)
+          << count << " records at " << threads << " threads";
+    }
+  }
+  fs::remove_all(dir);
+}
+
 TEST(Sweep, LabeledTextWriteToFullDeviceThrows) {
   if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   // Two records stay in the stream's buffer until the final flush.
   const std::vector<msw::LabeledPoint> records{{{1, 0.5, -0.5, 1.0f}, 0},
                                                {{2, 1.5, 2.5, 0.25f}, 7}};
-  // 30k records fill the writer's block, which fails on its first write.
+  // 30k records span five slices; the first slice's write fails. At four
+  // threads the other workers are formatting or waiting for their turn;
+  // they must stop, so the call returns with that one error.
   const std::vector<msw::LabeledPoint> many(30'000, records[0]);
-  for (const auto& batch : {std::span(records), std::span(many)}) {
-    try {
-      msw::write_labeled_text("/dev/full", batch);
-      FAIL() << "expected a throw for " << batch.size() << " records";
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("/dev/full"), std::string::npos) << what;
-      EXPECT_NE(what.find("No space left on device"), std::string::npos)
-          << what;
-    }
-  }
+  const auto expect_full_device_error =
+      [](std::span<const msw::LabeledPoint> batch, std::size_t threads) {
+        try {
+          msw::write_labeled_text("/dev/full", batch, threads);
+          FAIL() << "expected a throw for " << batch.size() << " records";
+        } catch (const std::runtime_error& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find("/dev/full"), std::string::npos) << what;
+          EXPECT_NE(what.find("No space left on device"), std::string::npos)
+              << what;
+        }
+      };
+  expect_full_device_error(records, 0);
+  expect_full_device_error(many, 0);
+  expect_full_device_error(many, 4);
 }
 
 TEST(Sweep, LabelsInInputOrderAlignsById) {
