@@ -173,6 +173,16 @@ ooc_smoke() {
   python3 tools/obs/check_obs_json.py --ooc "$dir/ooc_metrics.json" \
     || return 1
   cmp "$dir/resident.clusters" "$dir/ooc.clusters" || return 1
+  # The sweep labels working-set windows: one leaf a window, and one
+  # window larger than the 8 leaves.
+  local ws
+  for ws in 1 64; do
+    ./build/examples/mrscan_cli --demo 4000 --eps 0.1 --minpts 20 \
+      --leaves 8 --host-threads 4 --ooc-dir "$dir/spool_ws$ws" \
+      --working-set "$ws" --output "$dir/ooc_ws$ws.clusters" >/dev/null \
+      || return 1
+    cmp "$dir/resident.clusters" "$dir/ooc_ws$ws.clusters" || return 1
+  done
   local rc=0
   ./build/examples/mrscan_cli --demo 4000 --eps 0.1 --minpts 20 \
     --leaves 8 --host-threads 4 --ooc-dir "$dir/spool2" --working-set 2 \

@@ -51,13 +51,13 @@ std::vector<std::int64_t> unpack_id_map(const mrnet::Packet& packet) {
 /// Where each leaf's points and owned labels live between its cluster
 /// step and the sweep, and where the sweep's records go. A resident run
 /// cuts each leaf from the partition phase's grid and the input when it
-/// needs the leaf's points, keeps its owned cluster ids in memory, and
-/// labels every leaf on the pool into MrScanResult::output once the sweep
-/// has delivered them all. An out-of-core run maps the leaf's MRSG file
-/// from the spool directory, spills the ids beside it, and streams the
-/// records to an MRLB file as each leaf is delivered. Nothing outside
-/// this class knows which. Every per-leaf operation touches only that
-/// leaf's slot and files, so leaves may run concurrently (DESIGN §8).
+/// needs the leaf's points and keeps its owned cluster ids in memory; an
+/// out-of-core run maps the leaf's MRSG file from the spool directory and
+/// spills the ids beside it. Either way the sweep only records each
+/// leaf's global ids as it is delivered, and finish() labels the leaves
+/// on the pool. Nothing outside this class knows which mode runs. Every
+/// per-leaf operation touches only that leaf's slot and files, so leaves
+/// may run concurrently (DESIGN §8).
 class LeafStore {
  public:
   /// On a resident run `grid` is the partition phase's grid over
@@ -69,114 +69,113 @@ class LeafStore {
       : plan_(phase.plan),
         counts_(phase.segment_counts),
         grid_(grid),
+        window_(resident() ? counts_.size()
+                           : std::max<std::size_t>(1, config.ooc.working_set)),
         points_(points),
         materialize_{config.shadow_rep_threshold},
         spool_(std::move(spool)),
         keep_noise_(config.keep_noise),
         recorder_(recorder),
         kept_(resident() ? counts_.size() : 0),
-        records_(resident() ? counts_.size() : 0),
+        records_(counts_.size()),
         spill_digests_(resident() ? 0 : counts_.size()) {}
   LeafStore(const LeafStore&) = delete;
   LeafStore& operator=(const LeafStore&) = delete;
 
-  /// The leaf's owned points, then its shadow points: gathered from the
-  /// grid and the input, or the segment file mapped and decoded.
-  geom::PointSet load(std::size_t leaf) const {
+  /// The leaf's owned points, then, unless `owned_only`, its shadow
+  /// points: gathered from the grid and the input, or the segment file
+  /// mapped and decoded.
+  geom::PointSet load(std::size_t leaf, bool owned_only = false) const {
     if (resident()) {
       geom::PointSet pts;
-      pts.reserve(counts_[leaf].total());
-      partition::gather_partition(plan_, leaf, *grid_, points_, materialize_,
-                                  pts);
+      if (owned_only) {
+        pts.reserve(counts_[leaf].owned);
+        partition::for_each_owned_cell(
+            plan_, leaf, *grid_, [&](std::span<const std::uint32_t> cell) {
+              for (const std::uint32_t idx : cell) pts.push_back(points_[idx]);
+            });
+      } else {
+        pts.reserve(counts_[leaf].total());
+        partition::gather_partition(plan_, leaf, *grid_, points_,
+                                    materialize_, pts);
+      }
       return pts;
     }
     const obs::LayerSpan span(&recorder_, "io.map");
     const io::MappedSegment seg(io::segment_file_path(spool_, leaf));
     recorder_.metrics().add("ooc.mapped_bytes", seg.mapped_bytes());
-    return seg.decode_all();
+    return owned_only ? seg.decode_owned() : seg.decode_all();
   }
 
-  /// Keep the owned points' cluster ids for the sweep; shadow labels are
-  /// read only by the leaf summary. Resident, also count the records the
-  /// leaf will yield. The spill is a plain write whose digest the leaf's
+  /// Keep the owned points' cluster ids for the sweep, and count the
+  /// records the leaf will yield; shadow labels are read only by the leaf
+  /// summary. The spill is a plain write whose digest the leaf's
   /// checkpoint entry records: a crash may leave the file torn or zeroed,
-  /// and spill_intact() then refuses to trust it.
+  /// and restore() then refuses to trust it.
   void keep(std::size_t leaf, const dbscan::Labeling& labels) {
-    const auto owned = static_cast<std::ptrdiff_t>(counts_[leaf].owned);
+    const auto owned = std::span(labels.cluster).first(counts_[leaf].owned);
+    records_[leaf] = sweep::owned_record_count(owned, keep_noise_);
     if (resident()) {
-      std::vector<dbscan::ClusterId>& ids = kept_[leaf].cluster;
-      ids.assign(labels.cluster.begin(), labels.cluster.begin() + owned);
-      records_[leaf] = sweep::owned_record_count(ids, keep_noise_);
+      kept_[leaf].cluster.assign(owned.begin(), owned.end());
       return;
     }
     const obs::LayerSpan span(&recorder_, "io.spill_labels");
     std::vector<std::uint8_t> buf(kept_bytes(leaf));
-    if (owned > 0) std::memcpy(buf.data(), labels.cluster.data(), buf.size());
+    if (!owned.empty()) std::memcpy(buf.data(), owned.data(), buf.size());
     io::write_file(labels_path(leaf), buf);
     spill_digests_[leaf] = util::fnv1a(buf);
   }
 
-  /// Take the global ids the sweep delivered to the leaf. Out of core,
-  /// its records stream to the output file now; a resident run keeps the
-  /// ids, in delivery order, for finish().
+  /// Take the global ids the sweep delivered to the leaf, in delivery
+  /// order, for finish().
   void deliver(std::size_t leaf, std::vector<std::int64_t> global_of_local) {
-    if (resident()) {
-      delivered_.push_back({leaf, std::move(global_of_local)});
-      return;
-    }
-    // Re-map just this leaf's owned points and its label spill; both are
-    // dropped again on return.
-    geom::PointSet owned;
-    dbscan::Labeling labels;
-    {
-      const obs::LayerSpan span(&recorder_, "io.map");
-      const io::MappedSegment seg(io::segment_file_path(spool_, leaf));
-      recorder_.metrics().add("ooc.mapped_bytes", seg.mapped_bytes());
-      owned = seg.decode_owned();
-      labels.cluster = read_spill(leaf, owned.size());
-    }
-    std::vector<sweep::LabeledPoint> records;
-    {
-      const obs::LayerSpan span(&recorder_, "sweep.label");
-      records = sweep::label_owned_points(owned, labels, global_of_local,
-                                          keep_noise_);
-    }
-    const obs::LayerSpan span(&recorder_, "io.append");
-    io::LabeledFileWriter& out = writer();
-    for (const sweep::LabeledPoint& record : records) {
-      out.append(record.point, record.cluster);
-    }
+    delivered_.push_back({leaf, std::move(global_of_local)});
   }
 
-  /// Close the output and record it in `result`: the records themselves,
-  /// or the streamed file's path. A resident run labels its delivered
-  /// leaves here, on `pool`: each gathers its owned points again and
-  /// writes its records into its own span of the output, which starts at
-  /// the record count of the leaves delivered before it, so the output
-  /// keeps delivery order.
+  /// Label the delivered leaves on `pool` and record the output in
+  /// `result`. Leaves go in windows of delivery order: resident, one
+  /// window of every leaf, whose records become `result.output`; out of
+  /// core, windows of working_set leaves, each labelled into one reused
+  /// buffer and appended to the MRLB file, so the sweep maps at most
+  /// working_set segments at once. In a window each leaf writes its own
+  /// span, which starts at the record count of the window's leaves
+  /// delivered before it, so the output keeps delivery order.
   void finish(MrScanResult& result, util::ThreadPool& pool) {
-    if (resident()) {
+    // The output file opens after the cluster phase, so a run aborted
+    // there leaves none behind.
+    std::optional<io::LabeledFileWriter> out;
+    if (!resident()) out.emplace(output_path());
+    std::vector<sweep::LabeledPoint> records;
+    for (std::size_t begin = 0; begin < delivered_.size(); begin += window_) {
+      const std::size_t end = std::min(delivered_.size(), begin + window_);
       std::vector<std::size_t> offsets{0};
-      for (const Delivery& d : delivered_) {
-        offsets.push_back(offsets.back() + records_[d.leaf]);
+      for (std::size_t d = begin; d < end; ++d) {
+        offsets.push_back(offsets.back() + records_[delivered_[d].leaf]);
       }
-      std::vector<sweep::LabeledPoint> output(offsets.back());
-      const std::span<sweep::LabeledPoint> all(output);
-      pool.parallel_for(0, delivered_.size(), [&](std::size_t d) {
+      records.resize(offsets.back());
+      const std::span<sweep::LabeledPoint> all(records);
+      pool.parallel_for(begin, end, [&](std::size_t d) {
+        const std::size_t at = d - begin;
         label(delivered_[d],
-              all.subspan(offsets[d], offsets[d + 1] - offsets[d]));
+              all.subspan(offsets[at], offsets[at + 1] - offsets[at]));
       });
       MRSCAN_ASSERT_MSG(pool.dropped_exceptions() == 0,
                         "sweep swallowed a worker exception");
-      result.output = std::move(output);
+      if (!out) continue;
+      const obs::LayerSpan span(&recorder_, "io.append");
+      for (const sweep::LabeledPoint& record : records) {
+        out->append(record.point, record.cluster);
+      }
+    }
+    if (resident()) {
+      result.output = std::move(records);
       result.output_records = result.output.size();
       return;
     }
     const obs::LayerSpan span(&recorder_, "io.append");
-    io::LabeledFileWriter& out = writer();
-    out.close();
+    out->close();
     result.output_path = output_path();
-    result.output_records = out.records();
+    result.output_records = out->records();
     recorder_.metrics().add("ooc.output_records", result.output_records);
   }
 
@@ -191,17 +190,23 @@ class LeafStore {
     return spill_digests_[leaf];
   }
 
-  /// Resume: true when the leaf's label spill survived with the size and
-  /// digest its checkpoint entry recorded. A leaf whose spill is missing,
-  /// short, zeroed or otherwise changed is clustered again.
-  bool spill_intact(std::size_t leaf, std::uint64_t recorded_bytes,
-                    std::uint64_t recorded_digest) const {
+  /// Resume: take a leaf from its checkpoint entry when its label spill
+  /// survived with the size and digest the entry recorded, and count the
+  /// records the leaf will yield. False for a leaf whose spill is
+  /// missing, short, zeroed or otherwise changed: it is clustered again.
+  bool restore(std::size_t leaf, std::uint64_t recorded_bytes,
+               std::uint64_t recorded_digest) {
     const std::filesystem::path path = labels_path(leaf);
     std::error_code ec;
     const std::uintmax_t size = std::filesystem::file_size(path, ec);
-    return !ec && size == recorded_bytes &&
-           recorded_bytes == kept_bytes(leaf) &&
-           util::fnv1a(io::read_file_bytes(path)) == recorded_digest;
+    if (ec || size != recorded_bytes || recorded_bytes != kept_bytes(leaf)) {
+      return false;
+    }
+    const std::vector<std::uint8_t> bytes = io::read_file_bytes(path);
+    if (util::fnv1a(bytes) != recorded_digest) return false;
+    records_[leaf] =
+        sweep::owned_record_count(spilled_ids(leaf, bytes), keep_noise_);
+    return true;
   }
 
  private:
@@ -213,17 +218,19 @@ class LeafStore {
 
   bool resident() const { return grid_ != nullptr; }
 
-  /// Resident: label one delivered leaf's owned points into `out`.
+  /// Label one delivered leaf's owned points into `out`, with its kept
+  /// cluster ids or the ids it spilled.
   void label(const Delivery& delivery,
              std::span<sweep::LabeledPoint> out) const {
     const obs::LayerSpan span(&recorder_, "sweep.label");
-    geom::PointSet owned;
-    owned.reserve(counts_[delivery.leaf].owned);
-    partition::for_each_owned_cell(
-        plan_, delivery.leaf, *grid_, [&](std::span<const std::uint32_t> cell) {
-          for (const std::uint32_t idx : cell) owned.push_back(points_[idx]);
-        });
-    sweep::label_owned_points(owned, kept_[delivery.leaf],
+    const geom::PointSet owned = load(delivery.leaf, /*owned_only=*/true);
+    dbscan::Labeling spilled;
+    if (!resident()) {
+      spilled.cluster = spilled_ids(
+          delivery.leaf, io::read_file_bytes(labels_path(delivery.leaf)));
+    }
+    sweep::label_owned_points(owned,
+                              resident() ? kept_[delivery.leaf] : spilled,
                               delivery.global_of_local, keep_noise_, out);
   }
 
@@ -235,22 +242,15 @@ class LeafStore {
     return spool_ / "output.labeled";
   }
 
-  /// The output file opens at the first record, so a run aborted in the
-  /// cluster phase leaves none behind.
-  io::LabeledFileWriter& writer() {
-    if (!writer_) writer_.emplace(output_path());
-    return *writer_;
-  }
-
-  std::vector<dbscan::ClusterId> read_spill(std::size_t leaf,
-                                            std::size_t owned_count) const {
-    const std::filesystem::path path = labels_path(leaf);
-    const std::vector<std::uint8_t> bytes = io::read_file_bytes(path);
-    std::vector<dbscan::ClusterId> ids(owned_count);
-    if (bytes.size() != ids.size() * sizeof(dbscan::ClusterId)) {
-      io::format_fail(path,
+  /// A leaf's label spill, read as its owned points' cluster ids. A
+  /// spill of the wrong size fails, naming the file.
+  std::vector<dbscan::ClusterId> spilled_ids(
+      std::size_t leaf, std::span<const std::uint8_t> bytes) const {
+    if (bytes.size() != kept_bytes(leaf)) {
+      io::format_fail(labels_path(leaf),
                       "label spill size does not match the leaf's owned count");
     }
+    std::vector<dbscan::ClusterId> ids(counts_[leaf].owned);
     if (!ids.empty()) std::memcpy(ids.data(), bytes.data(), bytes.size());
     return ids;
   }
@@ -258,6 +258,8 @@ class LeafStore {
   const partition::PartitionPlan& plan_;
   std::span<const io::SegmentCounts> counts_;
   const index::Grid* grid_;
+  /// The leaves finish() labels at once.
+  std::size_t window_;
   std::span<const geom::Point> points_;
   partition::MaterializeConfig materialize_;
   std::filesystem::path spool_;
@@ -265,14 +267,12 @@ class LeafStore {
   obs::Recorder& recorder_;
   /// Resident: each leaf's owned cluster ids (`core` stays empty).
   std::vector<dbscan::Labeling> kept_;
-  /// Resident: the records each leaf yields.
+  /// The records each leaf yields.
   std::vector<std::size_t> records_;
-  /// Resident: the leaves in sweep delivery order.
+  /// The leaves in sweep delivery order.
   std::vector<Delivery> delivered_;
   /// Out of core: util::fnv1a of each leaf's label spill.
   std::vector<std::uint64_t> spill_digests_;
-  /// Out of core: the streamed MRLB output.
-  std::optional<io::LabeledFileWriter> writer_;
 };
 
 namespace names = obs::names;
@@ -638,7 +638,7 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
       MRSCAN_REQUIRE_MSG(restored.total_leaves == leaf_count,
                          "checkpoint leaf count does not match this run");
       std::erase_if(restored.entries, [&](const fault::CheckpointEntry& e) {
-        return !store.spill_intact(e.rank, e.labels_bytes, e.labels_digest);
+        return !store.restore(e.rank, e.labels_bytes, e.labels_digest);
       });
       for (const fault::CheckpointEntry& entry : restored.entries) {
         const std::size_t rank = entry.rank;

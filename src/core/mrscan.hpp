@@ -39,16 +39,18 @@ namespace mrscan::core {
 /// Out-of-core execution (DESIGN §15): partitions spool to per-leaf
 /// segment files, the cluster phase streams leaves through a bounded
 /// working set of memory mappings, labels spill to disk, and the sweep
-/// streams the output file instead of collecting it resident. Output is
-/// bit-identical to a resident run (same records, counters, and
-/// simulated seconds); only peak memory changes.
+/// labels the leaves in windows of the same working set, appending each
+/// window's records to the output file instead of collecting them
+/// resident. Output is bit-identical to a resident run (same records,
+/// counters, and simulated seconds); only peak memory changes.
 struct OocOptions {
   bool enabled = false;
   /// Spool directory for segment files, label spills, the checkpoint
   /// manifest, and the streamed output. Required when enabled.
   std::filesystem::path dir;
-  /// Leaves concurrently resident during the cluster phase; peak
-  /// residency is working_set × points_per_leaf, not the full dataset.
+  /// Leaves concurrently resident during the cluster phase, and leaves
+  /// the sweep labels at once; peak residency is working_set ×
+  /// points_per_leaf, not the full dataset.
   std::size_t working_set = 8;
   /// Restore finished leaves from dir's checkpoint manifest (written by
   /// a previous run over the same input and configuration) instead of

@@ -1,7 +1,8 @@
 // Streamed binary clustered-output file.
 //
 // Out-of-core runs cannot hold the labeled output resident, so the sweep
-// phase streams records to disk as each leaf's scatter callback fires.
+// phase appends records to disk one working-set window of leaves at a
+// time.
 // Records are io::kLabeledRecordSize bytes — the 28-byte point record
 // (io::encode_binary_record) followed by the global cluster id (i64) —
 // under a small header, all little-endian through util/bytes.hpp:
@@ -10,9 +11,10 @@
 //
 // No record count in the header: the writer appends until closed, and
 // the reader derives the count from the file size (rejecting a size
-// that is not a whole number of records). Callback order on the
-// simulated event loop is deterministic, so the record order matches a
-// resident run's result.output byte-for-byte (DESIGN §8, §15).
+// that is not a whole number of records). Windows follow the scatter's
+// delivery order on the simulated event loop, which is deterministic, so
+// the record order matches a resident run's result.output byte-for-byte
+// (DESIGN §8, §15).
 #pragma once
 
 #include <cstdint>

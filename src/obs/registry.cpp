@@ -1,19 +1,11 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 
 #include "util/assert.hpp"
 
 namespace mrscan::obs {
-
-std::size_t thread_slot() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return slot;
-}
 
 const MetricSample* MetricsSnapshot::find(std::string_view name) const {
   const auto it = std::lower_bound(
@@ -35,15 +27,11 @@ double MetricsSnapshot::gauge(std::string_view name, double fallback) const {
   return s != nullptr && s->kind == MetricKind::kGauge ? s->value : fallback;
 }
 
-Registry::Shard& Registry::shard_for_this_thread() {
-  return shards_[thread_slot() % kShards];
-}
-
-Registry::Slot& Registry::slot_locked(Shard& shard, std::string_view name,
+Registry::Slot& Registry::slot_locked(std::string_view name,
                                       MetricKind kind) {
-  auto it = shard.slots.find(name);
-  if (it == shard.slots.end()) {
-    it = shard.slots.emplace(std::string(name), Slot{}).first;
+  auto it = slots_.find(name);
+  if (it == slots_.end()) {
+    it = slots_.emplace(std::string(name), Slot{}).first;
     it->second.kind = kind;
     it->second.min = std::numeric_limits<double>::infinity();
     it->second.max = -std::numeric_limits<double>::infinity();
@@ -55,73 +43,38 @@ Registry::Slot& Registry::slot_locked(Shard& shard, std::string_view name,
 }
 
 void Registry::add(std::string_view name, std::uint64_t delta) {
-  Shard& shard = shard_for_this_thread();
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  slot_locked(shard, name, MetricKind::kCounter).count += delta;
+  std::lock_guard<std::mutex> lock(mutex_);
+  slot_locked(name, MetricKind::kCounter).count += delta;
 }
 
 void Registry::set(std::string_view name, double value) {
-  Shard& shard = shard_for_this_thread();
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  Slot& slot = slot_locked(shard, name, MetricKind::kGauge);
+  std::lock_guard<std::mutex> lock(mutex_);
+  Slot& slot = slot_locked(name, MetricKind::kGauge);
   slot.gauge = value;
   slot.gauge_set = true;
 }
 
 void Registry::set_max(std::string_view name, double value) {
-  Shard& shard = shard_for_this_thread();
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  Slot& slot = slot_locked(shard, name, MetricKind::kGauge);
+  std::lock_guard<std::mutex> lock(mutex_);
+  Slot& slot = slot_locked(name, MetricKind::kGauge);
   if (!slot.gauge_set || value > slot.gauge) slot.gauge = value;
   slot.gauge_set = true;
 }
 
 void Registry::observe(std::string_view name, double value) {
-  Shard& shard = shard_for_this_thread();
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  Slot& slot = slot_locked(shard, name, MetricKind::kHistogram);
+  std::lock_guard<std::mutex> lock(mutex_);
+  Slot& slot = slot_locked(name, MetricKind::kHistogram);
   ++slot.count;
   slot.sum += value;
   slot.min = std::min(slot.min, value);
   slot.max = std::max(slot.max, value);
 }
 
-template <typename Fn>
-void Registry::for_each_slot(std::string_view name, Fn&& fn) const {
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.slots.find(name);
-    if (it != shard.slots.end()) fn(it->second);
-  }
-}
-
 MetricsSnapshot Registry::snapshot() const {
-  // Merge rules are commutative, so visiting shards in index order is a
-  // convenience, not a requirement — but it keeps the walk deterministic.
-  std::map<std::string, Slot> merged;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [name, slot] : shard.slots) {
-      auto [it, inserted] = merged.emplace(name, slot);
-      if (inserted) continue;
-      Slot& into = it->second;
-      MRSCAN_REQUIRE_MSG(into.kind == slot.kind,
-                         "obs::Registry metric has mixed kinds across "
-                         "shards");
-      into.count += slot.count;
-      into.sum += slot.sum;
-      into.min = std::min(into.min, slot.min);
-      into.max = std::max(into.max, slot.max);
-      if (slot.gauge_set && (!into.gauge_set || slot.gauge > into.gauge)) {
-        into.gauge = slot.gauge;
-        into.gauge_set = true;
-      }
-    }
-  }
-
+  std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
-  snap.samples.reserve(merged.size());
-  for (const auto& [name, slot] : merged) {
+  snap.samples.reserve(slots_.size());
+  for (const auto& [name, slot] : slots_) {
     MetricSample sample;
     sample.name = name;
     sample.kind = slot.kind;
@@ -146,14 +99,11 @@ MetricsSnapshot Registry::snapshot() const {
 }
 
 double Registry::gauge_value(std::string_view name, double fallback) const {
-  double value = fallback;
-  bool seen = false;
-  for_each_slot(name, [&](const Slot& slot) {
-    if (slot.kind != MetricKind::kGauge || !slot.gauge_set) return;
-    if (!seen || slot.gauge > value) value = slot.gauge;
-    seen = true;
-  });
-  return value;
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = slots_.find(name);
+  return it != slots_.end() && it->second.kind == MetricKind::kGauge
+             ? it->second.gauge
+             : fallback;
 }
 
 }  // namespace mrscan::obs

@@ -1,14 +1,22 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <utility>
-
-#include "obs/registry.hpp"
 
 namespace mrscan::obs {
 
 namespace {
+
+/// Small dense id for the calling OS thread (stable for its lifetime):
+/// a wall span's track.
+std::size_t thread_slot() {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t slot =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return slot;
+}
 
 double steady_seconds() {
   return std::chrono::duration<double>(

@@ -2,7 +2,7 @@
 //
 // A span is a named interval on one of two clocks:
 //   * kWall — host seconds since the tracer's construction (steady
-//     clock), tracked per OS thread (obs::thread_slot());
+//     clock), tracked per OS thread (a small dense id per thread);
 //   * kSim  — seconds on the Titan virtual clock (sim::EventQueue time
 //     plus a phase offset), tracked per tree node / leaf rank.
 // Phase spans nest leaf spans nest network/fault spans purely by time

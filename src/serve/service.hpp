@@ -276,7 +276,7 @@ class ClusterService {
   mutable std::mutex snapshot_mutex_;
   std::shared_ptr<const EpochSnapshot> current_;
 
-  // Thread-safe by construction (sharded); mutable so const query paths
+  // Thread-safe (one mutex); mutable so const query paths
   // can record their own latency.
   mutable obs::Registry registry_;
 };

@@ -12,9 +12,12 @@
 //   3. DBDC quality over all points >= 0.99 (border drift only).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
+#include <random>
 #include <stdexcept>
 #include <string>
 
@@ -225,6 +228,223 @@ TEST(Differential, DenseBoxCornersBeyondEpsStayNoise) {
       }
     }
   }
+}
+
+namespace {
+
+/// Exact DBSCAN by brute force, with the distance test every kernel
+/// applies: `core[i]` when point i has at least MinPts points, itself
+/// included, within Eps; `component[i]` is the smallest index of the
+/// core points Eps-connected to core point i; `neighbours[i]` lists them
+/// all (i itself included).
+struct BruteForce {
+  std::vector<std::uint8_t> core;
+  std::vector<std::size_t> component;
+  std::vector<std::vector<std::size_t>> neighbours;
+  std::size_t components = 0;
+};
+
+BruteForce brute_force_dbscan(const mg::PointSet& points,
+                              const md::DbscanParams& params) {
+  const std::size_t n = points.size();
+  const double eps2 = params.eps * params.eps;
+  BruteForce bf;
+  bf.neighbours.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const double dx = points[i].x - points[j].x;
+      const double dy = points[i].y - points[j].y;
+      if (dx * dx + dy * dy <= eps2) bf.neighbours[i].push_back(j);
+    }
+  }
+  bf.core.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bf.core[i] = bf.neighbours[i].size() >= params.min_pts ? 1 : 0;
+  }
+  // Label each core component by its smallest index, one flood at a time.
+  bf.component.assign(n, n);
+  for (std::size_t seed = 0; seed < n; ++seed) {
+    if (!bf.core[seed] || bf.component[seed] != n) continue;
+    ++bf.components;
+    std::vector<std::size_t> stack{seed};
+    bf.component[seed] = seed;
+    while (!stack.empty()) {
+      const std::size_t i = stack.back();
+      stack.pop_back();
+      for (const std::size_t j : bf.neighbours[i]) {
+        if (!bf.core[j] || bf.component[j] != n) continue;
+        bf.component[j] = seed;
+        stack.push_back(j);
+      }
+    }
+  }
+  return bf;
+}
+
+/// One seeded input for the brute-force fuzz and the MinPts it runs at.
+struct AdversarialInput {
+  std::string name;
+  double eps = 1.0;
+  std::size_t min_pts = 1;
+  mg::PointSet points;
+};
+
+/// The inputs that stress the pipeline's exact-distance contract: Eps
+/// lattices, whose neighbour distances round either side of Eps;
+/// lattices spaced one dense-box side apart; half-Eps lattices across the
+/// y = 0 line, where a cell code's int32 iy wraps to the top of the code
+/// range and y is +0 or -0 at random; uniform points; clumps; and the
+/// corners of a dense-box-sized square, r points each, at MinPts in
+/// (3r, 4r], where the opposite corners' distance rounds past Eps.
+std::vector<AdversarialInput> adversarial_inputs(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&rng](std::size_t lo, std::size_t hi) {
+    return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+  };
+  std::vector<AdversarialInput> inputs;
+  for (const double eps : {1.0, 0.1, 0.00015}) {
+    const double side = mrscan::gpu::dense_box_side(eps);
+    const auto add = [&](std::string name, std::size_t min_pts) {
+      inputs.push_back({std::move(name) + " at Eps " + std::to_string(eps),
+                        eps, min_pts, {}});
+      return &inputs.back().points;
+    };
+    const auto push = [](mg::PointSet* pts, double x, double y) {
+      pts->push_back({pts->size(), x, y, 1.0f});
+    };
+
+    for (const auto& [name, spacing] :
+         {std::pair{"Eps lattice", eps}, std::pair{"box lattice", side}}) {
+      const std::size_t k = pick(4, 7);
+      mg::PointSet* pts = add(name, pick(2, 6));
+      const double x0 = spacing * static_cast<double>(pick(0, 3));
+      for (std::size_t i = 0; i < k; ++i) {
+        for (std::size_t j = 0; j < k; ++j) {
+          push(pts, x0 + spacing * static_cast<double>(i),
+               spacing * static_cast<double>(j));
+        }
+      }
+    }
+
+    {
+      const auto k = static_cast<std::int64_t>(pick(3, 5));
+      mg::PointSet* pts = add("half-Eps lattice across y = 0", pick(3, 10));
+      for (std::int64_t i = 0; i < 2 * k; ++i) {
+        for (std::int64_t j = -k; j <= k; ++j) {
+          const double y = j == 0 ? (pick(0, 1) != 0 ? -0.0 : 0.0)
+                                  : 0.5 * eps * static_cast<double>(j);
+          push(pts, 0.5 * eps * static_cast<double>(i), y);
+        }
+      }
+    }
+
+    {
+      std::uniform_real_distribution<double> coord(0.0, 4.0 * eps);
+      mg::PointSet* pts = add("uniform", pick(2, 6));
+      for (std::size_t n = pick(40, 90); pts->size() < n;) {
+        push(pts, coord(rng), coord(rng));
+      }
+    }
+
+    {
+      std::uniform_real_distribution<double> centre(0.0, 6.0 * eps);
+      std::normal_distribution<double> spread(0.0, eps / 3.0);
+      mg::PointSet* pts = add("clumps", pick(3, 8));
+      for (std::size_t c = pick(2, 4); c > 0; --c) {
+        const double cx = centre(rng);
+        const double cy = centre(rng);
+        for (std::size_t n = pick(8, 20); n > 0; --n) {
+          push(pts, cx + spread(rng), cy + spread(rng));
+        }
+      }
+    }
+
+    {
+      const std::size_t r = pick(1, 5);
+      mg::PointSet* pts = add("box corners", pick(3 * r + 1, 4 * r));
+      for (const auto& [x, y] : {std::pair{0.0, 0.0}, std::pair{side, 0.0},
+                                 std::pair{0.0, side}, std::pair{side, side}}) {
+        for (std::size_t i = 0; i < r; ++i) push(pts, x, y);
+      }
+    }
+  }
+  return inputs;
+}
+
+}  // namespace
+
+// Seeded adversarial geometry through every leaf count, cluster
+// algorithm and grid refinement, against exact DBSCAN by brute force. The core components and the noise set must match exactly,
+// and a border point must carry the cluster of one of its core
+// neighbours (which one depends on visit order, §2.1).
+TEST(Differential, AdversarialGeometryMatchesBruteForce) {
+  using mrscan::cluster::ClusterAlgo;
+  struct Algo {
+    const char* name;
+    ClusterAlgo algo;
+    bool dense_box;
+  };
+  const Algo algos[] = {{"two-pass, dense boxes", ClusterAlgo::kTwoPass, true},
+                        {"two-pass", ClusterAlgo::kTwoPass, false},
+                        {"cell-graph", ClusterAlgo::kCellGraph, true}};
+  std::size_t runs = 0;
+  for (const AdversarialInput& input : adversarial_inputs(9)) {
+    const mg::PointSet& points = input.points;
+    const BruteForce bf = brute_force_dbscan(
+        points, md::DbscanParams{input.eps, input.min_pts});
+    for (const std::size_t leaves : {1UL, 2UL, 4UL, 8UL}) {
+      for (const Algo& algo : algos) {
+        for (const std::size_t refine : {1UL, 2UL}) {
+          auto config = make_config(input.eps, input.min_pts, leaves, 4);
+          config.cluster_algo = algo.algo;
+          config.gpu.dense_box = algo.dense_box;
+          config.cell_refine = refine;
+          const auto result = mc::MrScan(config).run(points);
+          const auto got = result.labels_for(points);
+          ++runs;
+          const std::string context =
+              input.name + ", MinPts " + std::to_string(input.min_pts) +
+              ", " + std::to_string(leaves) + " leaves, " + algo.name +
+              ", cell_refine " + std::to_string(refine);
+
+          EXPECT_EQ(result.cluster_count, bf.components) << context;
+          // Core components: one cluster per component, and no two
+          // components share one.
+          std::map<std::size_t, md::ClusterId> cluster_of;
+          std::map<md::ClusterId, std::size_t> component_of;
+          for (std::size_t i = 0; i < points.size(); ++i) {
+            if (bf.core[i] == 0) continue;
+            ASSERT_NE(got[i], md::kNoise) << context << ": core point " << i;
+            ASSERT_EQ(cluster_of.emplace(bf.component[i], got[i]).first->second,
+                      got[i])
+                << context << ": component split";
+            ASSERT_EQ(component_of.emplace(got[i], bf.component[i])
+                          .first->second,
+                      bf.component[i])
+                << context << ": components merged";
+          }
+          // Noise exactly, and each border point in a neighbour's cluster.
+          for (std::size_t i = 0; i < points.size(); ++i) {
+            if (bf.core[i] != 0) continue;
+            bool in_neighbour_cluster = false;
+            bool has_core_neighbour = false;
+            for (const std::size_t j : bf.neighbours[i]) {
+              if (bf.core[j] == 0) continue;
+              has_core_neighbour = true;
+              in_neighbour_cluster |= got[i] == got[j];
+            }
+            if (!has_core_neighbour) {
+              ASSERT_EQ(got[i], md::kNoise) << context << ": noise point " << i;
+            } else {
+              ASSERT_TRUE(in_neighbour_cluster)
+                  << context << ": border point " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 18u * 24u);
 }
 
 TEST(Differential, HostThreadSweepYieldsBitIdenticalOutput) {
@@ -533,33 +753,44 @@ TEST(Differential, OutOfCoreRunIsByteIdenticalToResident) {
   const auto baseline = mc::MrScan(base_cfg).run(points);
   ASSERT_GT(baseline.cluster_count, 0u);
   ASSERT_GT(baseline.leaves_used, 8u);
+  ASSERT_NE(baseline.leaves_used % 5, 0u);
 
   const fs::path root =
       fs::temp_directory_path() /
       ("mrscan_ooc_diff_" + std::to_string(::getpid()));
   fs::remove_all(root);
 
+  // The sweep labels working-set windows of leaves: one leaf a window,
+  // whole windows (3), a partial last window (5), and one window larger
+  // than the leaf count.
   for (const std::size_t threads : {1UL, 4UL}) {
-    auto cfg = base_cfg;
-    cfg.host_threads = threads;
-    cfg.ooc.enabled = true;
-    cfg.ooc.dir = root / ("ht" + std::to_string(threads));
-    cfg.ooc.working_set = 3;
-    const auto result = mc::MrScan(cfg).run(points);
-    const std::string context = "ooc host_threads " + std::to_string(threads);
+    for (const std::size_t working_set : {std::size_t{1}, std::size_t{3},
+                                          std::size_t{5},
+                                          baseline.leaves_used + 1}) {
+      auto cfg = base_cfg;
+      cfg.host_threads = threads;
+      cfg.ooc.enabled = true;
+      cfg.ooc.dir = root / ("ht" + std::to_string(threads) + "_ws" +
+                            std::to_string(working_set));
+      cfg.ooc.working_set = working_set;
+      const auto result = mc::MrScan(cfg).run(points);
+      const std::string context = "ooc host_threads " +
+                                  std::to_string(threads) + " working_set " +
+                                  std::to_string(working_set);
 
-    EXPECT_TRUE(result.output.empty()) << context;
-    EXPECT_EQ(result.output_records, baseline.output.size()) << context;
-    EXPECT_TRUE(read_labeled(result.output_path) == baseline.output)
-        << context << ": streamed records differ from the resident run";
-    EXPECT_EQ(result.cluster_count, baseline.cluster_count) << context;
-    EXPECT_EQ(result.leaves_used, baseline.leaves_used) << context;
-    EXPECT_EQ(result.merges_detected, baseline.merges_detected) << context;
-    EXPECT_DOUBLE_EQ(result.gpu_dbscan_seconds, baseline.gpu_dbscan_seconds)
-        << context;
-    EXPECT_DOUBLE_EQ(result.sim.cluster_merge, baseline.sim.cluster_merge)
-        << context;
-    EXPECT_DOUBLE_EQ(result.sim.sweep, baseline.sim.sweep) << context;
+      EXPECT_TRUE(result.output.empty()) << context;
+      EXPECT_EQ(result.output_records, baseline.output.size()) << context;
+      EXPECT_TRUE(read_labeled(result.output_path) == baseline.output)
+          << context << ": streamed records differ from the resident run";
+      EXPECT_EQ(result.cluster_count, baseline.cluster_count) << context;
+      EXPECT_EQ(result.leaves_used, baseline.leaves_used) << context;
+      EXPECT_EQ(result.merges_detected, baseline.merges_detected) << context;
+      EXPECT_DOUBLE_EQ(result.gpu_dbscan_seconds, baseline.gpu_dbscan_seconds)
+          << context;
+      EXPECT_DOUBLE_EQ(result.sim.cluster_merge, baseline.sim.cluster_merge)
+          << context;
+      EXPECT_DOUBLE_EQ(result.sim.sweep, baseline.sim.sweep) << context;
+    }
   }
 
   // Kill/resume: abort right after a checkpoint, then resume on a

@@ -1,8 +1,9 @@
 // Observability subsystem battery.
 //
 // The contracts under test (ISSUE 4 / DESIGN §9):
-//   * registry merges are deterministic: concurrent sharded writes yield
-//     the same snapshot — and the same JSON bytes — as sequential ones;
+//   * registry snapshots are deterministic: concurrent writes yield the
+//     same snapshot — and the same JSON bytes — as sequential ones, and a
+//     gauge keeps its last set value whichever thread set it;
 //   * spans carry the right clock domain and sort deterministically;
 //   * the exporters produce exactly the documented JSON shapes;
 //   * tracing a fault-injected multi-threaded pipeline run changes
@@ -20,6 +21,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/mrscan.hpp"
@@ -103,6 +105,14 @@ TEST(ObsRegistry, ConcurrentWritesMatchSequentialAndAreByteStable) {
     });
     EXPECT_EQ(mo::metrics_json(par.snapshot()), seq_json) << round;
   }
+}
+
+TEST(ObsRegistry, GaugeKeepsTheLastSetValueAcrossThreads) {
+  mo::Registry reg;
+  std::thread([&] { reg.set("g", 5.0); }).join();
+  std::thread([&] { reg.set("g", 1.0); }).join();
+  EXPECT_DOUBLE_EQ(reg.snapshot().gauge("g"), 1.0);
+  EXPECT_DOUBLE_EQ(reg.gauge_value("g"), 1.0);
 }
 
 TEST(ObsRegistry, KindMismatchIsRejected) {
